@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import ceil_cbrt, next_prime_above
-from .perm import Permutation, PermSet, restrict
+from .perm import Permutation, PermSet
 
 # Key arithmetic runs in int64; sizes beyond this would need wider math.
 MAX_NK = 1 << 60
@@ -138,17 +138,15 @@ def _key_arrays(j: int, x, y, z, params: ConstructionParams):
     return major, middle, x
 
 
-def build_exact(n: int, k: int) -> PermSet:
-    """The k generator permutations on [n] for exact n = k^2 * s1^3.
+def _build(params: ConstructionParams, n: int) -> PermSet:
+    """The k generator permutations on [params.n], each restricted to [n].
 
-    Pairwise LCS of the result is at most 2p - 1 (and so at most
-    16*(n*k)**(1/3)).
+    Restriction never grows an LCS, so every result keeps the 2p - 1 bound.
     """
-    params = params_from(n, k)
     x, y, z = _coordinate_arrays(params)
     middle_cap = params.k * params.s1 + params.s2
     perms = []
-    for j in range(1, k + 1):
+    for j in range(1, params.k + 1):
         major, middle, minor = _key_arrays(j, x, y, z, params)
         if not ((middle > 0) & (middle <= middle_cap)).all():
             raise RuntimeError(f"middle key left (0, {middle_cap}] for j={j}")
@@ -157,9 +155,22 @@ def build_exact(n: int, k: int) -> PermSet:
         ties = (np.diff(sm) == 0) & (np.diff(sd) == 0) & (np.diff(sn) == 0)
         if ties.any():
             raise RuntimeError(f"duplicate sort key for j={j}; keys must be 1-1 on [n]")
+        if n < params.n:
+            order = order[order < n]
         perms.append(Permutation(tuple(order.tolist())))
-    record = params.as_dict() | {"n_prime": n, "exact": True}
+    record = params.as_dict() | {
+        "n": n, "n_prime": params.n, "exact": n == params.n, "lcs_bound": 2 * params.p - 1,
+    }
     return PermSet(tuple(perms), provenance="algebraic", params=record)
+
+
+def build_exact(n: int, k: int) -> PermSet:
+    """The k generator permutations on [n] for exact n = k^2 * s1^3.
+
+    Pairwise LCS of the result is at most 2p - 1 (and so at most
+    16*(n*k)**(1/3)).
+    """
+    return _build(params_from(n, k), n)
 
 
 def build_general(n: int, k: int) -> PermSet:
@@ -174,10 +185,4 @@ def build_general(n: int, k: int) -> PermSet:
     if n < k * k:
         raise ValueError(f"need n >= k^2 = {k * k}, got {n}")
     s1 = ceil_cbrt(-(-n // (k * k)))
-    n_prime = k * k * s1**3
-    exact = build_exact(n_prime, k)
-    if n_prime == n:
-        return exact
-    perms = tuple(restrict(p, n) for p in exact.perms)
-    record = dict(exact.params) | {"n": n, "exact": False}
-    return PermSet(perms, provenance="algebraic", params=record)
+    return _build(params_from(k * k * s1**3, k), n)

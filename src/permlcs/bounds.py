@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .arith import ceil_cbrt
+from .arith import ceil_cbrt, ceil_root
+from .hadamard import digit_lcs_bound
 from .perm import Permutation, PermSet, restrict
-from .subseq import lcs_all_pairs, lds, lis
+from .subseq import lcs_all_pairs, lis
 
 PREFIX_TABLE_SIZE_LIMIT = 2000
 
@@ -48,7 +48,6 @@ class LisSample:
     trials: int
     seed: int
     lengths: tuple[int, ...]
-    lds_lengths: Optional[tuple[int, ...]] = None
 
     def mean(self) -> float:
         return sum(self.lengths) / self.trials
@@ -59,28 +58,58 @@ class LisSample:
         return "\n".join(lines) + "\n"
 
 
-def sample_lis(n: int, trials: int, seed: int, *, record_lds: bool = False) -> LisSample:
+def sample_lis(n: int, trials: int, seed: int) -> LisSample:
     if trials < 1:
         raise ValueError("need at least one trial")
-    lengths = []
-    down = [] if record_lds else None
-    for t in range(trials):
-        word = trial_rng(seed, t).permutation(n).tolist()
-        lengths.append(lis(word))
-        if down is not None:
-            down.append(lds(word))
-    return LisSample(
-        n=n,
-        trials=trials,
-        seed=seed,
-        lengths=tuple(lengths),
-        lds_lengths=None if down is None else tuple(down),
-    )
+    lengths = tuple(lis(trial_rng(seed, t).permutation(n).tolist()) for t in range(trials))
+    return LisSample(n=n, trials=trials, seed=seed, lengths=lengths)
 
 
 def lcs_threshold(n: int) -> float:
     """The 2e*sqrt(n) level that random pairs essentially never reach."""
     return 2.0 * math.e * math.sqrt(n)
+
+
+# -- the bounds `permlcs verify` asserts, by name --
+# Each check maps (n, k, max pair LCS) to a report dict.  Decisions are exact
+# integer comparisons; float thresholds are display only.
+
+THEOREM2_FACTOR = 32
+
+
+def cube_root_floor(n: int) -> int:
+    """ceil(n**(1/3)): every set of k >= 3 permutations on [n] has a pair
+    with an LCS at least this long."""
+    return ceil_cbrt(n)
+
+
+def theorem2_threshold(n: int, k: int) -> float:
+    """32*(n*k)**(1/3), one ulp up so the printed value never understates it."""
+    return math.nextafter(THEOREM2_FACTOR * float(n * k) ** (1.0 / 3.0), math.inf)
+
+
+def _check_lower(n: int, k: int, max_lcs: int) -> dict:
+    if k < 3:
+        return {"applicable": False, "note": "needs k >= 3"}
+    threshold = cube_root_floor(n)
+    return {"applicable": True, "threshold": threshold,
+            "holds": max_lcs >= threshold, "direction": ">="}
+
+
+def _check_theorem2(n: int, k: int, max_lcs: int) -> dict:
+    return {"applicable": True, "threshold": theorem2_threshold(n, k),
+            "holds": max_lcs**3 <= THEOREM2_FACTOR**3 * n * k, "direction": "<="}
+
+
+def _check_theorem1(n: int, k: int, max_lcs: int) -> dict:
+    if k < 4 or k % 2 != 0:
+        return {"applicable": False, "note": "needs even k >= 4"}
+    threshold = digit_lcs_bound(k, ceil_root(n, k - 1))
+    return {"applicable": True, "threshold": threshold,
+            "holds": max_lcs <= threshold, "direction": "<="}
+
+
+BOUND_CHECKS = {"theorem2": _check_theorem2, "theorem1": _check_theorem1, "lower": _check_lower}
 
 
 @dataclass(frozen=True)
@@ -203,7 +232,7 @@ def verify_cube_root_lower_bound(s: PermSet) -> LowerBoundReport:
     if s.k < 3:
         raise ValueError("the cube-root floor applies to sets of k >= 3")
     max_pair = lcs_all_pairs(s).max_pair
-    bound = ceil_cbrt(s.n)
+    bound = cube_root_floor(s.n)
     m, i, j = pigeonhole_pair(s)
     witness = restrict(s.perms[i], m).one_line
     return LowerBoundReport(

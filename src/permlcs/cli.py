@@ -2,8 +2,10 @@
 
 Subcommands: construct, verify, sample, distance, bench.  JSON reports on
 stdout always carry the keys command/params/results/pass; bench emits CSV.
-Exit codes: 0 all asserted bounds hold, 1 a bound is violated, 2 usage or
-file-format error.
+Exit codes: 0 all asserted bounds hold, 1 a bound is violated, 2 usage,
+file-format or OS error.  The bound arithmetic lives with the constructions
+(`params["lcs_bound"]`) and in `bounds.BOUND_CHECKS`; this module only
+selects, runs and reports.
 
 Outputs are byte-deterministic for fixed flags and seed: timing fields are
 written as 0 unless --timing is given.
@@ -14,29 +16,26 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
-import os
 import sys
 import time
 from typing import Optional, Sequence
 
 from .algebraic import build_exact, build_general
-from .arith import ceil_cbrt, ceil_root
-from .bounds import check_probabilistic_bound, lcs_threshold, random_perm_set, sample_lis, trial_rng
+from .bounds import (
+    BOUND_CHECKS,
+    check_probabilistic_bound,
+    lcs_threshold,
+    random_perm_set,
+    sample_lis,
+    theorem2_threshold,
+    trial_rng,
+)
 from .codes import code_report
-from .fileio import FormatError, read_permset, write_permset
+from .fileio import read_permset, write_permset
 from .hadamard import DEFAULT_SIZE_CAP, build_hadamard_set
 from .subseq import LcsMatrix, lcs_all_pairs
 
-BOUND_CHOICES = ("theorem2", "theorem1", "lower", "all")
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("PERMLCS_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+BOUND_CHOICES = (*BOUND_CHECKS, "all")
 
 
 def _print_report(command: str, params: dict, results: dict, passed: bool) -> None:
@@ -48,41 +47,8 @@ def _elapsed_ms(t0: float, timing: bool) -> int:
     return int(round((time.perf_counter() - t0) * 1000)) if timing else 0
 
 
-def _slack_up(x: float) -> float:
-    """One ulp upward, so a printed float threshold never understates a bound."""
-    return math.nextafter(x, math.inf)
-
-
 def _pairs_1based(matrix: LcsMatrix) -> list[list[int]]:
     return [[i + 1, j + 1, v] for i, j, v in matrix.off_diagonal()]
-
-
-# -- bound predicates (exact integer comparisons; floats are display only) --
-
-def _check_lower(n: int, k: int, max_lcs: int) -> dict:
-    if k < 3:
-        return {"applicable": False, "note": "needs k >= 3"}
-    threshold = ceil_cbrt(n)
-    return {"applicable": True, "threshold": threshold,
-            "holds": max_lcs >= threshold, "direction": ">="}
-
-
-def _check_theorem2(n: int, k: int, max_lcs: int) -> dict:
-    threshold = _slack_up(32.0 * float(n * k) ** (1.0 / 3.0))
-    return {"applicable": True, "threshold": threshold,
-            "holds": max_lcs**3 <= 32**3 * n * k, "direction": "<="}
-
-
-def _check_theorem1(n: int, k: int, max_lcs: int) -> dict:
-    if k < 4 or k % 2 != 0:
-        return {"applicable": False, "note": "needs even k >= 4"}
-    digit_base = ceil_root(n, k - 1)
-    threshold = digit_base ** (k // 2 - 1)
-    return {"applicable": True, "threshold": threshold,
-            "holds": max_lcs <= threshold, "direction": "<="}
-
-
-_BOUND_FNS = {"lower": _check_lower, "theorem2": _check_theorem2, "theorem1": _check_theorem1}
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -93,17 +59,14 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         if args.s is not None:
             raise ValueError("--s does not apply to the algebraic construction")
         made = build_general(args.n, args.k)
-        p = made.params["p"]
         results = dict(made.params)
-        results["lcs_bound"] = 2 * p - 1
-        results["theorem2_threshold"] = _slack_up(32.0 * float(args.n * args.k) ** (1.0 / 3.0))
+        results["theorem2_threshold"] = theorem2_threshold(args.n, args.k)
         params = {"kind": args.kind, "n": args.n, "k": args.k}
     else:
         if args.s is None:
             raise ValueError("construct hadamard requires --s")
         made = build_hadamard_set(args.k, args.s, n=args.n, max_size=args.max_size)
         results = dict(made.params)
-        results["lcs_bound"] = args.s ** (args.k // 2 - 1) if args.k % 2 == 0 else None
         params = {"kind": args.kind, "k": args.k, "s": args.s}
         if args.n is not None:
             params["n"] = args.n
@@ -120,10 +83,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     s = read_permset(args.path)
     if s.k < 2:
         raise ValueError("verification needs at least two permutations")
-    matrix = lcs_all_pairs(s, threads=_threads_from_env())
+    matrix = lcs_all_pairs(s)
     max_lcs = matrix.max_pair
-    requested = list(_BOUND_FNS) if args.bound == "all" else [args.bound]
-    bounds = {name: _BOUND_FNS[name](s.n, s.k, max_lcs) for name in requested}
+    requested = list(BOUND_CHECKS) if args.bound == "all" else [args.bound]
+    bounds = {name: BOUND_CHECKS[name](s.n, s.k, max_lcs) for name in requested}
     if args.bound != "all" and not bounds[args.bound]["applicable"]:
         raise ValueError(f"bound {args.bound} not applicable: {bounds[args.bound]['note']}")
     passed = all(b["holds"] for b in bounds.values() if b["applicable"])
@@ -194,25 +157,23 @@ def _parse_grid(spec: str) -> list[tuple[str, dict[str, int]]]:
     return cells
 
 
-def _bench_row(kind: str, cell: dict[str, int], seed: int, row_idx: int, threads: int):
+def _cell_n(kind: str, cell: dict[str, int]) -> int:
     if kind == "algebraic":
-        k, s1 = cell["k"], cell["s1"]
-        made = build_exact(k * k * s1**3, k)
-        bound = 2 * made.params["p"] - 1
+        return cell["k"] * cell["k"] * cell["s1"] ** 3
+    if kind == "hadamard":
+        return cell["s"] ** (cell["k"] - 1)
+    return cell["n"]
+
+
+def _bench_row(kind: str, cell: dict[str, int], seed: int, row_idx: int):
+    if kind == "algebraic":
+        made = build_exact(_cell_n(kind, cell), cell["k"])
     elif kind == "hadamard":
-        k, s = cell["k"], cell["s"]
-        if k % 2 != 0:
-            raise ValueError("hadamard bench rows need even k")
-        made = build_hadamard_set(k, s)
-        bound = s ** (k // 2 - 1)
+        made = build_hadamard_set(cell["k"], cell["s"])
     else:
-        n, k = cell["n"], cell["k"]
-        if k < 2:
-            raise ValueError("random bench rows need k >= 2")
-        made = random_perm_set(n, k, trial_rng(seed, row_idx))
-        bound = lcs_threshold(n)
-    max_lcs = lcs_all_pairs(made, threads=threads).max_pair
-    return made.n, made.k, max_lcs, bound
+        made = random_perm_set(cell["n"], cell["k"], trial_rng(seed, row_idx))
+    bound = lcs_threshold(made.n) if kind == "random" else made.params["lcs_bound"]
+    return made.n, made.k, lcs_all_pairs(made).max_pair, bound
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -221,21 +182,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         cells.extend(_parse_grid(spec))
     if not cells:
         raise ValueError("empty benchmark grid")
-
-    def cell_n(kind: str, c: dict[str, int]) -> int:
-        if kind == "algebraic":
-            return c["k"] * c["k"] * c["s1"] ** 3
-        if kind == "hadamard":
-            return c["s"] ** (c["k"] - 1)
-        return c["n"]
-
-    cells.sort(key=lambda kc: (kc[0], cell_n(*kc), kc[1]["k"]))
-    threads = _threads_from_env()
+    cells.sort(key=lambda kc: (kc[0], _cell_n(*kc), kc[1]["k"]))
     print("construction,n,k,max_lcs,bound,elapsed_ms")
     violated = False
     for idx, (kind, cell) in enumerate(cells):
         t0 = time.perf_counter()
-        n, k, max_lcs, bound = _bench_row(kind, cell, args.seed, idx, threads)
+        try:
+            n, k, max_lcs, bound = _bench_row(kind, cell, args.seed, idx)
+        except ValueError as exc:
+            label = ":".join([kind, *(f"{key}={v}" for key, v in cell.items())])
+            raise ValueError(f"{label}: {exc}") from exc
         elapsed = _elapsed_ms(t0, args.timing)
         bound_txt = repr(bound) if isinstance(bound, float) else str(bound)
         print(f"{kind},{n},{k},{max_lcs},{bound_txt},{elapsed}")
@@ -299,10 +255,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (FormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -49,14 +49,9 @@ class CodeReport:
 
 
 def code_report(s: PermSet) -> CodeReport:
-    if s.k < 2:
-        raise ValueError("a code needs at least two codewords")
-    max_pair = lcs_all_pairs(s).max_pair
-    dist = s.n - max_pair
-    if dist + max_pair != s.n:
-        raise RuntimeError("distance/LCS duality broken")
+    dist = min_distance(s)
     return CodeReport(
-        n=s.n, k=s.k, min_distance=dist, max_pair_lcs=max_pair,
+        n=s.n, k=s.k, min_distance=dist, max_pair_lcs=s.n - dist,
         provenance=s.provenance,
         duplicate_codewords=len(set(p.word for p in s.perms)) < s.k,
     )

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import is_prime
-from .perm import Permutation, PermSet, restrict
+from .perm import Permutation, PermSet
 
 DEFAULT_SIZE_CAP = 1 << 24
 
@@ -147,6 +147,11 @@ def value_of(dv: DigitVector) -> int:
     return x0 + 1
 
 
+def digit_lcs_bound(k: int, s: int) -> int:
+    """s**(k/2 - 1): the pairwise LCS guarantee of the digit construction."""
+    return s ** (k // 2 - 1)
+
+
 def build_hadamard_set(
     k: int,
     s: int,
@@ -166,7 +171,9 @@ def build_hadamard_set(
     n_prime = s ** (k - 1)
     if n_prime > max_size:
         raise ValueError(f"s**(k-1) = {n_prime} exceeds the size cap {max_size}")
-    if n is not None and not 1 <= n <= n_prime:
+    if n is None:
+        n = n_prime
+    elif not 1 <= n <= n_prime:
         raise ValueError(f"restriction size {n} outside [1, {n_prime}]")
     h = hadamard_matrix(k)
 
@@ -181,15 +188,12 @@ def build_hadamard_set(
             digit = (x0 // w) % s
             # replacing digit d by (s-1) - d changes the value by (s-1-2d)*w
             out += (s - 1 - 2 * digit) * w
+        if n < n_prime:
+            out = out[out < n]
         perms.append(Permutation(tuple(out.tolist())))
 
-    record = {"k": k, "s": s, "n_prime": n_prime, "n": n if n is not None else n_prime}
-    made = PermSet(tuple(perms), provenance="hadamard", params=record)
-    if n is None or n == n_prime:
-        return made
-    return PermSet(
-        tuple(restrict(p, n) for p in made.perms), provenance="hadamard", params=record
-    )
+    record = {"k": k, "s": s, "n_prime": n_prime, "n": n, "lcs_bound": digit_lcs_bound(k, s)}
+    return PermSet(tuple(perms), provenance="hadamard", params=record)
 
 
 def dumps_matrix(h: HadamardMatrix) -> str:

@@ -71,13 +71,13 @@ def lcs_pair(a: Permutation, b: Permutation) -> int:
     return _lis_core([pos[v] for v in a.word])
 
 
-def lcs_pair_dp(a: Permutation, b: Permutation, *, size_limit: int = DP_SIZE_LIMIT) -> int:
+def lcs_pair_dp(a: Permutation, b: Permutation) -> int:
     """Quadratic-DP LCS, the independent oracle for `lcs_pair`."""
     if a.n != b.n:
         raise ValueError(f"cannot compare permutations on [{a.n}] and [{b.n}]")
     n = a.n
-    if n > size_limit:
-        raise ValueError(f"DP oracle guarded at n <= {size_limit}, got {n}")
+    if n > DP_SIZE_LIMIT:
+        raise ValueError(f"DP oracle guarded at n <= {DP_SIZE_LIMIT}, got {n}")
     aw, bw = a.word, b.word
     prev = [0] * (n + 1)
     cur = [0] * (n + 1)

@@ -9,6 +9,8 @@ from permlcs import (
     check_probabilistic_bound,
     identity,
     lcs_pair,
+    lds,
+    lis,
     lcs_threshold,
     pigeonhole_pair,
     prefix_lcs_table,
@@ -53,9 +55,11 @@ def test_sample_lis_trivial_and_determinism():
 
 
 def test_sample_lis_monotone_floor_with_lds():
-    s = sample_lis(256, 30, seed=11, record_lds=True)
-    for up, down in zip(s.lengths, s.lds_lengths):
-        assert max(up, down) >= 16
+    s = sample_lis(256, 30, seed=11)
+    for t, up in enumerate(s.lengths):
+        word = trial_rng(11, t).permutation(256).tolist()
+        assert up == lis(word)
+        assert max(up, lds(word)) >= 16
 
 
 def test_sample_lis_csv():

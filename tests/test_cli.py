@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from permlcs import dumps_permset, identity, PermSet, read_permset
 from permlcs.cli import main
 
@@ -185,14 +187,25 @@ def test_bench_bad_grids(capsys):
     assert run(capsys, "bench")[0] == 2
 
 
-def test_threads_env_cap(tmp_path, capsys, monkeypatch):
-    out = tmp_path / "s.permset"
-    run(capsys, "construct", "algebraic", "--n", "72", "--k", "3", "--out", str(out))
-    monkeypatch.setenv("PERMLCS_THREADS", "4")
-    code, report, _ = run_json(capsys, "verify", str(out))
-    assert code == 0 and report["pass"]
-    monkeypatch.setenv("PERMLCS_THREADS", "nonsense")
-    assert run(capsys, "verify", str(out))[0] == 0
+def test_bench_error_names_failing_cell(capsys):
+    code, out, err = run(capsys, "bench", "--grid", "algebraic:k=3:s1=1",
+                         "--grid", "hadamard:k=5:s=2")
+    assert code == 2
+    assert out.splitlines()[0] == "construction,n,k,max_lcs,bound,elapsed_ms"
+    assert err == "error: hadamard:k=5:s=2: no supported Hadamard construction for order 5\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "{d}"),
+    ("distance", "{d}"),
+    ("construct", "algebraic", "--n", "72", "--k", "3", "--out", "{d}"),
+    ("sample", "--n", "10", "--k", "2", "--trials", "2", "--lis-csv", "{d}"),
+])
+def test_directory_path_is_os_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(d=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_usage_error_exit_code(capsys):

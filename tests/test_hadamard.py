@@ -16,6 +16,7 @@ from permlcs import (
     loads_matrix,
     normalize,
     paley,
+    restrict,
     sylvester,
     value_of,
 )
@@ -181,6 +182,7 @@ def test_build_restricted():
     full = build_hadamard_set(4, 3)
     cut = build_hadamard_set(4, 3, n=10)
     assert cut.n == 10
+    assert cut.perms == tuple(restrict(p, 10) for p in full.perms)
     assert lcs_all_pairs(cut).max_pair <= lcs_all_pairs(full).max_pair
 
 
