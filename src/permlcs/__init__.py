@@ -1,23 +1,12 @@
 """Sets of permutations with provably short pairwise common subsequences.
 
 Two deterministic constructions (a mod-p lattice ordering and a Hadamard
-digit construction), exact LIS/LCS kernels with an independent quadratic
-oracle, seeded random baselines, and the deletion-code view of the same
-quantities.  The `permlcs` CLI fronts all of it.
+digit construction), an exact O(n log n) LIS/LCS engine, seeded random
+baselines, and the deletion-code view of the same quantities.  The
+`permlcs` CLI fronts all of it.
 """
 
-from .algebraic import (
-    ConstructionParams,
-    LatticePoint,
-    SortKey,
-    build_exact,
-    build_general,
-    from_lattice,
-    params_from,
-    sort_key,
-    to_lattice,
-    value_sort_key,
-)
+from .algebraic import ConstructionParams, build_exact, build_general, params_from
 from .arith import ceil_cbrt, ceil_root, floor_root, icbrt, is_prime, next_prime_above
 from .bounds import (
     LisSample,
@@ -26,7 +15,6 @@ from .bounds import (
     check_probabilistic_bound,
     lcs_threshold,
     pigeonhole_pair,
-    prefix_lcs_table,
     random_perm,
     random_perm_set,
     sample_lis,
@@ -46,41 +34,32 @@ from .fileio import (
     write_permset,
 )
 from .hadamard import (
-    DigitVector,
     HadamardMatrix,
-    agreement_columns,
     build_hadamard_set,
-    digits_of,
-    dumps_matrix,
     hadamard_matrix,
-    loads_matrix,
     normalize,
     paley,
     sylvester,
-    value_of,
 )
 from .perm import Permutation, PermSet, compose, identity, invert, restrict, reversal
-from .subseq import LcsMatrix, lcs_all_pairs, lcs_pair, lcs_pair_dp, lds, lis
+from .subseq import LcsMatrix, lcs_all_pairs, lcs_pair, lds, lis
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstructionParams", "LatticePoint", "SortKey", "build_exact",
-    "build_general", "from_lattice", "params_from", "sort_key", "to_lattice",
-    "value_sort_key",
+    "ConstructionParams", "build_exact", "build_general", "params_from",
     "ceil_cbrt", "ceil_root", "floor_root", "icbrt", "is_prime", "next_prime_above",
     "LisSample", "LowerBoundReport", "ProbabilisticCheck",
     "check_probabilistic_bound", "lcs_threshold", "pigeonhole_pair",
-    "prefix_lcs_table", "random_perm", "random_perm_set", "sample_lis",
-    "trial_rng", "verify_cube_root_lower_bound",
+    "random_perm", "random_perm_set", "sample_lis", "trial_rng",
+    "verify_cube_root_lower_bound",
     "CodeReport", "code_report", "d_del", "min_distance",
     "FormatError", "dumps_permline", "dumps_permset", "loads_permline",
     "loads_permset", "read_permline", "read_permset", "write_permline",
     "write_permset",
-    "DigitVector", "HadamardMatrix", "agreement_columns", "build_hadamard_set",
-    "digits_of", "dumps_matrix", "hadamard_matrix", "loads_matrix", "normalize",
-    "paley", "sylvester", "value_of",
+    "HadamardMatrix", "build_hadamard_set", "hadamard_matrix", "normalize",
+    "paley", "sylvester",
     "Permutation", "PermSet", "compose", "identity", "invert", "restrict",
     "reversal",
-    "LcsMatrix", "lcs_all_pairs", "lcs_pair", "lcs_pair_dp", "lds", "lis",
+    "LcsMatrix", "lcs_all_pairs", "lcs_pair", "lds", "lis",
 ]

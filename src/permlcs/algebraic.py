@@ -21,15 +21,11 @@ from tied keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .arith import ceil_cbrt, next_prime_above
-from .perm import Permutation, PermSet
-
-# Key arithmetic runs in int64; sizes beyond this would need wider math.
-MAX_NK = 1 << 60
+from .perm import MAX_N, Permutation, PermSet
 
 
 @dataclass(frozen=True)
@@ -53,28 +49,14 @@ class ConstructionParams:
                 "s3": self.s3, "p": self.p}
 
 
-class LatticePoint(NamedTuple):
-    x: int
-    y: int
-    z: int
-
-
-class SortKey(NamedTuple):
-    """Ordering key; compared with `major` most significant, `minor` least."""
-
-    minor: int
-    middle: int
-    major: int
-
-
 def params_from(n: int, k: int) -> ConstructionParams:
     """Parameters for the exact case n = k^2 * s1^3; rejects other n."""
     if k < 3:
         raise ValueError(f"need at least k=3 generators, got {k}")
     if n < k * k:
         raise ValueError(f"need n >= k^2 = {k * k}, got {n}")
-    if n * k >= MAX_NK:
-        raise ValueError(f"n*k = {n * k} too large for int64 key arithmetic")
+    if n > MAX_N:
+        raise ValueError(f"n' = {n} exceeds the ground-set cap {MAX_N}")
     s1 = ceil_cbrt(-(-n // (k * k)))
     if k * k * s1**3 != n:
         raise ValueError(
@@ -85,43 +67,6 @@ def params_from(n: int, k: int) -> ConstructionParams:
     if not p < 8 * s3:
         raise RuntimeError(f"prime search overran the Bertrand window: p={p}, s3={s3}")
     return ConstructionParams(n=n, k=k, s1=s1, s2=s3, s3=s3, p=p)
-
-
-def _check_point(pt: LatticePoint, params: ConstructionParams) -> None:
-    if not (1 <= pt.x <= params.s1 and 1 <= pt.y <= params.s2 and 1 <= pt.z <= params.s3):
-        raise ValueError(f"{pt} outside [{params.s1}]x[{params.s2}]x[{params.s3}]")
-
-
-def from_lattice(pt: LatticePoint, params: ConstructionParams) -> int:
-    """Lattice point -> element of [n]; x least significant, z most."""
-    _check_point(pt, params)
-    return pt.x + params.s1 * (pt.y - 1) + params.s1 * params.s2 * (pt.z - 1)
-
-
-def to_lattice(a: int, params: ConstructionParams) -> LatticePoint:
-    """Element of [n] -> lattice point; inverse of `from_lattice`."""
-    if not 1 <= a <= params.n:
-        raise ValueError(f"element {a} outside [1, {params.n}]")
-    a0 = a - 1
-    x = a0 % params.s1 + 1
-    y = (a0 // params.s1) % params.s2 + 1
-    z = a0 // (params.s1 * params.s2) + 1
-    return LatticePoint(x, y, z)
-
-
-def sort_key(j: int, pt: LatticePoint, params: ConstructionParams) -> SortKey:
-    """Key triple of a lattice point under generator j."""
-    if not 1 <= j <= params.k:
-        raise ValueError(f"generator index {j} outside [1, {params.k}]")
-    _check_point(pt, params)
-    major = (j * j * pt.x + 2 * j * pt.y + 2 * pt.z) % params.p
-    middle = j * pt.x + pt.y
-    return SortKey(minor=pt.x, middle=middle, major=major)
-
-
-def value_sort_key(j: int, a: int, params: ConstructionParams) -> SortKey:
-    """Key triple of an element of [n] under generator j."""
-    return sort_key(j, to_lattice(a, params), params)
 
 
 def _coordinate_arrays(params: ConstructionParams):

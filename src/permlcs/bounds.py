@@ -14,10 +14,8 @@ import numpy as np
 
 from .arith import ceil_cbrt, ceil_root
 from .hadamard import digit_lcs_bound
-from .perm import Permutation, PermSet, restrict
+from .perm import MAX_N, Permutation, PermSet, restrict
 from .subseq import lcs_all_pairs, lis
-
-PREFIX_TABLE_SIZE_LIMIT = 2000
 
 
 def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
@@ -29,6 +27,8 @@ def random_perm(n: int, rng: np.random.Generator) -> Permutation:
     """Uniform random permutation on [n] (in-place shuffle under the hood)."""
     if n < 1:
         raise ValueError("ground set must be non-empty")
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the ground-set cap {MAX_N}")
     return Permutation(tuple(rng.permutation(n).tolist()))
 
 
@@ -49,9 +49,6 @@ class LisSample:
     seed: int
     lengths: tuple[int, ...]
 
-    def mean(self) -> float:
-        return sum(self.lengths) / self.trials
-
     def to_csv(self) -> str:
         lines = ["trial,length"]
         lines += [f"{t},{v}" for t, v in enumerate(self.lengths)]
@@ -61,6 +58,8 @@ class LisSample:
 def sample_lis(n: int, trials: int, seed: int) -> LisSample:
     if trials < 1:
         raise ValueError("need at least one trial")
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the ground-set cap {MAX_N}")
     lengths = tuple(lis(trial_rng(seed, t).permutation(n).tolist()) for t in range(trials))
     return LisSample(n=n, trials=trials, seed=seed, lengths=lengths)
 
@@ -146,39 +145,11 @@ def check_probabilistic_bound(n: int, k: int, trials: int, seed: int) -> Probabi
     for t in range(trials):
         rng = trial_rng(seed, t)
         sampled = random_perm_set(n, k, rng)
-        maxima.append(lcs_all_pairs(sampled).max_pair if n > 0 else 0)
+        maxima.append(lcs_all_pairs(sampled).max_pair)
     return ProbabilisticCheck(
         n=n, k=k, trials=trials, seed=seed,
         threshold=lcs_threshold(n), max_lcs_per_trial=tuple(maxima),
     )
-
-
-def prefix_lcs_table(a: Permutation, b: Permutation) -> tuple[int, ...]:
-    """For every value v, the longest common subsequence of a and b that
-    starts with v.  Entry v-1 holds the length for value v.
-
-    Quadratic scan from the right; the table's maximum equals the plain
-    pairwise LCS.
-    """
-    if a.n != b.n:
-        raise ValueError(f"cannot compare permutations on [{a.n}] and [{b.n}]")
-    n = a.n
-    if n > PREFIX_TABLE_SIZE_LIMIT:
-        raise ValueError(f"prefix table guarded at n <= {PREFIX_TABLE_SIZE_LIMIT}")
-    pos_b = [0] * n
-    for idx, v in enumerate(b.word):
-        pos_b[v] = idx
-    table = [0] * n
-    seen: list[tuple[int, int]] = []  # (pos in b, table value), in reverse a-order
-    for v in reversed(a.word):
-        pb = pos_b[v]
-        best = 0
-        for qb, length in seen:
-            if qb > pb and length > best:
-                best = length
-        table[v] = best + 1
-        seen.append((pb, table[v]))
-    return tuple(table)
 
 
 @dataclass(frozen=True)

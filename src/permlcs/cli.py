@@ -2,10 +2,10 @@
 
 Subcommands: construct, verify, sample, distance, bench.  JSON reports on
 stdout always carry the keys command/params/results/pass; bench emits CSV.
-Exit codes: 0 all asserted bounds hold, 1 a bound is violated, 2 usage,
-file-format or OS error.  The bound arithmetic lives with the constructions
-(`params["lcs_bound"]`) and in `bounds.BOUND_CHECKS`; this module only
-selects, runs and reports.
+Exit codes: 0 all asserted bounds hold, 1 a bound is violated, 2 usage
+(including a ground set above `perm.MAX_N`), file-format or OS error.  The
+bound arithmetic lives with the constructions (`params["lcs_bound"]`) and in
+`bounds.BOUND_CHECKS`; this module only selects, runs and reports.
 
 Outputs are byte-deterministic for fixed flags and seed: timing fields are
 written as 0 unless --timing is given.
@@ -32,7 +32,7 @@ from .bounds import (
 )
 from .codes import code_report
 from .fileio import read_permset, write_permset
-from .hadamard import DEFAULT_SIZE_CAP, build_hadamard_set
+from .hadamard import build_hadamard_set
 from .subseq import LcsMatrix, lcs_all_pairs
 
 BOUND_CHOICES = (*BOUND_CHECKS, "all")
@@ -65,7 +65,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:
         if args.s is None:
             raise ValueError("construct hadamard requires --s")
-        made = build_hadamard_set(args.k, args.s, n=args.n, max_size=args.max_size)
+        made = build_hadamard_set(args.k, args.s, n=args.n)
         results = dict(made.params)
         params = {"kind": args.kind, "k": args.k, "s": args.s}
         if args.n is not None:
@@ -213,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, required=True, help="number of permutations")
     c.add_argument("--s", type=int, help="digit base (hadamard only)")
     c.add_argument("--out", help="output PERMSET path")
-    c.add_argument("--max-size", type=int, default=DEFAULT_SIZE_CAP,
-                   help="reject hadamard builds with s**(k-1) above this")
     c.add_argument("--timing", action="store_true", help="report real elapsed times")
     c.set_defaults(func=_cmd_construct)
 

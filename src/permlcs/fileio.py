@@ -43,51 +43,42 @@ def _parse_values(line: str, n: int, lineno: int) -> Permutation:
         images = [int(t) for t in tokens]
     except ValueError as exc:
         raise FormatError(f"line {lineno}: non-integer value") from exc
-    if any(not 1 <= v <= n for v in images):
-        raise FormatError(f"line {lineno}: value outside [1, {n}]")
     try:
         return Permutation.from_one_line(images)
     except ValueError as exc:
         raise FormatError(f"line {lineno}: {exc}") from exc
 
 
-def loads_permline(text: str) -> Permutation:
+def _parse_document(text: str, tag: str) -> list[Permutation]:
+    """The value lines of a `permline` (header dims: n) or `permset`
+    (header dims: k n) document, checked against the header."""
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty document")
+    name = tag.upper()
     header = lines[0].split()
-    if len(header) != 3 or header[0] != "permline" or header[1] != "1":
-        raise FormatError(f"bad PERMLINE header: {lines[0]!r}")
+    ndims = 1 if tag == "permline" else 2
+    if len(header) != 2 + ndims or header[:2] != [tag, "1"]:
+        raise FormatError(f"bad {name} header: {lines[0]!r}")
     try:
-        n = int(header[2])
+        dims = [int(t) for t in header[2:]]
     except ValueError as exc:
-        raise FormatError(f"bad PERMLINE header: {lines[0]!r}") from exc
-    if n < 1:
-        raise FormatError(f"invalid ground-set size {n}")
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != 1:
-        raise FormatError(f"expected exactly one value line, got {len(body)}")
-    return _parse_values(body[0], n, 2)
-
-
-def loads_permset(text: str) -> PermSet:
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError("empty document")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "permset" or header[1] != "1":
-        raise FormatError(f"bad PERMSET header: {lines[0]!r}")
-    try:
-        k, n = int(header[2]), int(header[3])
-    except ValueError as exc:
-        raise FormatError(f"bad PERMSET header: {lines[0]!r}") from exc
+        raise FormatError(f"bad {name} header: {lines[0]!r}") from exc
+    k, n = dims if ndims == 2 else (1, dims[0])
     if k < 1 or n < 1:
-        raise FormatError(f"invalid PERMSET dimensions k={k}, n={n}")
+        raise FormatError(f"invalid {name} dimensions k={k}, n={n}")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != k:
         raise FormatError(f"expected {k} value lines, got {len(body)}")
-    perms = [_parse_values(ln, n, i + 2) for i, ln in enumerate(body)]
-    return PermSet(tuple(perms), provenance="imported")
+    return [_parse_values(ln, n, i + 2) for i, ln in enumerate(body)]
+
+
+def loads_permline(text: str) -> Permutation:
+    return _parse_document(text, "permline")[0]
+
+
+def loads_permset(text: str) -> PermSet:
+    return PermSet(tuple(_parse_document(text, "permset")), provenance="imported")
 
 
 def write_permline(p: Permutation, path: Union[str, os.PathLike]) -> None:

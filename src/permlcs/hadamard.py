@@ -14,14 +14,11 @@ primes q = 3 (mod 4) (quadratic-residue construction).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .arith import is_prime
-from .perm import Permutation, PermSet
-
-DEFAULT_SIZE_CAP = 1 << 24
+from .perm import MAX_N, Permutation, PermSet
 
 
 @dataclass(frozen=True)
@@ -105,60 +102,12 @@ def hadamard_matrix(order: int) -> HadamardMatrix:
     raise ValueError(f"no supported Hadamard construction for order {order}")
 
 
-def agreement_columns(h: HadamardMatrix, i: int, j: int) -> set[int]:
-    """Columns in 1..order-1 where rows i and j carry the same sign.
-
-    For a matrix whose first column is all +1 the result has exactly
-    order/2 - 1 members.
-    """
-    if i == j:
-        raise ValueError("rows must be distinct")
-    k = h.order
-    if not (0 <= i < k and 0 <= j < k):
-        raise ValueError(f"row indices ({i}, {j}) outside [0, {k})")
-    ri, rj = h.rows[i], h.rows[j]
-    return {c for c in range(1, k) if ri[c] == rj[c]}
-
-
-class DigitVector(NamedTuple):
-    """Base-s digits of x - 1, most significant first, presented 1-based."""
-
-    base: int
-    digits: tuple[int, ...]
-
-
-def digits_of(x: int, base: int, width: int) -> DigitVector:
-    if not 1 <= x <= base**width:
-        raise ValueError(f"element {x} outside [1, {base ** width}]")
-    rest = x - 1
-    out = []
-    for _ in range(width):
-        rest, d = divmod(rest, base)
-        out.append(d + 1)
-    return DigitVector(base, tuple(reversed(out)))
-
-
-def value_of(dv: DigitVector) -> int:
-    if any(not 1 <= d <= dv.base for d in dv.digits):
-        raise ValueError(f"digits out of range for base {dv.base}")
-    x0 = 0
-    for d in dv.digits:
-        x0 = x0 * dv.base + (d - 1)
-    return x0 + 1
-
-
 def digit_lcs_bound(k: int, s: int) -> int:
     """s**(k/2 - 1): the pairwise LCS guarantee of the digit construction."""
     return s ** (k // 2 - 1)
 
 
-def build_hadamard_set(
-    k: int,
-    s: int,
-    *,
-    n: int | None = None,
-    max_size: int = DEFAULT_SIZE_CAP,
-) -> PermSet:
+def build_hadamard_set(k: int, s: int, *, n: int | None = None) -> PermSet:
     """k digit-wise permutations on [s**(k-1)] with pairwise LCS <= s**(k/2-1).
 
     Passing `n` restricts every member to [n] (n <= s**(k-1)); the bound on
@@ -169,8 +118,8 @@ def build_hadamard_set(
     if s < 1:
         raise ValueError(f"digit base must be positive, got {s}")
     n_prime = s ** (k - 1)
-    if n_prime > max_size:
-        raise ValueError(f"s**(k-1) = {n_prime} exceeds the size cap {max_size}")
+    if n_prime > MAX_N:
+        raise ValueError(f"s**(k-1) = {n_prime} exceeds the ground-set cap {MAX_N}")
     if n is None:
         n = n_prime
     elif not 1 <= n <= n_prime:
@@ -194,22 +143,3 @@ def build_hadamard_set(
 
     record = {"k": k, "s": s, "n_prime": n_prime, "n": n, "lcs_bound": digit_lcs_bound(k, s)}
     return PermSet(tuple(perms), provenance="hadamard", params=record)
-
-
-def dumps_matrix(h: HadamardMatrix) -> str:
-    """Plain text block: one row per line, entries '+' / '-'."""
-    return "".join("".join("+" if v == 1 else "-" for v in r) + "\n" for r in h.rows)
-
-
-def loads_matrix(text: str) -> HadamardMatrix:
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if set(line) - {"+", "-"}:
-            raise ValueError(f"unexpected characters in matrix row: {line!r}")
-        rows.append(tuple(1 if ch == "+" else -1 for ch in line))
-    if not rows:
-        raise ValueError("empty matrix block")
-    return HadamardMatrix(tuple(rows))

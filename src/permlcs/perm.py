@@ -11,6 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
+# Largest ground set the builders and samplers accept.  They check it before
+# allocating anything, so an oversize request is a ValueError rather than a
+# MemoryError partway through a build.
+MAX_N = 1 << 24
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -22,7 +27,7 @@ class Permutation:
         word = tuple(self.word)
         object.__setattr__(self, "word", word)
         if sorted(word) != list(range(len(word))):
-            raise ValueError("word is not a rearrangement of 0..n-1")
+            raise ValueError(f"one-line form is not a rearrangement of 1..{len(word)}")
 
     @classmethod
     def from_one_line(cls, images: Iterable[int]) -> "Permutation":

@@ -1,12 +1,9 @@
 """Exact LIS / LCS kernels.
 
-Two independent routes to every pairwise LCS:
-
-* `lcs_pair`    - O(n log n): relabel one permutation by positions in the
-                  other, then patience sorting.  Used everywhere.
-* `lcs_pair_dp` - O(n^2): the classic two-sequence dynamic program, kept in
-                  the shipped library (size-guarded) so downstream runs can
-                  cross-check the fast route.
+`lcs_pair` computes every pairwise LCS in O(n log n): relabel one
+permutation by positions in the other, then run patience sorting.  The test
+suite cross-checks it against an independent quadratic DP and brute-force
+enumeration, kept in `tests/oracles.py`.
 
 Patience sorting needs no tie-breaking policy here: inputs are permutations,
 so pile-top binary search never sees equal values.
@@ -20,8 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .perm import Permutation, PermSet
-
-DP_SIZE_LIMIT = 2048
 
 
 def _lis_core(seq: Sequence[int]) -> int:
@@ -69,30 +64,6 @@ def lcs_pair(a: Permutation, b: Permutation) -> int:
     for idx, v in enumerate(b.word):
         pos[v] = idx
     return _lis_core([pos[v] for v in a.word])
-
-
-def lcs_pair_dp(a: Permutation, b: Permutation) -> int:
-    """Quadratic-DP LCS, the independent oracle for `lcs_pair`."""
-    if a.n != b.n:
-        raise ValueError(f"cannot compare permutations on [{a.n}] and [{b.n}]")
-    n = a.n
-    if n > DP_SIZE_LIMIT:
-        raise ValueError(f"DP oracle guarded at n <= {DP_SIZE_LIMIT}, got {n}")
-    aw, bw = a.word, b.word
-    prev = [0] * (n + 1)
-    cur = [0] * (n + 1)
-    for i in range(1, n + 1):
-        ai = aw[i - 1]
-        cur[0] = 0
-        for j in range(1, n + 1):
-            if ai == bw[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                pj = prev[j]
-                cj = cur[j - 1]
-                cur[j] = pj if pj >= cj else cj
-        prev, cur = cur, prev
-    return prev[n]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from permlcs import (
     d_del,
     lcs_all_pairs,
     lcs_pair,
-    lcs_pair_dp,
     lds,
     lis,
     min_distance,
@@ -29,10 +28,11 @@ from permlcs import (
     random_perm_set,
     restrict,
     trial_rng,
-    value_sort_key,
 )
 from permlcs.algebraic import _coordinate_arrays, _key_arrays, params_from
 from permlcs.cli import main
+
+from oracles import lcs_pair_dp, value_sort_key
 
 SEED = 20240601
 

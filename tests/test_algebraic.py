@@ -2,22 +2,18 @@ import random
 
 import pytest
 
-from permlcs import (
+from permlcs import build_exact, build_general, ceil_cbrt, lcs_all_pairs, params_from, restrict
+from permlcs.algebraic import _coordinate_arrays, _key_arrays
+
+from oracles import (
     LatticePoint,
     SortKey,
-    build_exact,
-    build_general,
-    ceil_cbrt,
     from_lattice,
-    lcs_all_pairs,
     lcs_pair_dp,
-    params_from,
-    restrict,
     sort_key,
     to_lattice,
     value_sort_key,
 )
-from permlcs.algebraic import _coordinate_arrays, _key_arrays
 
 
 def test_params_examples():

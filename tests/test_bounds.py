@@ -8,12 +8,10 @@ from permlcs import (
     ceil_cbrt,
     check_probabilistic_bound,
     identity,
-    lcs_pair,
     lds,
     lis,
     lcs_threshold,
     pigeonhole_pair,
-    prefix_lcs_table,
     random_perm,
     random_perm_set,
     restrict,
@@ -23,6 +21,7 @@ from permlcs import (
     verify_cube_root_lower_bound,
 )
 from permlcs.bounds import largest_m_with_factorial_below
+from permlcs.perm import MAX_N
 
 
 def test_random_perm_deterministic():
@@ -75,6 +74,11 @@ def test_sample_lis_rejects_zero_trials():
         sample_lis(10, 0, seed=1)
 
 
+def test_sample_lis_rejects_oversize_ground_set():
+    with pytest.raises(ValueError):
+        sample_lis(MAX_N + 1, 1, seed=0)
+
+
 def test_probabilistic_check_small():
     chk = check_probabilistic_bound(400, 2, trials=50, seed=7)
     assert chk.threshold == pytest.approx(2 * math.e * 20)
@@ -96,27 +100,6 @@ def test_probabilistic_check_min_respects_cube_root():
 
 def test_lcs_threshold_value():
     assert lcs_threshold(10**4) == pytest.approx(543.656, abs=1e-3)
-
-
-def test_prefix_table_matches_pair_lcs():
-    rng = trial_rng(21)
-    for n in (5, 17, 60):
-        a, b = random_perm(n, rng), random_perm(n, rng)
-        table = prefix_lcs_table(a, b)
-        assert len(table) == n
-        assert max(table) == lcs_pair(a, b)
-        assert all(1 <= v <= n for v in table)
-
-
-def test_prefix_table_known_case():
-    # identity vs reversal: no common subsequence longer than 1
-    assert prefix_lcs_table(identity(6), reversal(6)) == (1,) * 6
-
-
-def test_prefix_table_size_guard():
-    big = identity(2500)
-    with pytest.raises(ValueError):
-        prefix_lcs_table(big, big)
 
 
 @pytest.mark.parametrize("k,m", [(2, 1), (3, 2), (7, 3), (25, 4), (121, 5)])

@@ -208,6 +208,18 @@ def test_directory_path_is_os_error(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("construct", "algebraic", "--n", "1000000000000", "--k", "8"),
+    ("construct", "hadamard", "--k", "8", "--s", "11"),
+    ("sample", "--n", "1000000000000", "--k", "3", "--trials", "1"),
+])
+def test_oversize_ground_set_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys)[0] == 2

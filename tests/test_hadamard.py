@@ -3,23 +3,18 @@ import random
 import pytest
 
 from permlcs import (
-    DigitVector,
     HadamardMatrix,
-    agreement_columns,
     build_hadamard_set,
-    digits_of,
-    dumps_matrix,
     hadamard_matrix,
     identity,
     lcs_all_pairs,
-    lcs_pair_dp,
-    loads_matrix,
     normalize,
     paley,
     restrict,
     sylvester,
-    value_of,
 )
+
+from oracles import DigitVector, agreement_columns, digits_of, lcs_pair_dp, value_of
 
 SYLVESTER_4 = (
     (1, 1, 1, 1),
@@ -196,13 +191,5 @@ def test_build_parameter_errors():
     with pytest.raises(ValueError):
         build_hadamard_set(10, 2)  # no order-10 matrix
     with pytest.raises(ValueError):
-        build_hadamard_set(8, 300, max_size=1 << 16)
+        build_hadamard_set(8, 300)
 
-
-def test_matrix_text_round_trip():
-    h = sylvester(4)
-    text = dumps_matrix(h)
-    assert text == "++++\n+-+-\n++--\n+--+\n"
-    assert loads_matrix(text) == h
-    with pytest.raises(ValueError):
-        loads_matrix("++x-\n")

@@ -12,12 +12,11 @@ from permlcs import (
     identity,
     lcs_all_pairs,
     lcs_pair,
-    lcs_pair_dp,
     lds,
     lis,
     reversal,
 )
-from oracles import lcs_by_enumeration, lis_quadratic
+from oracles import lcs_by_enumeration, lcs_pair_dp, lis_quadratic
 
 
 def rand_perm(rng, n):
