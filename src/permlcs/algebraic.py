@@ -102,7 +102,7 @@ def _build(params: ConstructionParams, n: int) -> PermSet:
             raise RuntimeError(f"duplicate sort key for j={j}; keys must be 1-1 on [n]")
         if n < params.n:
             order = order[order < n]
-        perms.append(Permutation(tuple(order.tolist())))
+        perms.append(Permutation(order))
     record = params.as_dict() | {
         "n": n, "n_prime": params.n, "exact": n == params.n, "lcs_bound": 2 * params.p - 1,
     }

@@ -29,7 +29,7 @@ def random_perm(n: int, rng: np.random.Generator) -> Permutation:
         raise ValueError("ground set must be non-empty")
     if n > MAX_N:
         raise ValueError(f"n = {n} exceeds the ground-set cap {MAX_N}")
-    return Permutation(tuple(rng.permutation(n).tolist()))
+    return Permutation(rng.permutation(n))
 
 
 def random_perm_set(n: int, k: int, rng: np.random.Generator) -> PermSet:
@@ -185,9 +185,9 @@ def pigeonhole_pair(s: PermSet) -> tuple[int, int, int]:
     if s.k < 2:
         raise ValueError("need at least two permutations")
     m = largest_m_with_factorial_below(s.k, s.n)
-    seen: dict[tuple[int, ...], int] = {}
+    seen: dict[Permutation, int] = {}
     for idx, p in enumerate(s.perms):
-        key = restrict(p, m).word
+        key = restrict(p, m)
         if key in seen:
             return m, seen[key], idx
         seen[key] = idx

@@ -3,7 +3,8 @@
 Subcommands: construct, verify, sample, distance, bench.  JSON reports on
 stdout always carry the keys command/params/results/pass; bench emits CSV.
 Exit codes: 0 all asserted bounds hold, 1 a bound is violated, 2 usage
-(including a ground set above `perm.MAX_N`), file-format or OS error.  The
+(including a ground set above `perm.MAX_N`), file-format or OS error, 3 a
+broken internal invariant (a builder's `RuntimeError`).  The
 bound arithmetic lives with the constructions (`params["lcs_bound"]`) and in
 `bounds.BOUND_CHECKS`; this module only selects, runs and reports.
 
@@ -32,7 +33,7 @@ from .bounds import (
 )
 from .codes import code_report
 from .fileio import read_permset, write_permset
-from .hadamard import build_hadamard_set
+from .hadamard import build_hadamard_set, digit_ground_set
 from .subseq import LcsMatrix, lcs_all_pairs
 
 BOUND_CHOICES = (*BOUND_CHECKS, "all")
@@ -161,7 +162,7 @@ def _cell_n(kind: str, cell: dict[str, int]) -> int:
     if kind == "algebraic":
         return cell["k"] * cell["k"] * cell["s1"] ** 3
     if kind == "hadamard":
-        return cell["s"] ** (cell["k"] - 1)
+        return digit_ground_set(cell["k"], cell["s"])
     return cell["n"]
 
 
@@ -256,6 +257,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -53,5 +53,5 @@ def code_report(s: PermSet) -> CodeReport:
     return CodeReport(
         n=s.n, k=s.k, min_distance=dist, max_pair_lcs=s.n - dist,
         provenance=s.provenance,
-        duplicate_codewords=len(set(p.word for p in s.perms)) < s.k,
+        duplicate_codewords=len(set(s.perms)) < s.k,
     )

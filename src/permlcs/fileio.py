@@ -11,28 +11,60 @@ PERMSET v1::
     <k value lines, one permutation each>
 
 All values are 1-based, space-separated ASCII decimal, newline-terminated.
+Each value line is formatted and parsed in bulk, as one numpy array: the
+writer renders all digits of a line at once into a byte buffer, and the
+reader converts the line's tokens with one `np.array(..., dtype=np.int64)`
+call (Python `int()` syntax per token), then hands the array to
+`Permutation`, whose one validation rejects anything that is not a
+rearrangement of 1..n.  Error messages name the physical line.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Union
+from typing import Iterator, Union
+
+import numpy as np
 
 from .perm import Permutation, PermSet
+
+_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 
 
 class FormatError(ValueError):
     """Raised when a PERMLINE/PERMSET document is malformed."""
 
 
+def _value_line(p: Permutation) -> str:
+    """The 1-based one-line form as a value line, equal to
+    `" ".join(map(str, p.one_line)) + "\n"`."""
+    values = p.array + 1
+    widths = np.searchsorted(_POWERS_OF_TEN, values, side="right")
+    ends = np.cumsum(widths + 1) - 1  # the separator after each value
+    buf = np.full(ends[-1] + 1, ord(" "), dtype=np.uint8)
+    buf[-1] = ord("\n")
+    # Write the last digit of every value, drop the values with no digits
+    # left, and step one byte to the left; each round is one digit column.
+    idx = ends - 1
+    while values.size:
+        buf[idx] = values % 10 + ord("0")
+        values = values // 10
+        alive = values > 0
+        values, idx = values[alive], idx[alive] - 1
+    return buf.tobytes().decode("ascii")
+
+
 def dumps_permline(p: Permutation) -> str:
-    return f"permline 1 {p.n}\n" + " ".join(map(str, p.one_line)) + "\n"
+    return f"permline 1 {p.n}\n" + _value_line(p)
+
+
+def _permset_lines(s: PermSet) -> Iterator[str]:
+    yield f"permset 1 {s.k} {s.n}\n"
+    yield from map(_value_line, s.perms)
 
 
 def dumps_permset(s: PermSet) -> str:
-    lines = [f"permset 1 {s.k} {s.n}\n"]
-    lines += [" ".join(map(str, p.one_line)) + "\n" for p in s.perms]
-    return "".join(lines)
+    return "".join(_permset_lines(s))
 
 
 def _parse_values(line: str, n: int, lineno: int) -> Permutation:
@@ -40,9 +72,11 @@ def _parse_values(line: str, n: int, lineno: int) -> Permutation:
     if len(tokens) != n:
         raise FormatError(f"line {lineno}: expected {n} values, got {len(tokens)}")
     try:
-        images = [int(t) for t in tokens]
+        images = np.array(tokens, dtype=np.int64)
     except ValueError as exc:
         raise FormatError(f"line {lineno}: non-integer value") from exc
+    except OverflowError as exc:
+        raise FormatError(f"line {lineno}: value outside 1..{n}") from exc
     try:
         return Permutation.from_one_line(images)
     except ValueError as exc:
@@ -67,10 +101,10 @@ def _parse_document(text: str, tag: str) -> list[Permutation]:
     k, n = dims if ndims == 2 else (1, dims[0])
     if k < 1 or n < 1:
         raise FormatError(f"invalid {name} dimensions k={k}, n={n}")
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != k:
         raise FormatError(f"expected {k} value lines, got {len(body)}")
-    return [_parse_values(ln, n, i + 2) for i, ln in enumerate(body)]
+    return [_parse_values(ln, n, lineno) for lineno, ln in body]
 
 
 def loads_permline(text: str) -> Permutation:
@@ -92,8 +126,9 @@ def read_permline(path: Union[str, os.PathLike]) -> Permutation:
 
 
 def write_permset(s: PermSet, path: Union[str, os.PathLike]) -> None:
+    """Write line by line, so the whole document is never held in memory."""
     with open(path, "w", encoding="ascii", newline="") as f:
-        f.write(dumps_permset(s))
+        f.writelines(_permset_lines(s))
 
 
 def read_permset(path: Union[str, os.PathLike]) -> PermSet:

@@ -107,6 +107,17 @@ def digit_lcs_bound(k: int, s: int) -> int:
     return s ** (k // 2 - 1)
 
 
+def digit_ground_set(k: int, s: int) -> int:
+    """n' = s**(k-1), or MAX_N + 1 for any n' above the ground-set cap.
+
+    With |s| >= 2 the power is past the cap once k - 1 exceeds 24, and it is
+    not computed there: it would be an unbounded integer.
+    """
+    if abs(s) >= 2 and k - 1 >= MAX_N.bit_length():
+        return MAX_N + 1
+    return min(s ** (k - 1), MAX_N + 1)
+
+
 def build_hadamard_set(k: int, s: int, *, n: int | None = None) -> PermSet:
     """k digit-wise permutations on [s**(k-1)] with pairwise LCS <= s**(k/2-1).
 
@@ -115,11 +126,11 @@ def build_hadamard_set(k: int, s: int, *, n: int | None = None) -> PermSet:
     """
     if k < 2:
         raise ValueError(f"need at least k=2 rows, got {k}")
-    if s < 1:
-        raise ValueError(f"digit base must be positive, got {s}")
-    n_prime = s ** (k - 1)
+    if s < 2:
+        raise ValueError(f"digit base must be at least 2, got {s}")
+    n_prime = digit_ground_set(k, s)
     if n_prime > MAX_N:
-        raise ValueError(f"s**(k-1) = {n_prime} exceeds the ground-set cap {MAX_N}")
+        raise ValueError(f"s**(k-1) exceeds the ground-set cap {MAX_N}")
     if n is None:
         n = n_prime
     elif not 1 <= n <= n_prime:
@@ -139,7 +150,7 @@ def build_hadamard_set(k: int, s: int, *, n: int | None = None) -> PermSet:
             out += (s - 1 - 2 * digit) * w
         if n < n_prime:
             out = out[out < n]
-        perms.append(Permutation(tuple(out.tolist())))
+        perms.append(Permutation(out))
 
     record = {"k": k, "s": s, "n_prime": n_prime, "n": n, "lcs_bound": digit_lcs_bound(k, s)}
     return PermSet(tuple(perms), provenance="hadamard", params=record)

@@ -16,6 +16,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .perm import Permutation, PermSet
 
 
@@ -60,10 +62,9 @@ def lcs_pair(a: Permutation, b: Permutation) -> int:
     """
     if a.n != b.n:
         raise ValueError(f"cannot compare permutations on [{a.n}] and [{b.n}]")
-    pos = [0] * b.n
-    for idx, v in enumerate(b.word):
-        pos[v] = idx
-    return _lis_core([pos[v] for v in a.word])
+    pos = np.empty(b.n, dtype=np.int64)
+    pos[b.array] = np.arange(b.n)
+    return _lis_core(pos[a.array].tolist())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Reference implementations used only to cross-check the library.
 
 Brute-force and quadratic oracles for the LIS/LCS engine, and the scalar,
-one-element-at-a-time definitions that the constructions' vectorised key
+one-element-at-a-time definitions that the array-backed permutation
+operations, the bulk PERMSET writer and the constructions' vectorised key
 and digit code must agree with.  Kept deliberately naive and independent of
 the shipped kernels: this module imports nothing from `permlcs` and reads
 library objects only through their attributes (`.n`, `.word`, `.rows`,
@@ -58,6 +59,31 @@ def lcs_pair_dp(a, b) -> int:
                 cur[j] = pj if pj >= cj else cj
         prev, cur = cur, prev
     return prev[n]
+
+
+# -- scalar twins of the array-backed permutation operations and value lines --
+
+
+def compose_word(a, b) -> tuple[int, ...]:
+    """0-based word of a . b, one entry at a time."""
+    aw = a.word
+    return tuple(aw[v] for v in b.word)
+
+
+def invert_word(a) -> tuple[int, ...]:
+    inv = [0] * a.n
+    for t, v in enumerate(a.word):
+        inv[v] = t
+    return tuple(inv)
+
+
+def restrict_word(a, m: int) -> tuple[int, ...]:
+    return tuple(v for v in a.word if v < m)
+
+
+def value_line(one_line) -> str:
+    """A PERMLINE/PERMSET value line, one `str()` per value."""
+    return " ".join(map(str, one_line)) + "\n"
 
 
 # -- scalar twins of the lattice construction's key arrays --

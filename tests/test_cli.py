@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -218,6 +219,33 @@ def test_oversize_ground_set_is_usage_error(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "hadamard", "--k", "20000001", "--s", "3"),
+    ("construct", "hadamard", "--k", "512", "--s", "1"),
+    ("bench", "--grid", "hadamard:k=20000001:s=3"),
+])
+def test_runaway_hadamard_parameters_fail_fast(capsys, argv):
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_internal_invariant_exits_3(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "s.permset"
+    path.write_text(dumps_permset(PermSet((identity(4), identity(4)))))
+
+    def broken(s):
+        raise RuntimeError("duplicate sort key for j=1; keys must be 1-1 on [n]")
+
+    monkeypatch.setattr("permlcs.cli.lcs_all_pairs", broken)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: duplicate sort key for j=1; keys must be 1-1 on [n]\n"
 
 
 def test_usage_error_exit_code(capsys):

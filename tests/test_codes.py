@@ -80,3 +80,13 @@ def test_code_report_duplicates_flagged():
     assert rep.min_distance == 0
     assert rep.duplicate_codewords
     assert "warning" in rep.as_dict()
+
+
+def test_code_report_flags_equal_but_distinct_members():
+    # members built apart compare and hash equal, so the set dedupes them
+    s = PermSet((identity(6), reversal(6), Permutation.from_one_line(range(1, 7))))
+    assert len(set(s.perms)) == 2
+    rep = code_report(s)
+    assert rep.duplicate_codewords and rep.min_distance == 0
+    assert "warning" in rep.as_dict()
+    assert not code_report(PermSet((identity(6), reversal(6)))).duplicate_codewords

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from permlcs import (
     FormatError,
     PermSet,
     Permutation,
+    build_general,
+    build_hadamard_set,
     dumps_permline,
     dumps_permset,
     identity,
@@ -15,6 +19,7 @@ from permlcs import (
     write_permset,
     read_permline,
 )
+from oracles import value_line
 
 
 def test_permline_exact_bytes():
@@ -62,8 +67,33 @@ def test_single_member_permset_parses():
         "permset 1 1 3\n1 2 2\n",  # duplicate
         "permset 1 1 3\n1 2 3\n1 2 3\n",  # trailing extra line
         "permset 1 0 3\n",
+        "permset 1 1 3\n1 2 99999999999999999999999\n",  # beyond int64
     ],
 )
 def test_malformed_documents_rejected(text):
     with pytest.raises(FormatError):
         (loads_permline if text.startswith("permline") else loads_permset)(text)
+
+
+def test_errors_name_the_physical_line():
+    with pytest.raises(FormatError, match="^line 4: "):
+        loads_permset("permset 1 2 3\n\n1 2 3\n1 2 4\n")
+    with pytest.raises(FormatError, match="^line 5: "):
+        loads_permset("permset 1 2 3\n1 2 3\n \n\n2 x 1\n")
+
+
+@pytest.mark.parametrize("n", [9, 10, 99, 100, 1000, 12345])
+def test_value_lines_match_scalar_writer(n):
+    images = list(range(1, n + 1))
+    random.Random(n).shuffle(images)
+    p = Permutation.from_one_line(images)
+    s = PermSet((p, identity(n), reversal(n)))
+    want = f"permset 1 3 {n}\n" + "".join(value_line(q.one_line) for q in s.perms)
+    assert dumps_permset(s) == want
+    assert dumps_permline(p) == f"permline 1 {n}\n" + value_line(images)
+
+
+@pytest.mark.parametrize("build, args", [(build_hadamard_set, (8, 3)), (build_general, (1000, 5))])
+def test_construction_round_trips(build, args):
+    s = build(*args)
+    assert loads_permset(dumps_permset(s)).perms == s.perms

@@ -187,6 +187,8 @@ def test_build_parameter_errors():
     with pytest.raises(ValueError):
         build_hadamard_set(4, 0)
     with pytest.raises(ValueError):
+        build_hadamard_set(4, 1)  # base 1 puts every member on [1]
+    with pytest.raises(ValueError):
         build_hadamard_set(4, 2, n=9)
     with pytest.raises(ValueError):
         build_hadamard_set(10, 2)  # no order-10 matrix

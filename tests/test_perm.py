@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from permlcs import (
@@ -12,6 +13,7 @@ from permlcs import (
     restrict,
     reversal,
 )
+from oracles import compose_word, invert_word, restrict_word
 
 
 def rand_perm(rng, n):
@@ -140,3 +142,47 @@ def test_perm_set_validation():
 def test_perm_set_allows_duplicates():
     s = PermSet((identity(4), identity(4)))
     assert s.k == 2
+
+
+def test_equal_members_compare_and_hash_equal():
+    a = Permutation.from_one_line([3, 1, 2])
+    b = Permutation([2, 0, 1])
+    assert a == b and hash(a) == hash(b)
+    assert a != Permutation.from_one_line([1, 3, 2])
+    assert len({a, b, identity(3), identity(3)}) == 2
+
+
+def test_array_is_read_only():
+    p = reversal(5)
+    with pytest.raises(ValueError):
+        p.array[0] = 0
+    with pytest.raises(AttributeError):
+        p.array = identity(5).array
+    assert p.one_line == (5, 4, 3, 2, 1)
+
+
+def test_construction_copies_its_input():
+    word = np.array([1, 0, 2])
+    p = Permutation(word)
+    word[0] = 2
+    assert p.word == (1, 0, 2)
+
+
+def test_non_integer_words_rejected_not_truncated():
+    with pytest.raises(ValueError):
+        Permutation.from_one_line([1, 1.5])
+    with pytest.raises(ValueError):
+        Permutation.from_one_line([2, 1, 2**70])
+    with pytest.raises(ValueError):
+        Permutation.from_one_line([])
+
+
+def test_array_operations_match_scalar_oracles():
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(1, 80)
+        a, b = rand_perm(rng, n), rand_perm(rng, n)
+        m = rng.randint(1, n)
+        assert compose(a, b).word == compose_word(a, b)
+        assert invert(a).word == invert_word(a)
+        assert restrict(a, m).word == restrict_word(a, m)
