@@ -22,17 +22,7 @@ from .bounds import (
     verify_cube_root_lower_bound,
 )
 from .codes import CodeReport, code_report, d_del, min_distance
-from .fileio import (
-    FormatError,
-    dumps_permline,
-    dumps_permset,
-    loads_permline,
-    loads_permset,
-    read_permline,
-    read_permset,
-    write_permline,
-    write_permset,
-)
+from .fileio import FormatError, dumps_permset, loads_permset, read_permset, write_permset
 from .hadamard import (
     HadamardMatrix,
     build_hadamard_set,
@@ -54,9 +44,7 @@ __all__ = [
     "random_perm", "random_perm_set", "sample_lis", "trial_rng",
     "verify_cube_root_lower_bound",
     "CodeReport", "code_report", "d_del", "min_distance",
-    "FormatError", "dumps_permline", "dumps_permset", "loads_permline",
-    "loads_permset", "read_permline", "read_permset", "write_permline",
-    "write_permset",
+    "FormatError", "dumps_permset", "loads_permset", "read_permset", "write_permset",
     "HadamardMatrix", "build_hadamard_set", "hadamard_matrix", "normalize",
     "paley", "sylvester",
     "Permutation", "PermSet", "compose", "identity", "invert", "restrict",

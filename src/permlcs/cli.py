@@ -6,7 +6,8 @@ Exit codes: 0 all asserted bounds hold, 1 a bound is violated, 2 usage
 (including a ground set above `perm.MAX_N`), file-format or OS error, 3 a
 broken internal invariant (a builder's `RuntimeError`).  The
 bound arithmetic lives with the constructions (`params["lcs_bound"]`) and in
-`bounds.BOUND_CHECKS`; this module only selects, runs and reports.
+`bounds.BOUND_CHECKS`, and the `--bound all` policy in
+`bounds.check_all_bounds`; this module only selects, runs and reports.
 
 Outputs are byte-deterministic for fixed flags and seed: timing fields are
 written as 0 unless --timing is given.
@@ -15,15 +16,17 @@ written as 0 unless --timing is given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .algebraic import build_exact, build_general
 from .bounds import (
     BOUND_CHECKS,
+    check_all_bounds,
     check_probabilistic_bound,
     lcs_threshold,
     random_perm_set,
@@ -86,11 +89,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("verification needs at least two permutations")
     matrix = lcs_all_pairs(s)
     max_lcs = matrix.max_pair
-    requested = list(BOUND_CHECKS) if args.bound == "all" else [args.bound]
-    bounds = {name: BOUND_CHECKS[name](s.n, s.k, max_lcs) for name in requested}
-    if args.bound != "all" and not bounds[args.bound]["applicable"]:
-        raise ValueError(f"bound {args.bound} not applicable: {bounds[args.bound]['note']}")
-    passed = all(b["holds"] for b in bounds.values() if b["applicable"])
+    if args.bound == "all":
+        bounds = check_all_bounds(s.n, s.k, max_lcs)
+    else:
+        bounds = {args.bound: BOUND_CHECKS[args.bound](s.n, s.k, max_lcs)}
+        if not bounds[args.bound]["applicable"]:
+            raise ValueError(f"bound {args.bound} not applicable: {bounds[args.bound]['note']}")
+    passed = all(b["holds"] for b in bounds.values()
+                 if b["applicable"] and b.get("asserted", True))
     results = {
         "n": s.n, "k": s.k,
         "pairwise_lcs": _pairs_1based(matrix),
@@ -158,6 +164,22 @@ def _parse_grid(spec: str) -> list[tuple[str, dict[str, int]]]:
     return cells
 
 
+@contextlib.contextmanager
+def _named_cell(kind: str, cell: dict[str, int]) -> Iterator[None]:
+    """Prefix a ValueError raised for one grid cell with the cell's spec."""
+    try:
+        yield
+    except ValueError as exc:
+        label = ":".join([kind, *(f"{key}={v}" for key, v in cell.items())])
+        raise ValueError(f"{label}: {exc}") from exc
+
+
+def _cell_order(kind_cell: tuple[str, dict[str, int]]) -> tuple[str, int, int]:
+    kind, cell = kind_cell
+    with _named_cell(kind, cell):
+        return kind, _cell_n(kind, cell), cell["k"]
+
+
 def _cell_n(kind: str, cell: dict[str, int]) -> int:
     if kind == "algebraic":
         return cell["k"] * cell["k"] * cell["s1"] ** 3
@@ -183,16 +205,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         cells.extend(_parse_grid(spec))
     if not cells:
         raise ValueError("empty benchmark grid")
-    cells.sort(key=lambda kc: (kc[0], _cell_n(*kc), kc[1]["k"]))
     print("construction,n,k,max_lcs,bound,elapsed_ms")
+    cells.sort(key=_cell_order)
     violated = False
     for idx, (kind, cell) in enumerate(cells):
         t0 = time.perf_counter()
-        try:
+        with _named_cell(kind, cell):
             n, k, max_lcs, bound = _bench_row(kind, cell, args.seed, idx)
-        except ValueError as exc:
-            label = ":".join([kind, *(f"{key}={v}" for key, v in cell.items())])
-            raise ValueError(f"{label}: {exc}") from exc
         elapsed = _elapsed_ms(t0, args.timing)
         bound_txt = repr(bound) if isinstance(bound, float) else str(bound)
         print(f"{kind},{n},{k},{max_lcs},{bound_txt},{elapsed}")

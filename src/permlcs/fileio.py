@@ -1,22 +1,16 @@
-"""PERMLINE / PERMSET text formats, version 1.
-
-PERMLINE v1::
-
-    permline 1 <n>
-    pi(1) pi(2) ... pi(n)
-
-PERMSET v1::
+"""The PERMSET text format, version 1::
 
     permset 1 <k> <n>
     <k value lines, one permutation each>
 
-All values are 1-based, space-separated ASCII decimal, newline-terminated.
-Each value line is formatted and parsed in bulk, as one numpy array: the
-writer renders all digits of a line at once into a byte buffer, and the
-reader converts the line's tokens with one `np.array(..., dtype=np.int64)`
-call (Python `int()` syntax per token), then hands the array to
-`Permutation`, whose one validation rejects anything that is not a
-rearrangement of 1..n.  Error messages name the physical line.
+A single permutation is stored as `permset 1 1 <n>`.  All values are
+1-based, space-separated ASCII decimal, newline-terminated.  Each value
+line is formatted and parsed in bulk, as one numpy array: the writer
+renders all digits of a line at once into a byte buffer, and the reader
+converts the line's tokens with one `np.array(..., dtype=np.int64)` call
+(Python `int()` syntax per token), then hands the array to `Permutation`,
+whose one validation rejects anything that is not a rearrangement of 1..n.
+Error messages name the physical line.
 """
 
 from __future__ import annotations
@@ -32,7 +26,7 @@ _POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
 
 
 class FormatError(ValueError):
-    """Raised when a PERMLINE/PERMSET document is malformed."""
+    """Raised when a PERMSET document is malformed."""
 
 
 def _value_line(p: Permutation) -> str:
@@ -52,10 +46,6 @@ def _value_line(p: Permutation) -> str:
         alive = values > 0
         values, idx = values[alive], idx[alive] - 1
     return buf.tobytes().decode("ascii")
-
-
-def dumps_permline(p: Permutation) -> str:
-    return f"permline 1 {p.n}\n" + _value_line(p)
 
 
 def _permset_lines(s: PermSet) -> Iterator[str]:
@@ -83,46 +73,24 @@ def _parse_values(line: str, n: int, lineno: int) -> Permutation:
         raise FormatError(f"line {lineno}: {exc}") from exc
 
 
-def _parse_document(text: str, tag: str) -> list[Permutation]:
-    """The value lines of a `permline` (header dims: n) or `permset`
-    (header dims: k n) document, checked against the header."""
+def loads_permset(text: str) -> PermSet:
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty document")
-    name = tag.upper()
     header = lines[0].split()
-    ndims = 1 if tag == "permline" else 2
-    if len(header) != 2 + ndims or header[:2] != [tag, "1"]:
-        raise FormatError(f"bad {name} header: {lines[0]!r}")
+    if len(header) != 4 or header[:2] != ["permset", "1"]:
+        raise FormatError(f"bad PERMSET header: {lines[0]!r}")
     try:
-        dims = [int(t) for t in header[2:]]
+        k, n = int(header[2]), int(header[3])
     except ValueError as exc:
-        raise FormatError(f"bad {name} header: {lines[0]!r}") from exc
-    k, n = dims if ndims == 2 else (1, dims[0])
+        raise FormatError(f"bad PERMSET header: {lines[0]!r}") from exc
     if k < 1 or n < 1:
-        raise FormatError(f"invalid {name} dimensions k={k}, n={n}")
+        raise FormatError(f"invalid PERMSET dimensions k={k}, n={n}")
     body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != k:
         raise FormatError(f"expected {k} value lines, got {len(body)}")
-    return [_parse_values(ln, n, lineno) for lineno, ln in body]
-
-
-def loads_permline(text: str) -> Permutation:
-    return _parse_document(text, "permline")[0]
-
-
-def loads_permset(text: str) -> PermSet:
-    return PermSet(tuple(_parse_document(text, "permset")), provenance="imported")
-
-
-def write_permline(p: Permutation, path: Union[str, os.PathLike]) -> None:
-    with open(path, "w", encoding="ascii", newline="") as f:
-        f.write(dumps_permline(p))
-
-
-def read_permline(path: Union[str, os.PathLike]) -> Permutation:
-    with open(path, "r", encoding="ascii") as f:
-        return loads_permline(f.read())
+    perms = tuple(_parse_values(ln, n, lineno) for lineno, ln in body)
+    return PermSet(perms, provenance="imported")
 
 
 def write_permset(s: PermSet, path: Union[str, os.PathLike]) -> None:

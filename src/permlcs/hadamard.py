@@ -110,10 +110,15 @@ def digit_lcs_bound(k: int, s: int) -> int:
 def digit_ground_set(k: int, s: int) -> int:
     """n' = s**(k-1), or MAX_N + 1 for any n' above the ground-set cap.
 
-    With |s| >= 2 the power is past the cap once k - 1 exceeds 24, and it is
-    not computed there: it would be an unbounded integer.
+    Raises ValueError unless k >= 2 and s >= 2.  The power is past the cap
+    once k - 1 exceeds 24, and it is not computed there: it would be an
+    unbounded integer.
     """
-    if abs(s) >= 2 and k - 1 >= MAX_N.bit_length():
+    if k < 2:
+        raise ValueError(f"need at least k=2 rows, got {k}")
+    if s < 2:
+        raise ValueError(f"digit base must be at least 2, got {s}")
+    if k - 1 >= MAX_N.bit_length():
         return MAX_N + 1
     return min(s ** (k - 1), MAX_N + 1)
 
@@ -124,10 +129,6 @@ def build_hadamard_set(k: int, s: int, *, n: int | None = None) -> PermSet:
     Passing `n` restricts every member to [n] (n <= s**(k-1)); the bound on
     the full set carries over since restriction never grows an LCS.
     """
-    if k < 2:
-        raise ValueError(f"need at least k=2 rows, got {k}")
-    if s < 2:
-        raise ValueError(f"digit base must be at least 2, got {s}")
     n_prime = digit_ground_set(k, s)
     if n_prime > MAX_N:
         raise ValueError(f"s**(k-1) exceeds the ground-set cap {MAX_N}")

@@ -82,7 +82,7 @@ def restrict_word(a, m: int) -> tuple[int, ...]:
 
 
 def value_line(one_line) -> str:
-    """A PERMLINE/PERMSET value line, one `str()` per value."""
+    """A PERMSET value line, one `str()` per value."""
     return " ".join(map(str, one_line)) + "\n"
 
 

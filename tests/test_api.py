@@ -14,6 +14,7 @@ NOT_SHIPPED = {
     "LatticePoint", "SortKey", "from_lattice", "to_lattice", "sort_key", "value_sort_key",
     "DigitVector", "digits_of", "value_of", "agreement_columns",
     "dumps_matrix", "loads_matrix", "DEFAULT_SIZE_CAP", "MAX_NK",
+    "dumps_permline", "loads_permline", "read_permline", "write_permline",
 }
 
 

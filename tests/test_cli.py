@@ -100,6 +100,17 @@ def test_verify_all_skips_inapplicable(tmp_path, capsys):
     assert bounds["lower"]["holds"] and bounds["theorem2"]["holds"]
 
 
+def test_verify_all_reports_theorem1_on_lattice_set(tmp_path, capsys):
+    out = tmp_path / "s.permset"
+    run(capsys, "construct", "algebraic", "--n", "100", "--k", "4", "--out", str(out))
+    code, report, _ = run_json(capsys, "verify", str(out))
+    assert code == 0 and report["pass"] is True
+    bounds = report["results"]["bounds"]
+    assert bounds["theorem1"]["holds"] is False
+    assert bounds["theorem1"]["asserted"] is False
+    assert bounds["lower"]["holds"] and bounds["theorem2"]["holds"]
+
+
 def test_verify_single_inapplicable_bound_is_usage_error(tmp_path, capsys):
     path = tmp_path / "two.permset"
     path.write_text(dumps_permset(PermSet((identity(9), identity(9)))))
@@ -225,6 +236,7 @@ def test_oversize_ground_set_is_usage_error(capsys, argv):
     ("construct", "hadamard", "--k", "20000001", "--s", "3"),
     ("construct", "hadamard", "--k", "512", "--s", "1"),
     ("bench", "--grid", "hadamard:k=20000001:s=3"),
+    ("bench", "--grid", "hadamard:k=0:s=0"),
 ])
 def test_runaway_hadamard_parameters_fail_fast(capsys, argv):
     t0 = time.perf_counter()

@@ -8,36 +8,21 @@ from permlcs import (
     Permutation,
     build_general,
     build_hadamard_set,
-    dumps_permline,
     dumps_permset,
     identity,
-    loads_permline,
     loads_permset,
     read_permset,
     reversal,
-    write_permline,
     write_permset,
-    read_permline,
 )
 from oracles import value_line
-
-
-def test_permline_exact_bytes():
-    p = Permutation.from_one_line([2, 1, 4, 3])
-    assert dumps_permline(p) == "permline 1 4\n2 1 4 3\n"
-
-
-def test_permline_round_trip(tmp_path):
-    p = reversal(9)
-    path = tmp_path / "p.permline"
-    write_permline(p, path)
-    assert read_permline(path) == p
-    assert loads_permline(dumps_permline(p)) == p
 
 
 def test_permset_exact_bytes():
     s = PermSet((identity(3), reversal(3)))
     assert dumps_permset(s) == "permset 1 2 3\n1 2 3\n3 2 1\n"
+    one = PermSet((Permutation.from_one_line([2, 1, 4, 3]),))
+    assert dumps_permset(one) == "permset 1 1 4\n2 1 4 3\n"
 
 
 def test_permset_round_trip(tmp_path):
@@ -47,6 +32,9 @@ def test_permset_round_trip(tmp_path):
     back = read_permset(path)
     assert back.perms == s.perms
     assert back.provenance == "imported"
+    one = PermSet((reversal(9),))
+    write_permset(one, path)
+    assert read_permset(path).perms == one.perms
 
 
 def test_single_member_permset_parses():
@@ -68,11 +56,12 @@ def test_single_member_permset_parses():
         "permset 1 1 3\n1 2 3\n1 2 3\n",  # trailing extra line
         "permset 1 0 3\n",
         "permset 1 1 3\n1 2 99999999999999999999999\n",  # beyond int64
+        "permline 1 3\n1 2 3\n",  # PERMLINE is no longer a supported format
     ],
 )
 def test_malformed_documents_rejected(text):
     with pytest.raises(FormatError):
-        (loads_permline if text.startswith("permline") else loads_permset)(text)
+        loads_permset(text)
 
 
 def test_errors_name_the_physical_line():
@@ -90,7 +79,6 @@ def test_value_lines_match_scalar_writer(n):
     s = PermSet((p, identity(n), reversal(n)))
     want = f"permset 1 3 {n}\n" + "".join(value_line(q.one_line) for q in s.perms)
     assert dumps_permset(s) == want
-    assert dumps_permline(p) == f"permline 1 {n}\n" + value_line(images)
 
 
 @pytest.mark.parametrize("build, args", [(build_hadamard_set, (8, 3)), (build_general, (1000, 5))])
