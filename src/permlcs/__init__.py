@@ -7,10 +7,9 @@ baselines, and the deletion-code view of the same quantities.  The
 """
 
 from .algebraic import ConstructionParams, build_exact, build_general, params_from
-from .arith import ceil_cbrt, ceil_root, floor_root, icbrt, is_prime, next_prime_above
+from .arith import ceil_cbrt, ceil_root, floor_root, is_prime, next_prime_above
 from .bounds import (
     LisSample,
-    LowerBoundReport,
     ProbabilisticCheck,
     check_probabilistic_bound,
     lcs_threshold,
@@ -19,7 +18,6 @@ from .bounds import (
     random_perm_set,
     sample_lis,
     trial_rng,
-    verify_cube_root_lower_bound,
 )
 from .codes import CodeReport, code_report, d_del, min_distance
 from .fileio import FormatError, dumps_permset, loads_permset, read_permset, write_permset
@@ -38,11 +36,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConstructionParams", "build_exact", "build_general", "params_from",
-    "ceil_cbrt", "ceil_root", "floor_root", "icbrt", "is_prime", "next_prime_above",
-    "LisSample", "LowerBoundReport", "ProbabilisticCheck",
+    "ceil_cbrt", "ceil_root", "floor_root", "is_prime", "next_prime_above",
+    "LisSample", "ProbabilisticCheck",
     "check_probabilistic_bound", "lcs_threshold", "pigeonhole_pair",
     "random_perm", "random_perm_set", "sample_lis", "trial_rng",
-    "verify_cube_root_lower_bound",
     "CodeReport", "code_report", "d_del", "min_distance",
     "FormatError", "dumps_permset", "loads_permset", "read_permset", "write_permset",
     "HadamardMatrix", "build_hadamard_set", "hadamard_matrix", "normalize",

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: deterministic primality and integer roots.
+"""Exact integer arithmetic: primality by trial division and integer roots.
 
 Float cube roots are never trusted for bound decisions; comparisons of the
 form m <= c * (n*k)**(1/3) are decided exactly via m**3 <= c**3 * n * k.
@@ -6,37 +6,19 @@ form m <= c * (n*k)**(1/3) are decided exactly via m**3 <= c**3 * n * k.
 
 from __future__ import annotations
 
-# Witness set deterministic for every n < 3,317,044,064,679,887,385,961,981
-# (covers all 64-bit integers).
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_WITNESS_LIMIT = 3317044064679887385961981
-
-
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n below the witness limit."""
-    if n >= _WITNESS_LIMIT:
-        raise ValueError(f"n={n} exceeds the deterministic witness range")
+    """Trial division by 2 and the odd numbers up to floor(sqrt(n)).
+
+    Every prime the library asks for is below 2**15; n >= 2**32 is refused
+    so that a direct call cannot run for hours.
+    """
+    if n >= 1 << 32:
+        raise ValueError(f"n={n} exceeds the trial-division range 2**32")
     if n < 2:
         return False
-    for p in _WITNESSES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _WITNESSES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n % 2 == 0:
+        return n == 2
+    return all(n % d for d in range(3, floor_root(n, 2) + 1, 2))
 
 
 def next_prime_above(t: int) -> int:
@@ -66,10 +48,6 @@ def ceil_root(n: int, r: int) -> int:
     """Smallest x with x**r >= n."""
     x = floor_root(n, r)
     return x if x**r == n else x + 1
-
-
-def icbrt(n: int) -> int:
-    return floor_root(n, 3)
 
 
 def ceil_cbrt(n: int) -> int:

@@ -1,8 +1,7 @@
 """Seeded random baselines and exact lower-bound checkers.
 
 Randomness comes from numpy's PCG64, and every trial draws from a generator
-derived from (seed, trial index), so results are reproducible and identical
-whether trials run serially or in parallel.
+derived from (seed, trial index), so results are reproducible trial by trial.
 """
 
 from __future__ import annotations
@@ -76,12 +75,6 @@ def lcs_threshold(n: int) -> float:
 THEOREM2_FACTOR = 32
 
 
-def cube_root_floor(n: int) -> int:
-    """ceil(n**(1/3)): every set of k >= 3 permutations on [n] has a pair
-    with an LCS at least this long."""
-    return ceil_cbrt(n)
-
-
 def theorem2_threshold(n: int, k: int) -> float:
     """32*(n*k)**(1/3), one ulp up so the printed value never understates it."""
     return math.nextafter(THEOREM2_FACTOR * float(n * k) ** (1.0 / 3.0), math.inf)
@@ -90,7 +83,9 @@ def theorem2_threshold(n: int, k: int) -> float:
 def _check_lower(n: int, k: int, max_lcs: int) -> dict:
     if k < 3:
         return {"applicable": False, "note": "needs k >= 3"}
-    threshold = cube_root_floor(n)
+    # ceil(n**(1/3)): every set of k >= 3 permutations on [n] has a pair
+    # with an LCS at least this long (Beame and Huynh-Ngoc).
+    threshold = ceil_cbrt(n)
     return {"applicable": True, "threshold": threshold,
             "holds": max_lcs >= threshold, "direction": ">="}
 
@@ -167,20 +162,6 @@ def check_probabilistic_bound(n: int, k: int, trials: int, seed: int) -> Probabi
     )
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
-    n: int
-    k: int
-    max_pair_lcs: int
-    cube_root_bound: int
-    pigeonhole_m: int
-    pigeonhole_pair: tuple[int, int, tuple[int, ...]]
-
-    @property
-    def holds(self) -> bool:
-        return self.max_pair_lcs >= self.cube_root_bound
-
-
 def largest_m_with_factorial_below(k: int, n: int) -> int:
     """Largest m with m! < k, capped at n."""
     m, fact = 1, 1
@@ -207,21 +188,3 @@ def pigeonhole_pair(s: PermSet) -> tuple[int, int, int]:
             return m, seen[key], idx
         seen[key] = idx
     raise RuntimeError(f"no coinciding pair among {s.k} orderings of [{m}]")
-
-
-def verify_cube_root_lower_bound(s: PermSet) -> LowerBoundReport:
-    """Check that the set's best pair reaches the ceil(n**(1/3)) floor.
-
-    Holds for every set of k >= 3 permutations; a violation would mean the
-    LCS engine itself is broken.
-    """
-    if s.k < 3:
-        raise ValueError("the cube-root floor applies to sets of k >= 3")
-    max_pair = lcs_all_pairs(s).max_pair
-    bound = cube_root_floor(s.n)
-    m, i, j = pigeonhole_pair(s)
-    witness = restrict(s.perms[i], m).one_line
-    return LowerBoundReport(
-        n=s.n, k=s.k, max_pair_lcs=max_pair, cube_root_bound=bound,
-        pigeonhole_m=m, pigeonhole_pair=(i, j, witness),
-    )

@@ -47,10 +47,6 @@ class HadamardMatrix:
     def order(self) -> int:
         return len(self.rows)
 
-    @property
-    def is_normalized(self) -> bool:
-        return all(v == 1 for v in self.rows[0]) and all(r[0] == 1 for r in self.rows)
-
 
 def sylvester(order: int) -> HadamardMatrix:
     """Doubling construction; order must be a power of two."""

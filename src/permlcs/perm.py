@@ -6,8 +6,8 @@ notation, file formats, constructor input) is 1-based; conversion happens
 only at this boundary.  Values are immutable and validated once, on
 construction, by a range check and one O(n) `np.bincount`; the operations
 below work on the arrays and never box the entries as Python ints.  `word`,
-`one_line`, iteration and calls build Python ints on access, for callers
-that want them.
+`one_line` and iteration build Python ints on access, for callers that want
+them.
 """
 
 from __future__ import annotations
@@ -68,12 +68,6 @@ class Permutation:
     def one_line(self) -> tuple[int, ...]:
         """1-based one-line notation."""
         return tuple((self._array + 1).tolist())
-
-    def __call__(self, t: int) -> int:
-        """pi(t) in the 1-based convention."""
-        if not 1 <= t <= self.n:
-            raise ValueError(f"argument {t} outside [1, {self.n}]")
-        return int(self._array[t - 1]) + 1
 
     def __len__(self) -> int:
         return self.n

@@ -15,6 +15,8 @@ NOT_SHIPPED = {
     "DigitVector", "digits_of", "value_of", "agreement_columns",
     "dumps_matrix", "loads_matrix", "DEFAULT_SIZE_CAP", "MAX_NK",
     "dumps_permline", "loads_permline", "read_permline", "write_permline",
+    "verify_cube_root_lower_bound", "LowerBoundReport", "icbrt", "cube_root_floor",
+    "_WITNESSES", "_WITNESS_LIMIT",
 }
 
 
@@ -34,6 +36,11 @@ def test_reference_code_not_shipped():
     for info in pkgutil.iter_modules(permlcs.__path__):
         module = importlib.import_module(f"permlcs.{info.name}")
         assert NOT_SHIPPED.isdisjoint(vars(module)), info.name
+
+
+def test_test_only_accessors_not_shipped():
+    assert not hasattr(permlcs.HadamardMatrix, "is_normalized")
+    assert not callable(permlcs.identity(3))
 
 
 def test_oracles_import_nothing_from_permlcs():

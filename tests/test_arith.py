@@ -1,6 +1,6 @@
 import pytest
 
-from permlcs import ceil_cbrt, ceil_root, floor_root, icbrt, is_prime, next_prime_above
+from permlcs import ceil_cbrt, ceil_root, floor_root, is_prime, next_prime_above
 
 
 def test_small_primes():
@@ -9,20 +9,34 @@ def test_small_primes():
         assert is_prime(n) == (n in primes)
 
 
+def test_primes_below_2_16_match_sieve():
+    # every modulus the builders ask for (p < 2**15, Paley q <= 23) is in range
+    limit = 1 << 16
+    sieve = [False, False] + [True] * (limit - 2)
+    for d in range(2, 256):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(range(d * d, limit, d))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
 def test_carmichael_and_strong_pseudoprimes():
-    for n in (561, 1105, 1729, 2047, 3215031751, 3825123056546413051):
+    for n in (561, 1105, 1729, 2047, 3215031751):
         assert not is_prime(n)
 
 
 def test_large_64bit_primes():
-    assert is_prime(2**61 - 1)
-    assert is_prime(18446744073709551557)  # largest prime below 2^64
-    assert not is_prime(18446744073709551555)
+    # beyond the trial-division range: refused, not answered slowly
+    for n in (2**61 - 1, 18446744073709551557, 18446744073709551555, 3825123056546413051):
+        with pytest.raises(ValueError):
+            is_prime(n)
 
 
-def test_witness_range_guard():
-    with pytest.raises(ValueError):
-        is_prime(10**25)
+def test_range_guard():
+    assert is_prime(2**32 - 5)  # largest prime below 2**32
+    assert not is_prime(2**32 - 1)
+    for n in (2**32, 10**25):
+        with pytest.raises(ValueError):
+            is_prime(n)
 
 
 def test_next_prime_above():
@@ -35,7 +49,7 @@ def test_next_prime_above():
 
 def test_integer_roots_exhaustive():
     for n in range(1, 2000):
-        c = icbrt(n)
+        c = floor_root(n, 3)
         assert c**3 <= n < (c + 1) ** 3
         cc = ceil_cbrt(n)
         assert (cc - 1) ** 3 < n <= cc**3

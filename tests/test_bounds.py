@@ -8,6 +8,7 @@ from permlcs import (
     ceil_cbrt,
     check_probabilistic_bound,
     identity,
+    lcs_all_pairs,
     lds,
     lis,
     lcs_threshold,
@@ -18,9 +19,8 @@ from permlcs import (
     reversal,
     sample_lis,
     trial_rng,
-    verify_cube_root_lower_bound,
 )
-from permlcs.bounds import largest_m_with_factorial_below
+from permlcs.bounds import BOUND_CHECKS, largest_m_with_factorial_below
 from permlcs.perm import MAX_N
 
 
@@ -129,25 +129,24 @@ def test_pigeonhole_pair_k2():
 
 def test_lower_bound_report_identity_reversal():
     s = PermSet((identity(16), reversal(16), random_perm(16, trial_rng(5))))
-    rep = verify_cube_root_lower_bound(s)
-    assert rep.cube_root_bound == 3
-    assert rep.max_pair_lcs >= 4  # monotone subsequence gives ceil(sqrt(16))
-    assert rep.holds
-    i, j, witness = rep.pigeonhole_pair
-    assert restrict(s.perms[i], rep.pigeonhole_m).one_line == witness
+    max_pair = lcs_all_pairs(s).max_pair
+    assert max_pair >= 4  # monotone subsequence gives ceil(sqrt(16))
+    rep = BOUND_CHECKS["lower"](s.n, s.k, max_pair)
+    assert rep["applicable"] and rep["threshold"] == 3 and rep["holds"]
+    m, i, j = pigeonhole_pair(s)
+    assert restrict(s.perms[i], m) == restrict(s.perms[j], m)
 
 
 def test_lower_bound_report_algebraic():
     s = build_exact(72, 3)
-    rep = verify_cube_root_lower_bound(s)
-    assert rep.holds
-    assert rep.cube_root_bound == 5
-    assert rep.max_pair_lcs <= 2 * 29 - 1
+    max_pair = lcs_all_pairs(s).max_pair
+    assert max_pair <= 2 * 29 - 1
+    rep = BOUND_CHECKS["lower"](s.n, s.k, max_pair)
+    assert rep["applicable"] and rep["threshold"] == 5 and rep["holds"]
 
 
 def test_lower_bound_requires_three():
-    with pytest.raises(ValueError):
-        verify_cube_root_lower_bound(PermSet((identity(4), reversal(4))))
+    assert BOUND_CHECKS["lower"](4, 2, 1) == {"applicable": False, "note": "needs k >= 3"}
 
 
 def test_random_set_provenance():

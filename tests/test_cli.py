@@ -154,6 +154,12 @@ def test_sample_zero_trials(capsys):
     assert code == 2
 
 
+def test_sample_one_member_sets_rejected(capsys):
+    code, out, err = run(capsys, "sample", "--n", "10", "--k", "1", "--trials", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_distance_report(tmp_path, capsys):
     out = tmp_path / "h.permset"
     run(capsys, "construct", "hadamard", "--k", "4", "--s", "2", "--out", str(out))
@@ -163,11 +169,13 @@ def test_distance_report(tmp_path, capsys):
     assert report["results"]["code"]["min_distance"] + report["results"]["code"]["max_pair_lcs"] == 8
 
 
-def test_distance_single_perm_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["verify", "distance"])
+def test_single_member_set_rejected(tmp_path, capsys, command):
     path = tmp_path / "one.permset"
     path.write_text("permset 1 1 3\n1 2 3\n")
-    code, _, _ = run(capsys, "distance", str(path))
-    assert code == 2
+    code, out, err = run(capsys, command, str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_bench_csv(capsys):

@@ -24,6 +24,11 @@ SYLVESTER_4 = (
 )
 
 
+def assert_normalized(h):
+    assert h.rows[0] == (1,) * h.order
+    assert tuple(r[0] for r in h.rows) == (1,) * h.order
+
+
 def test_sylvester_small_orders():
     assert sylvester(1).rows == ((1,),)
     assert sylvester(2).rows == ((1, 1), (1, -1))
@@ -38,7 +43,7 @@ def test_sylvester_rejects_non_powers():
 
 def test_sylvester_invariants():
     h = sylvester(8)
-    assert h.is_normalized
+    assert_normalized(h)
     for i in range(8):
         for j in range(i + 1, 8):
             assert sum(a != b for a, b in zip(h.rows[i], h.rows[j])) == 4
@@ -55,9 +60,10 @@ def test_matrix_validation_rejects_bad_rows():
 
 def test_paley_small_orders():
     h = paley(4)
-    assert h.is_normalized and h.order == 4
+    assert h.order == 4
+    assert_normalized(h)
     h12 = paley(12)
-    assert h12.is_normalized
+    assert_normalized(h12)
     for i in range(12):
         for j in range(i + 1, 12):
             assert sum(a != b for a, b in zip(h12.rows[i], h12.rows[j])) == 6
@@ -88,7 +94,7 @@ def test_normalize_random_signed():
             for r in rows:
                 r[c] = -r[c]
     fixed = normalize(HadamardMatrix(tuple(tuple(r) for r in rows)))
-    assert fixed.is_normalized
+    assert_normalized(fixed)
 
 
 def test_hadamard_matrix_dispatch():
@@ -152,13 +158,14 @@ def test_build_matches_digitwise_reference():
         built = build_hadamard_set(k, s)
         h = hadamard_matrix(k)
         for row, p in zip(h.rows, built.perms):
+            images = p.one_line
             for x in range(1, built.n + 1):
                 dv = digits_of(x, s, k - 1)
                 mapped = tuple(
                     d if row[c + 1] == 1 else s + 1 - d
                     for c, d in enumerate(dv.digits)
                 )
-                assert p(x) == value_of(DigitVector(s, mapped))
+                assert images[x - 1] == value_of(DigitVector(s, mapped))
 
 
 def test_build_bounds():
@@ -171,6 +178,13 @@ def test_build_bounds():
         h = hadamard_matrix(k)
         for i, j, v in m.off_diagonal():
             assert v <= s ** len(agreement_columns(h, i, j))
+
+
+@pytest.mark.parametrize("k,s", [(4, 5), (8, 3), (8, 4), (12, 2)])
+def test_digit_set_lcs_is_exactly_the_bound(k, s):
+    # unrestricted digit sets sit on their guarantee; k=12 is a Paley order
+    m = lcs_all_pairs(build_hadamard_set(k, s))
+    assert m.min_pair == m.max_pair == s ** (k // 2 - 1)
 
 
 def test_build_restricted():

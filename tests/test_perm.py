@@ -47,15 +47,6 @@ def test_invalid_words_rejected():
         Permutation.from_one_line([1, 2, 5])
 
 
-def test_call_is_one_based():
-    p = Permutation.from_one_line([3, 1, 2])
-    assert (p(1), p(2), p(3)) == (3, 1, 2)
-    with pytest.raises(ValueError):
-        p(0)
-    with pytest.raises(ValueError):
-        p(4)
-
-
 def test_compose_identity_laws():
     rng = random.Random(11)
     for n in (1, 2, 5, 17):
