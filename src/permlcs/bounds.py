@@ -59,7 +59,7 @@ def sample_lis(n: int, trials: int, seed: int) -> LisSample:
         raise ValueError("need at least one trial")
     if n > MAX_N:
         raise ValueError(f"n = {n} exceeds the ground-set cap {MAX_N}")
-    lengths = tuple(lis(trial_rng(seed, t).permutation(n).tolist()) for t in range(trials))
+    lengths = tuple(lis(trial_rng(seed, t).permutation(n)) for t in range(trials))
     return LisSample(n=n, trials=trials, seed=seed, lengths=lengths)
 
 

@@ -5,20 +5,85 @@ permutation by positions in the other, then run patience sorting.  The test
 suite cross-checks it against an independent quadratic DP and brute-force
 enumeration, kept in `tests/oracles.py`.
 
+Patience sorting runs in C (`_lis.c`, one function over an `int64` word).
+The first LIS call compiles it with `cc` into this package's `__pycache__/`
+and loads it with `ctypes`; importing the module does neither.  The file
+name carries a checksum of the source and the interpreter's extension tag,
+so an edited source never meets a stale library.  Where it cannot be built
+or loaded (no compiler, a read-only package, a failed build), `_lis_core`,
+the same algorithm in Python, runs instead, with equal answers and no
+output; there is no switch between the two.
+
 Patience sorting needs no tie-breaking policy here: inputs are permutations,
 so pile-top binary search never sees equal values.
 """
 
 from __future__ import annotations
 
+import os
+import zlib
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .perm import Permutation, PermSet
+
+_SOURCE = Path(__file__).with_name("_lis.c")
+_CC = ("cc", "-O2", "-shared", "-fPIC")
+_BUILD_TIMEOUT_S = 60
+_UNSET = object()
+_native = _UNSET  # the loaded kernel, None when it cannot be had, or _UNSET
+
+
+def _build(lib: Path) -> bool:
+    """Compile `_SOURCE` to `lib` in a private temp directory and rename it
+    into place, so concurrent builds never leave a torn library; the
+    compiler's output is discarded."""
+    import subprocess
+    import tempfile
+
+    lib.parent.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
+        out = os.path.join(tmp, lib.name)
+        try:
+            subprocess.run([*_CC, "-o", out, str(_SOURCE)], stdin=subprocess.DEVNULL,
+                           capture_output=True, timeout=_BUILD_TIMEOUT_S, check=True)
+        except subprocess.SubprocessError:
+            return False
+        os.replace(out, lib)
+    return True
+
+
+def _load_native():
+    """`lis_length` from the compiled `_lis.c`, building it if needed; None
+    if it cannot be built or loaded."""
+    try:
+        source = _SOURCE.read_bytes()
+        lib = _SOURCE.parent / "__pycache__" / (
+            f"_lis-{zlib.crc32(source):08x}{EXTENSION_SUFFIXES[0]}")
+        if not lib.exists() and not _build(lib):
+            return None
+        import ctypes
+
+        kernel = ctypes.CDLL(str(lib)).lis_length
+    except (OSError, AttributeError):
+        return None
+    kernel.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
+    kernel.restype = ctypes.c_ssize_t
+    return kernel
+
+
+def _native_kernel():
+    """The kernel, or None; built or loaded once per process, on first use."""
+    global _native
+    if _native is _UNSET:
+        _native = _load_native()
+    return _native
 
 
 def _lis_core(seq: Sequence[int]) -> int:
@@ -34,8 +99,48 @@ def _lis_core(seq: Sequence[int]) -> int:
     return len(tops)
 
 
+def _lis_word(word: np.ndarray, tops: np.ndarray | None = None) -> int:
+    """LIS of a contiguous int64 word; `tops` is scratch of at least its length."""
+    kernel = _native_kernel()
+    if kernel is None:
+        return _lis_core(word.tolist())
+    if tops is None:
+        tops = np.empty(len(word), dtype=np.int64)
+    return kernel(word.ctypes.data, len(word), tops.ctypes.data)
+
+
+def _int64_word(seq: Sequence[int]) -> np.ndarray | None:
+    """`seq` as a contiguous 1-D int64 array, or None if its values are not
+    all integers that fit one (floats, big ints, strings, nesting)."""
+    try:
+        arr = np.asarray(seq)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if arr.ndim != 1 or arr.dtype.kind not in "iu":
+        return None
+    if arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max:
+        return None
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
 def _check_distinct(seq: Sequence[int]) -> None:
     if len(set(seq)) != len(seq):
+        raise ValueError("sequence elements must be distinct")
+
+
+def _check_distinct_word(word: np.ndarray) -> None:
+    """The same check on an int64 word: one bincount when its values span
+    at most twice its length (a permutation spans exactly its length),
+    otherwise one sort."""
+    if len(word) < 2:
+        return
+    lo, hi = int(word.min()), int(word.max())
+    if hi - lo < 2 * len(word):
+        repeated = np.bincount(word - lo).max() > 1
+    else:
+        ordered = np.sort(word)
+        repeated = bool((ordered[1:] == ordered[:-1]).any())
+    if repeated:
         raise ValueError("sequence elements must be distinct")
 
 
@@ -44,14 +149,22 @@ def lis(seq: Sequence[int]) -> int:
 
     The empty sequence has LIS 0.
     """
-    _check_distinct(seq)
-    return _lis_core(seq)
+    word = _int64_word(seq)
+    if word is None:
+        _check_distinct(seq)
+        return _lis_core(seq)
+    _check_distinct_word(word)
+    return _lis_word(word)
 
 
 def lds(seq: Sequence[int]) -> int:
     """Length of the longest strictly decreasing subsequence."""
-    _check_distinct(seq)
-    return _lis_core([-v for v in seq])
+    word = _int64_word(seq)
+    if word is None:
+        _check_distinct(seq)
+        return _lis_core([-v for v in seq])
+    _check_distinct_word(word)
+    return _lis_word(word[::-1].copy())
 
 
 def lcs_pair(a: Permutation, b: Permutation) -> int:
@@ -64,7 +177,7 @@ def lcs_pair(a: Permutation, b: Permutation) -> int:
         raise ValueError(f"cannot compare permutations on [{a.n}] and [{b.n}]")
     pos = np.empty(b.n, dtype=np.int64)
     pos[b.array] = np.arange(b.n)
-    return _lis_core(pos[a.array].tolist())
+    return _lis_word(pos[a.array])
 
 
 @dataclass(frozen=True)
@@ -100,6 +213,20 @@ class LcsMatrix:
         return min(v for _, _, v in self.off_diagonal())
 
 
+def _sweep(perms: Sequence[Permutation]):
+    """((i, j), LCS) for every pair i < j.  Each member's position array is
+    built once and relabels every earlier member into one reused word, with
+    one pile-top buffer for the whole sweep."""
+    n = perms[0].n
+    ranks = np.arange(n)
+    pos, word, tops = (np.empty(n, dtype=np.int64) for _ in range(3))
+    for j in range(1, len(perms)):
+        pos[perms[j].array] = ranks
+        for i in range(j):
+            np.take(pos, perms[i].array, out=word)
+            yield (i, j), _lis_word(word, tops)
+
+
 def lcs_all_pairs(s: PermSet, *, threads: int = 1) -> LcsMatrix:
     """Fill the pairwise LCS table of a set; requires k >= 2.
 
@@ -110,14 +237,15 @@ def lcs_all_pairs(s: PermSet, *, threads: int = 1) -> LcsMatrix:
     k = s.k
     if k < 2:
         raise ValueError("pairwise LCS needs at least two permutations")
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
     if threads > 1:
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(lambda ij: lcs_pair(s.perms[ij[0]], s.perms[ij[1]]), pairs))
+            values = pool.map(lambda ij: lcs_pair(s.perms[ij[0]], s.perms[ij[1]]), pairs)
+            cells = list(zip(pairs, values))
     else:
-        values = [lcs_pair(s.perms[i], s.perms[j]) for i, j in pairs]
+        cells = _sweep(s.perms)
     grid = [[s.n] * k for _ in range(k)]
-    for (i, j), v in zip(pairs, values):
+    for (i, j), v in cells:
         grid[i][j] = v
         grid[j][i] = v
     return LcsMatrix(s.n, tuple(tuple(row) for row in grid))

@@ -180,9 +180,10 @@ def test_build_bounds():
             assert v <= s ** len(agreement_columns(h, i, j))
 
 
-@pytest.mark.parametrize("k,s", [(4, 5), (8, 3), (8, 4), (12, 2)])
+@pytest.mark.parametrize("k,s", [(4, 5), (8, 3), (8, 4), (12, 2), (8, 6), (16, 2), (20, 2)])
 def test_digit_set_lcs_is_exactly_the_bound(k, s):
-    # unrestricted digit sets sit on their guarantee; k=12 is a Paley order
+    # unrestricted digit sets sit on their guarantee; k=12 and k=20 are Paley
+    # orders, and (20, 2) sweeps 190 pairs at n = 2**19
     m = lcs_all_pairs(build_hadamard_set(k, s))
     assert m.min_pair == m.max_pair == s ** (k // 2 - 1)
 

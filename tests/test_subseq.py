@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from permlcs import (
@@ -16,21 +20,40 @@ from permlcs import (
     lis,
     reversal,
 )
+import permlcs.subseq as subseq
 from oracles import lcs_by_enumeration, lcs_pair_dp, lis_quadratic
+
+
+# The tests that take `kernel` check the native kernel against the oracles
+# here, and run again on the Python fallback in test_subseq_python.py.
+
+@pytest.fixture
+def kernel():
+    """The compiled kernel; skipped only where it cannot be built or loaded."""
+    if subseq._native_kernel() is None:
+        pytest.skip("native LIS kernel did not load")
+    return "native"
+
+
+@pytest.fixture
+def python_kernel(monkeypatch):
+    """Force the Python fallback `_lis_core`, as on a machine with no compiler."""
+    monkeypatch.setattr(subseq, "_native", None)
+    return "python"
 
 
 def rand_perm(rng, n):
     return Permutation.from_one_line(rng.sample(range(1, n + 1), n))
 
 
-def test_lis_examples():
+def test_lis_examples(kernel):
     assert lis(identity(7).one_line) == 7
     assert lis(reversal(7).one_line) == 1
     assert lis([3, 1, 4, 2, 5]) == 3 == lis_quadratic([3, 1, 4, 2, 5])
     assert lis([]) == 0
 
 
-def test_lds_examples():
+def test_lds_examples(kernel):
     assert lds(reversal(6).one_line) == 6
     assert lds(identity(6).one_line) == 1
     assert lds([3, 1, 4, 2, 5]) == 2 == lis_quadratic([-v for v in [3, 1, 4, 2, 5]])
@@ -44,7 +67,7 @@ def test_duplicate_values_rejected():
         lds([4, 4])
 
 
-def test_lis_matches_quadratic_oracle():
+def test_lis_matches_quadratic_oracle(kernel):
     rng = random.Random(101)
     for _ in range(200):
         n = rng.randint(0, 60)
@@ -53,13 +76,13 @@ def test_lis_matches_quadratic_oracle():
         assert lds(seq) == lis_quadratic([-v for v in seq])
 
 
-def test_lis_exhaustive_tiny():
+def test_lis_exhaustive_tiny(kernel):
     # every permutation of [5]: patience == quadratic DP == definition
     for word in itertools.permutations(range(1, 6)):
         assert lis(word) == lis_quadratic(word)
 
 
-def test_lcs_pair_examples():
+def test_lcs_pair_examples(kernel):
     p = Permutation.from_one_line([4, 2, 5, 1, 3])
     assert lcs_pair(p, p) == 5
     assert lcs_pair(identity(9), reversal(9)) == 1
@@ -85,7 +108,7 @@ def test_lcs_dp_size_guard():
         lcs_pair_dp(big, big)
 
 
-def test_lcs_matches_enumeration_tiny():
+def test_lcs_matches_enumeration_tiny(kernel):
     rng = random.Random(77)
     for _ in range(60):
         n = rng.randint(1, 7)
@@ -95,7 +118,7 @@ def test_lcs_matches_enumeration_tiny():
         assert lcs_pair_dp(a, b) == want
 
 
-def test_lcs_fast_equals_dp_random():
+def test_lcs_fast_equals_dp_random(kernel):
     rng = random.Random(2024)
     for _ in range(120):
         n = rng.randint(1, 128)
@@ -135,7 +158,7 @@ def test_all_pairs_requires_two():
         lcs_all_pairs(PermSet((identity(4),)))
 
 
-def test_all_pairs_matches_dp_on_construction():
+def test_all_pairs_matches_dp_on_construction(kernel):
     s = build_exact(72, 3)
     m = lcs_all_pairs(s)
     assert m.k == 3 and m.n == 72
@@ -158,3 +181,73 @@ def test_erdos_szekeres_floor():
         for _ in range(20):
             word = rng.sample(range(1, n + 1), n)
             assert max(lis(word), lds(word)) >= ceil_sqrt
+
+
+def test_non_int64_inputs_keep_their_answers(kernel):
+    # anything that is not an int64 word goes through `_lis_core` unchanged
+    big = [2**70, 5, 2**64, -(2**65)]
+    assert lis(big) == 2 == lis_quadratic(big)
+    assert lds(big) == 3 == lis_quadratic([-v for v in big])
+    assert lis([2**63, 1, 2]) == 2  # numpy would read this as float64
+    assert lis([0.5, 2.5, 1.5]) == 2
+    assert lds(np.array([3.0, 1.0, 2.0])) == 2
+    with pytest.raises(ValueError, match="must be distinct"):
+        lis([2**70, 2**70])
+
+
+def test_int64_words_of_any_span(kernel):
+    rng = random.Random(8)
+    lo, hi = -(2**63), 2**63 - 1
+    for _ in range(50):
+        seq = [lo, hi] + rng.sample(range(-10**15, 10**15), rng.randint(0, 40))
+        rng.shuffle(seq)
+        for word in (seq, np.array(seq), np.array(seq)[::-1]):
+            values = [int(v) for v in word]
+            assert lis(word) == lis_quadratic(values)
+            assert lds(word) == lis_quadratic([-v for v in values])
+    unsigned = np.array([9, 2**63 - 1, 3], dtype=np.uint64)
+    assert lis(unsigned) == 2 and lds(unsigned) == 2
+    for word in ([lo, 7, lo], np.array([5, 1, 10**12, 1]), np.arange(6, dtype=np.int32) % 5):
+        with pytest.raises(ValueError, match="must be distinct"):
+            lis(word)
+        with pytest.raises(ValueError, match="must be distinct"):
+            lds(word)
+
+
+@pytest.mark.parametrize("cc", [
+    (sys.executable, "-c", "print('compiler noise'); raise SystemExit(1)"),
+    ("permlcs-no-such-compiler",),
+], ids=["fails", "missing"])
+def test_failed_build_falls_back_silently(cc, tmp_path, monkeypatch, capfd):
+    source = tmp_path / "_lis.c"
+    source.write_bytes(subseq._SOURCE.read_bytes())
+    monkeypatch.setattr(subseq, "_SOURCE", source)
+    monkeypatch.setattr(subseq, "_CC", cc)
+    monkeypatch.setattr(subseq, "_native", subseq._UNSET)
+    rng = random.Random(4)
+    words = [rng.sample(range(1, 500), rng.randint(0, 80)) for _ in range(30)]
+    pairs = [(rand_perm(rng, 60), rand_perm(rng, 60)) for _ in range(10)]
+    got = ([lis(w) for w in words], [lds(w) for w in words],
+           [lcs_pair(a, b) for a, b in pairs])
+    assert subseq._native is None
+    assert capfd.readouterr() == ("", "")
+    assert list(tmp_path.glob("__pycache__/*")) == []  # no torn or temp library left
+    assert got == ([lis_quadratic(w) for w in words],
+                   [lis_quadratic([-v for v in w]) for w in words],
+                   [lcs_pair_dp(a, b) for a, b in pairs])
+
+
+def test_importing_the_cli_builds_and_loads_nothing():
+    code = (
+        "import ctypes, subprocess, numpy\n"
+        "calls = []\n"
+        "ctypes.CDLL = lambda *a, **k: calls.append(('CDLL', a))\n"
+        "subprocess.Popen = lambda *a, **k: calls.append(('Popen', a))\n"
+        "import permlcs.cli, permlcs.subseq as s\n"
+        "print(calls, s._native is s._UNSET)\n"
+    )
+    src = os.path.dirname(os.path.dirname(subseq.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert (res.returncode, res.stdout) == (0, "[] True\n"), res.stderr
