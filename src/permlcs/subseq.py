@@ -25,6 +25,7 @@ import zlib
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 from typing import Sequence
@@ -129,18 +130,9 @@ def _check_distinct(seq: Sequence[int]) -> None:
 
 
 def _check_distinct_word(word: np.ndarray) -> None:
-    """The same check on an int64 word: one bincount when its values span
-    at most twice its length (a permutation spans exactly its length),
-    otherwise one sort."""
-    if len(word) < 2:
-        return
-    lo, hi = int(word.min()), int(word.max())
-    if hi - lo < 2 * len(word):
-        repeated = np.bincount(word - lo).max() > 1
-    else:
-        ordered = np.sort(word)
-        repeated = bool((ordered[1:] == ordered[:-1]).any())
-    if repeated:
+    """The same check on an int64 word: one sort, then neighbours compared."""
+    ordered = np.sort(word)
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("sequence elements must be distinct")
 
 
@@ -213,39 +205,39 @@ class LcsMatrix:
         return min(v for _, _, v in self.off_diagonal())
 
 
-def _sweep(perms: Sequence[Permutation]):
-    """((i, j), LCS) for every pair i < j.  Each member's position array is
-    built once and relabels every earlier member into one reused word, with
-    one pile-top buffer for the whole sweep."""
-    n = perms[0].n
-    ranks = np.arange(n)
+def _column(perms: Sequence[Permutation], j: int) -> list[int]:
+    """LCS of member j with each earlier member.  j's position array is built
+    once and relabels each earlier member into one reused word, with one
+    pile-top buffer for the column."""
+    n = perms[j].n
     pos, word, tops = (np.empty(n, dtype=np.int64) for _ in range(3))
-    for j in range(1, len(perms)):
-        pos[perms[j].array] = ranks
-        for i in range(j):
-            np.take(pos, perms[i].array, out=word)
-            yield (i, j), _lis_word(word, tops)
+    pos[perms[j].array] = np.arange(n)
+    values = []
+    for i in range(j):
+        np.take(pos, perms[i].array, out=word)
+        values.append(_lis_word(word, tops))
+    return values
 
 
 def lcs_all_pairs(s: PermSet, *, threads: int = 1) -> LcsMatrix:
     """Fill the pairwise LCS table of a set; requires k >= 2.
 
-    With threads > 1 the k(k-1)/2 pairs are evaluated by a thread pool;
-    results are assembled in pair order, so the matrix is identical either
-    way.
+    With threads > 1 the columns (one per member, against every earlier
+    member) are evaluated by a thread pool; results are assembled in column
+    order, so the matrix is identical either way.
     """
     k = s.k
     if k < 2:
         raise ValueError("pairwise LCS needs at least two permutations")
+    column = partial(_column, s.perms)
     if threads > 1:
-        pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = pool.map(lambda ij: lcs_pair(s.perms[ij[0]], s.perms[ij[1]]), pairs)
-            cells = list(zip(pairs, values))
+            columns = list(pool.map(column, range(1, k)))
     else:
-        cells = _sweep(s.perms)
+        columns = map(column, range(1, k))
     grid = [[s.n] * k for _ in range(k)]
-    for (i, j), v in cells:
-        grid[i][j] = v
-        grid[j][i] = v
+    for j, values in enumerate(columns, start=1):
+        for i, v in enumerate(values):
+            grid[i][j] = v
+            grid[j][i] = v
     return LcsMatrix(s.n, tuple(tuple(row) for row in grid))

@@ -24,40 +24,42 @@ import permlcs.subseq as subseq
 from oracles import lcs_by_enumeration, lcs_pair_dp, lis_quadratic
 
 
-# The tests that take `kernel` check the native kernel against the oracles
-# here, and run again on the Python fallback in test_subseq_python.py.
-
 @pytest.fixture
-def kernel():
-    """The compiled kernel; skipped only where it cannot be built or loaded."""
-    if subseq._native_kernel() is None:
-        pytest.skip("native LIS kernel did not load")
-    return "native"
-
-
-@pytest.fixture
-def python_kernel(monkeypatch):
-    """Force the Python fallback `_lis_core`, as on a machine with no compiler."""
-    monkeypatch.setattr(subseq, "_native", None)
-    return "python"
+def kernels(monkeypatch):
+    """The kernels a test body runs on, one loop pass each: "native" when the
+    compiled kernel loads, then "python", the fallback `_lis_core` forced as
+    on a machine with no compiler.  A failing pass names its kernel in the
+    loop variable `kernel` (pytest -l)."""
+    def each():
+        if subseq._native_kernel() is not None:
+            yield "native"
+        monkeypatch.setattr(subseq, "_native", None)
+        yield "python"
+    return each()
 
 
 def rand_perm(rng, n):
     return Permutation.from_one_line(rng.sample(range(1, n + 1), n))
 
 
-def test_lis_examples(kernel):
-    assert lis(identity(7).one_line) == 7
-    assert lis(reversal(7).one_line) == 1
-    assert lis([3, 1, 4, 2, 5]) == 3 == lis_quadratic([3, 1, 4, 2, 5])
-    assert lis([]) == 0
+def test_lis_examples(kernels):
+    for kernel in kernels:
+        assert lis(identity(7).one_line) == 7
+        assert lis(reversal(7).one_line) == 1
+        assert lis([3, 1, 4, 2, 5]) == 3 == lis_quadratic([3, 1, 4, 2, 5])
+        assert lis([]) == 0
+        assert lis(np.array([2**63 - 1, -(2**63), 0])) == 2
+        assert lis(np.array([9, 2**63 - 1, 3], dtype=np.uint64)) == 2
 
 
-def test_lds_examples(kernel):
-    assert lds(reversal(6).one_line) == 6
-    assert lds(identity(6).one_line) == 1
-    assert lds([3, 1, 4, 2, 5]) == 2 == lis_quadratic([-v for v in [3, 1, 4, 2, 5]])
-    assert lds([]) == 0
+def test_lds_examples(kernels):
+    for kernel in kernels:
+        assert lds(reversal(6).one_line) == 6
+        assert lds(identity(6).one_line) == 1
+        assert lds([3, 1, 4, 2, 5]) == 2 == lis_quadratic([-v for v in [3, 1, 4, 2, 5]])
+        assert lds([]) == 0
+        assert lds(np.array([-(2**63), 0])) == 1
+        assert lds(np.array([9, 2**63 - 1, 3], dtype=np.uint64)) == 2
 
 
 def test_duplicate_values_rejected():
@@ -65,29 +67,38 @@ def test_duplicate_values_rejected():
         lis([1, 2, 2])
     with pytest.raises(ValueError):
         lds([4, 4])
+    for word in ([-(2**63), 7, -(2**63)], np.array([5, 1, 10**12, 1]),
+                 np.arange(6, dtype=np.int32) % 5):
+        with pytest.raises(ValueError, match="must be distinct"):
+            lis(word)
+        with pytest.raises(ValueError, match="must be distinct"):
+            lds(word)
 
 
-def test_lis_matches_quadratic_oracle(kernel):
-    rng = random.Random(101)
-    for _ in range(200):
-        n = rng.randint(0, 60)
-        seq = rng.sample(range(1000), n)
-        assert lis(seq) == lis_quadratic(seq)
-        assert lds(seq) == lis_quadratic([-v for v in seq])
+def test_lis_matches_quadratic_oracle(kernels):
+    for kernel in kernels:
+        rng = random.Random(101)
+        for _ in range(200):
+            n = rng.randint(0, 60)
+            seq = rng.sample(range(1000), n)
+            assert lis(seq) == lis_quadratic(seq)
+            assert lds(seq) == lis_quadratic([-v for v in seq])
 
 
-def test_lis_exhaustive_tiny(kernel):
+def test_lis_exhaustive_tiny(kernels):
     # every permutation of [5]: patience == quadratic DP == definition
-    for word in itertools.permutations(range(1, 6)):
-        assert lis(word) == lis_quadratic(word)
+    for kernel in kernels:
+        for word in itertools.permutations(range(1, 6)):
+            assert lis(word) == lis_quadratic(word)
 
 
-def test_lcs_pair_examples(kernel):
-    p = Permutation.from_one_line([4, 2, 5, 1, 3])
-    assert lcs_pair(p, p) == 5
-    assert lcs_pair(identity(9), reversal(9)) == 1
-    a = Permutation.from_one_line([2, 1, 4, 3])
-    assert lcs_pair(a, identity(4)) == 2 == lcs_pair_dp(a, identity(4))
+def test_lcs_pair_examples(kernels):
+    for kernel in kernels:
+        p = Permutation.from_one_line([4, 2, 5, 1, 3])
+        assert lcs_pair(p, p) == 5
+        assert lcs_pair(identity(9), reversal(9)) == 1
+        a = Permutation.from_one_line([2, 1, 4, 3])
+        assert lcs_pair(a, identity(4)) == 2 == lcs_pair_dp(a, identity(4))
 
 
 def test_lcs_pair_mismatched_n():
@@ -108,22 +119,24 @@ def test_lcs_dp_size_guard():
         lcs_pair_dp(big, big)
 
 
-def test_lcs_matches_enumeration_tiny(kernel):
-    rng = random.Random(77)
-    for _ in range(60):
-        n = rng.randint(1, 7)
-        a, b = rand_perm(rng, n), rand_perm(rng, n)
-        want = lcs_by_enumeration(a.one_line, b.one_line)
-        assert lcs_pair(a, b) == want
-        assert lcs_pair_dp(a, b) == want
+def test_lcs_matches_enumeration_tiny(kernels):
+    for kernel in kernels:
+        rng = random.Random(77)
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            a, b = rand_perm(rng, n), rand_perm(rng, n)
+            want = lcs_by_enumeration(a.one_line, b.one_line)
+            assert lcs_pair(a, b) == want
+            assert lcs_pair_dp(a, b) == want
 
 
-def test_lcs_fast_equals_dp_random(kernel):
-    rng = random.Random(2024)
-    for _ in range(120):
-        n = rng.randint(1, 128)
-        a, b = rand_perm(rng, n), rand_perm(rng, n)
-        assert lcs_pair(a, b) == lcs_pair_dp(a, b)
+def test_lcs_fast_equals_dp_random(kernels):
+    for kernel in kernels:
+        rng = random.Random(2024)
+        for _ in range(120):
+            n = rng.randint(1, 128)
+            a, b = rand_perm(rng, n), rand_perm(rng, n)
+            assert lcs_pair(a, b) == lcs_pair_dp(a, b)
 
 
 def test_lcs_symmetry_and_bounds():
@@ -158,20 +171,22 @@ def test_all_pairs_requires_two():
         lcs_all_pairs(PermSet((identity(4),)))
 
 
-def test_all_pairs_matches_dp_on_construction(kernel):
-    s = build_exact(72, 3)
-    m = lcs_all_pairs(s)
-    assert m.k == 3 and m.n == 72
-    for i, j, v in m.off_diagonal():
-        assert v == lcs_pair_dp(s.perms[i], s.perms[j])
-        assert m[i, j] == m[j, i] == v
-    assert m[0, 0] == 72
+def test_all_pairs_matches_dp_on_construction(kernels):
+    for kernel in kernels:
+        s = build_exact(72, 3)
+        m = lcs_all_pairs(s)
+        assert m.k == 3 and m.n == 72
+        for i, j, v in m.off_diagonal():
+            assert v == lcs_pair_dp(s.perms[i], s.perms[j])
+            assert m[i, j] == m[j, i] == v
+        assert m[0, 0] == 72
 
 
-def test_all_pairs_threaded_matches_serial():
+def test_all_pairs_threaded_matches_serial(kernels):
     rng = random.Random(55)
     s = PermSet(tuple(rand_perm(rng, 40) for _ in range(5)))
-    assert lcs_all_pairs(s, threads=4) == lcs_all_pairs(s)
+    for kernel in kernels:
+        assert lcs_all_pairs(s, threads=4) == lcs_all_pairs(s)
 
 
 def test_erdos_szekeres_floor():
@@ -183,35 +198,17 @@ def test_erdos_szekeres_floor():
             assert max(lis(word), lds(word)) >= ceil_sqrt
 
 
-def test_non_int64_inputs_keep_their_answers(kernel):
+def test_non_int64_inputs_keep_their_answers(kernels):
     # anything that is not an int64 word goes through `_lis_core` unchanged
-    big = [2**70, 5, 2**64, -(2**65)]
-    assert lis(big) == 2 == lis_quadratic(big)
-    assert lds(big) == 3 == lis_quadratic([-v for v in big])
-    assert lis([2**63, 1, 2]) == 2  # numpy would read this as float64
-    assert lis([0.5, 2.5, 1.5]) == 2
-    assert lds(np.array([3.0, 1.0, 2.0])) == 2
-    with pytest.raises(ValueError, match="must be distinct"):
-        lis([2**70, 2**70])
-
-
-def test_int64_words_of_any_span(kernel):
-    rng = random.Random(8)
-    lo, hi = -(2**63), 2**63 - 1
-    for _ in range(50):
-        seq = [lo, hi] + rng.sample(range(-10**15, 10**15), rng.randint(0, 40))
-        rng.shuffle(seq)
-        for word in (seq, np.array(seq), np.array(seq)[::-1]):
-            values = [int(v) for v in word]
-            assert lis(word) == lis_quadratic(values)
-            assert lds(word) == lis_quadratic([-v for v in values])
-    unsigned = np.array([9, 2**63 - 1, 3], dtype=np.uint64)
-    assert lis(unsigned) == 2 and lds(unsigned) == 2
-    for word in ([lo, 7, lo], np.array([5, 1, 10**12, 1]), np.arange(6, dtype=np.int32) % 5):
+    for kernel in kernels:
+        big = [2**70, 5, 2**64, -(2**65)]
+        assert lis(big) == 2 == lis_quadratic(big)
+        assert lds(big) == 3 == lis_quadratic([-v for v in big])
+        assert lis([2**63, 1, 2]) == 2  # numpy would read this as float64
+        assert lis([0.5, 2.5, 1.5]) == 2
+        assert lds(np.array([3.0, 1.0, 2.0])) == 2
         with pytest.raises(ValueError, match="must be distinct"):
-            lis(word)
-        with pytest.raises(ValueError, match="must be distinct"):
-            lds(word)
+            lis([2**70, 2**70])
 
 
 @pytest.mark.parametrize("cc", [
