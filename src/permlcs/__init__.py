@@ -25,7 +25,6 @@ from .hadamard import (
     HadamardMatrix,
     build_hadamard_set,
     hadamard_matrix,
-    normalize,
     paley,
     sylvester,
 )
@@ -42,7 +41,7 @@ __all__ = [
     "random_perm", "random_perm_set", "sample_lis", "trial_rng",
     "CodeReport", "code_report", "d_del", "min_distance",
     "FormatError", "dumps_permset", "loads_permset", "read_permset", "write_permset",
-    "HadamardMatrix", "build_hadamard_set", "hadamard_matrix", "normalize",
+    "HadamardMatrix", "build_hadamard_set", "hadamard_matrix",
     "paley", "sylvester",
     "Permutation", "PermSet", "compose", "identity", "invert", "restrict",
     "reversal",

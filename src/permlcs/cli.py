@@ -3,8 +3,9 @@
 Subcommands: construct, verify, sample, distance, bench.  JSON reports on
 stdout always carry the keys command/params/results/pass; bench emits CSV.
 Exit codes: 0 all asserted bounds hold, 1 a bound is violated, 2 usage
-(including a ground set above `perm.MAX_N`), file-format or OS error, 3 a
-broken internal invariant (a builder's `RuntimeError`).  The
+(including a ground set above `perm.MAX_N`), file-format or OS error, or
+running out of memory, 3 a broken internal invariant (a builder's
+`RuntimeError`).  The
 bound arithmetic lives with the constructions (`params["lcs_bound"]`) and in
 `bounds.BOUND_CHECKS`, and the `--bound all` policy in
 `bounds.check_all_bounds`; this module only selects, runs and reports.
@@ -269,6 +270,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -15,15 +15,11 @@ from .subseq import lcs_all_pairs, lcs_pair
 
 def d_del(a: Permutation, b: Permutation) -> int:
     """Deletion distance between two permutations on the same ground set."""
-    if a.n != b.n:
-        raise ValueError(f"cannot compare permutations on [{a.n}] and [{b.n}]")
     return a.n - lcs_pair(a, b)
 
 
 def min_distance(s: PermSet) -> int:
     """Minimum pairwise deletion distance; 0 when codewords repeat."""
-    if s.k < 2:
-        raise ValueError("a code needs at least two codewords")
     return s.n - lcs_all_pairs(s).max_pair
 
 
@@ -49,9 +45,10 @@ class CodeReport:
 
 
 def code_report(s: PermSet) -> CodeReport:
+    """Two permutations on [n] have LCS n exactly when they are equal, so a
+    repeated codeword is exactly a minimum distance of 0."""
     dist = min_distance(s)
     return CodeReport(
         n=s.n, k=s.k, min_distance=dist, max_pair_lcs=s.n - dist,
-        provenance=s.provenance,
-        duplicate_codewords=len(set(s.perms)) < s.k,
+        provenance=s.provenance, duplicate_codewords=dist == 0,
     )

@@ -59,33 +59,18 @@ def sylvester(order: int) -> HadamardMatrix:
 
 
 def paley(order: int) -> HadamardMatrix:
-    """Quadratic-residue construction for order q + 1, q prime = 3 (mod 4)."""
+    """Quadratic-residue construction for order q + 1, q prime = 3 (mod 4),
+    written down normalized.
+
+    Row 0 is all +1; row 1 + a is +1 followed by chi(b - a) for b in Z_q,
+    with -1 on the diagonal b = a (chi is the quadratic character mod q).
+    """
     q = order - 1
     if q < 3 or q % 4 != 3 or not is_prime(q):
         raise ValueError(f"order {order} needs order-1 to be a prime = 3 (mod 4)")
     residues = {v * v % q for v in range(1, q)}
-    chi = [0] + [1 if v in residues else -1 for v in range(1, q)]
-    rows = [[1] * order]
-    for a in range(q):
-        row = [-1] + [chi[(a - b) % q] for b in range(q)]
-        row[a + 1] = 1
-        rows.append(row)
-    return normalize(HadamardMatrix(tuple(tuple(r) for r in rows)))
-
-
-def normalize(h: HadamardMatrix) -> HadamardMatrix:
-    """Negate rows/columns until the first row and column are all +1.
-
-    Row and column negation both preserve the pairwise-difference property.
-    """
-    rows = [list(r) for r in h.rows]
-    for r in rows:
-        if r[0] == -1:
-            r[:] = [-v for v in r]
-    for c, v in enumerate(rows[0]):
-        if v == -1:
-            for r in rows:
-                r[c] = -r[c]
+    chi = [-1] + [1 if v in residues else -1 for v in range(1, q)]  # chi[0]: diagonal
+    rows = [[1] * order] + [[1] + [chi[(b - a) % q] for b in range(q)] for a in range(q)]
     return HadamardMatrix(tuple(tuple(r) for r in rows))
 
 

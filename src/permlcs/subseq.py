@@ -5,14 +5,20 @@ permutation by positions in the other, then run patience sorting.  The test
 suite cross-checks it against an independent quadratic DP and brute-force
 enumeration, kept in `tests/oracles.py`.
 
+Every answer takes one route.  `lis`/`lds` accept only words of distinct
+integers that fit `int64` (anything else is a ValueError) and hand the word
+to `_lis_word`; `lcs_pair` and `lcs_all_pairs` relabel through `_column`,
+which calls `_lis_word` per pair.
+
 Patience sorting runs in C (`_lis.c`, one function over an `int64` word).
 The first LIS call compiles it with `cc` into this package's `__pycache__/`
 and loads it with `ctypes`; importing the module does neither.  The file
-name carries a checksum of the source and the interpreter's extension tag,
-so an edited source never meets a stale library.  Where it cannot be built
-or loaded (no compiler, a read-only package, a failed build), `_lis_core`,
-the same algorithm in Python, runs instead, with equal answers and no
-output; there is no switch between the two.
+name carries a checksum of the source and of the compiler command, and the
+interpreter's extension tag, so an edited source or command never meets a
+stale library.  Where it cannot be built or loaded (no compiler, a
+read-only package, a failed build), `_lis_word` runs `_lis_core`, the same
+algorithm in Python, instead, with equal answers and no output; there is
+no switch between the two.
 
 Patience sorting needs no tie-breaking policy here: inputs are permutations,
 so pile-top binary search never sees equal values.
@@ -37,6 +43,7 @@ from .perm import Permutation, PermSet
 _SOURCE = Path(__file__).with_name("_lis.c")
 _CC = ("cc", "-O2", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 60
+_INT64_MAX = np.iinfo(np.int64).max
 _UNSET = object()
 _native = _UNSET  # the loaded kernel, None when it cannot be had, or _UNSET
 
@@ -65,8 +72,8 @@ def _load_native():
     if it cannot be built or loaded."""
     try:
         source = _SOURCE.read_bytes()
-        lib = _SOURCE.parent / "__pycache__" / (
-            f"_lis-{zlib.crc32(source):08x}{EXTENSION_SUFFIXES[0]}")
+        key = zlib.crc32(" ".join(_CC).encode(), zlib.crc32(source))
+        lib = _SOURCE.parent / "__pycache__" / f"_lis-{key:08x}{EXTENSION_SUFFIXES[0]}"
         if not lib.exists() and not _build(lib):
             return None
         import ctypes
@@ -110,53 +117,41 @@ def _lis_word(word: np.ndarray, tops: np.ndarray | None = None) -> int:
     return kernel(word.ctypes.data, len(word), tops.ctypes.data)
 
 
-def _int64_word(seq: Sequence[int]) -> np.ndarray | None:
-    """`seq` as a contiguous 1-D int64 array, or None if its values are not
-    all integers that fit one (floats, big ints, strings, nesting)."""
+def _distinct_word(seq: Sequence[int]) -> np.ndarray:
+    """`seq` as a contiguous int64 word of distinct values.
+
+    Raises ValueError for anything else: floats, integers outside int64,
+    strings, nesting, generators, or a repeated value.
+    """
     try:
         arr = np.asarray(seq)
-    except (ValueError, TypeError, OverflowError):
-        return None
-    if arr.ndim != 1 or arr.dtype.kind not in "iu":
-        return None
-    if arr.dtype.kind == "u" and arr.size and arr.max() > np.iinfo(np.int64).max:
-        return None
-    return np.ascontiguousarray(arr, dtype=np.int64)
-
-
-def _check_distinct(seq: Sequence[int]) -> None:
-    if len(set(seq)) != len(seq):
-        raise ValueError("sequence elements must be distinct")
-
-
-def _check_distinct_word(word: np.ndarray) -> None:
-    """The same check on an int64 word: one sort, then neighbours compared."""
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"sequence must be a 1-D word of int64 integers: {exc}") from exc
+    if arr.ndim == 1 and arr.size == 0:  # numpy reads [] as float64
+        return np.empty(0, dtype=np.int64)
+    if arr.ndim != 1 or arr.dtype.kind not in "iu" or (
+            arr.dtype.kind == "u" and arr.max() > _INT64_MAX):
+        raise ValueError(f"sequence must be a 1-D word of int64 integers, "
+                         f"not {arr.ndim}-D {arr.dtype}")
+    word = np.ascontiguousarray(arr, dtype=np.int64)
     ordered = np.sort(word)
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("sequence elements must be distinct")
+    return word
 
 
 def lis(seq: Sequence[int]) -> int:
-    """Length of the longest strictly increasing subsequence.
+    """Length of the longest strictly increasing subsequence of a word of
+    distinct integers that fit int64.
 
     The empty sequence has LIS 0.
     """
-    word = _int64_word(seq)
-    if word is None:
-        _check_distinct(seq)
-        return _lis_core(seq)
-    _check_distinct_word(word)
-    return _lis_word(word)
+    return _lis_word(_distinct_word(seq))
 
 
 def lds(seq: Sequence[int]) -> int:
     """Length of the longest strictly decreasing subsequence."""
-    word = _int64_word(seq)
-    if word is None:
-        _check_distinct(seq)
-        return _lis_core([-v for v in seq])
-    _check_distinct_word(word)
-    return _lis_word(word[::-1].copy())
+    return _lis_word(_distinct_word(seq)[::-1].copy())
 
 
 def lcs_pair(a: Permutation, b: Permutation) -> int:
@@ -167,9 +162,7 @@ def lcs_pair(a: Permutation, b: Permutation) -> int:
     """
     if a.n != b.n:
         raise ValueError(f"cannot compare permutations on [{a.n}] and [{b.n}]")
-    pos = np.empty(b.n, dtype=np.int64)
-    pos[b.array] = np.arange(b.n)
-    return _lis_word(pos[a.array])
+    return _column((a, b), 1)[0]
 
 
 @dataclass(frozen=True)

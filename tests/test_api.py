@@ -16,7 +16,7 @@ NOT_SHIPPED = {
     "dumps_matrix", "loads_matrix", "DEFAULT_SIZE_CAP", "MAX_NK",
     "dumps_permline", "loads_permline", "read_permline", "write_permline",
     "verify_cube_root_lower_bound", "LowerBoundReport", "icbrt", "cube_root_floor",
-    "_WITNESSES", "_WITNESS_LIMIT",
+    "_WITNESSES", "_WITNESS_LIMIT", "normalize",
 }
 
 

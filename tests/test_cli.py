@@ -268,6 +268,17 @@ def test_internal_invariant_exits_3(tmp_path, capsys, monkeypatch):
     assert err == "internal error: duplicate sort key for j=1; keys must be 1-1 on [n]\n"
 
 
+def test_out_of_memory_is_usage_error(capsys, monkeypatch):
+    def starved(n, k):
+        raise MemoryError("Unable to allocate 1.91 GiB for an array")
+
+    monkeypatch.setattr("permlcs.cli.build_general", starved)
+    code, out, err = run(capsys, "construct", "algebraic", "--n", "16000000", "--k", "16")
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 1.91 GiB for an array\n"
+
+
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys)[0] == 2

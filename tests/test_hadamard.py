@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from permlcs import (
@@ -8,7 +6,6 @@ from permlcs import (
     hadamard_matrix,
     identity,
     lcs_all_pairs,
-    normalize,
     paley,
     restrict,
     sylvester,
@@ -21,6 +18,23 @@ SYLVESTER_4 = (
     (1, -1, 1, -1),
     (1, 1, -1, -1),
     (1, -1, -1, 1),
+)
+
+# paley(12) row by row, + for 1 and - for -1: row 1 + a is + then chi(b - a)
+# for b in Z_11, with - on the diagonal
+PALEY_12 = (
+    "++++++++++++",
+    "+-+-+++---+-",
+    "+--+-+++---+",
+    "++--+-+++---",
+    "+-+--+-+++--",
+    "+--+--+-+++-",
+    "+---+--+-+++",
+    "++---+--+-++",
+    "+++---+--+-+",
+    "++++---+--+-",
+    "+-+++---+--+",
+    "++-+++---+--",
 )
 
 
@@ -64,6 +78,7 @@ def test_paley_small_orders():
     assert_normalized(h)
     h12 = paley(12)
     assert_normalized(h12)
+    assert tuple("".join("+" if v == 1 else "-" for v in r) for r in h12.rows) == PALEY_12
     for i in range(12):
         for j in range(i + 1, 12):
             assert sum(a != b for a, b in zip(h12.rows[i], h12.rows[j])) == 6
@@ -73,28 +88,6 @@ def test_paley_rejects_unsupported():
     for order in (10, 6, 16):  # 9 not prime, 5 = 1 mod 4, 15 not prime
         with pytest.raises(ValueError):
             paley(order)
-
-
-def test_normalize_fixpoint_and_row_negation():
-    h = sylvester(4)
-    assert normalize(h) == h
-    negated = HadamardMatrix((tuple(-v for v in h.rows[0]),) + h.rows[1:])
-    assert normalize(negated) == h
-
-
-def test_normalize_random_signed():
-    rng = random.Random(8)
-    base = sylvester(8)
-    rows = [list(r) for r in base.rows]
-    for i in range(8):
-        if rng.random() < 0.5:
-            rows[i] = [-v for v in rows[i]]
-    for c in range(8):
-        if rng.random() < 0.5:
-            for r in rows:
-                r[c] = -r[c]
-    fixed = normalize(HadamardMatrix(tuple(tuple(r) for r in rows)))
-    assert_normalized(fixed)
 
 
 def test_hadamard_matrix_dispatch():

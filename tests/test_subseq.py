@@ -198,17 +198,22 @@ def test_erdos_szekeres_floor():
             assert max(lis(word), lds(word)) >= ceil_sqrt
 
 
-def test_non_int64_inputs_keep_their_answers(kernels):
-    # anything that is not an int64 word goes through `_lis_core` unchanged
+def test_non_integer_words_rejected(kernels):
+    # lis/lds take words of integers that fit int64, and nothing else
+    words = [
+        [0.5, 2.5, 1.5], np.array([3.0, 1.0, 2.0]),  # floats
+        [2**70, 5, 2**64, -(2**65)], [2**63, 1, 2], [2**63, -1],  # big ints
+        np.array([9, 2**63, 3], dtype=np.uint64),  # uint64 above 2**63 - 1
+        "abc", "cba", ["a", "b"],  # strings
+        np.arange(6).reshape(2, 3), [[1, 2], [3, 4]], [[1], [2, 3]],  # nesting
+        (v for v in [3, 1, 2]),  # generators
+    ]
     for kernel in kernels:
-        big = [2**70, 5, 2**64, -(2**65)]
-        assert lis(big) == 2 == lis_quadratic(big)
-        assert lds(big) == 3 == lis_quadratic([-v for v in big])
-        assert lis([2**63, 1, 2]) == 2  # numpy would read this as float64
-        assert lis([0.5, 2.5, 1.5]) == 2
-        assert lds(np.array([3.0, 1.0, 2.0])) == 2
-        with pytest.raises(ValueError, match="must be distinct"):
-            lis([2**70, 2**70])
+        for word in words:
+            with pytest.raises(ValueError, match="1-D word of int64 integers"):
+                lis(word)
+            with pytest.raises(ValueError, match="1-D word of int64 integers"):
+                lds(word)
 
 
 @pytest.mark.parametrize("cc", [
@@ -232,6 +237,20 @@ def test_failed_build_falls_back_silently(cc, tmp_path, monkeypatch, capfd):
     assert got == ([lis_quadratic(w) for w in words],
                    [lis_quadratic([-v for v in w]) for w in words],
                    [lcs_pair_dp(a, b) for a, b in pairs])
+
+
+def test_compiler_command_keys_the_library(tmp_path, monkeypatch):
+    if subseq._native_kernel() is None:
+        pytest.skip("no native kernel on this machine")
+    source = tmp_path / "_lis.c"
+    source.write_bytes(subseq._SOURCE.read_bytes())
+    monkeypatch.setattr(subseq, "_SOURCE", source)
+    word, tops = np.array([3, 1, 4, 2, 5], dtype=np.int64), np.empty(5, dtype=np.int64)
+    for flag in ("-O2", "-O1", "-O2"):
+        monkeypatch.setattr(subseq, "_CC", ("cc", flag, "-shared", "-fPIC"))
+        kernel = subseq._load_native()
+        assert kernel(word.ctypes.data, 5, tops.ctypes.data) == 3
+    assert len(list(tmp_path.glob("__pycache__/_lis-*"))) == 2
 
 
 def test_importing_the_cli_builds_and_loads_nothing():
