@@ -4,60 +4,140 @@
     <k value lines, one permutation each>
 
 A single permutation is stored as `permset 1 1 <n>`.  All values are
-1-based, space-separated ASCII decimal, newline-terminated.  Each value
-line is formatted and parsed in bulk, as one numpy array: the writer
-renders all digits of a line at once into a byte buffer, and the reader
-converts the line's tokens with one `np.array(..., dtype=np.int64)` call
-(Python `int()` syntax per token), then hands the array to `Permutation`,
-whose one validation rejects anything that is not a rearrangement of 1..n.
-Error messages name the physical line.
+1-based, space-separated ASCII decimal, newline-terminated, and n may not
+exceed the ground-set cap `perm.MAX_N`.
+
+Writing renders each value line in bulk into one `uint8` buffer, four digits
+per step from a table of 0000..9999, and `write_permset` writes those
+buffers to a binary file as they are.
+
+Reading streams: `read_permset` takes a binary file one line at a time, so
+it holds the current line and the members parsed so far, never the whole
+text.  Lines are split and numbered as `str.splitlines` splits the whole
+text, and `loads_permset` goes through the same line parser.  A value line
+takes the fast path when its bytes are only digits, spaces and `\\n` and its
+length is the canonical n + D(n), D(n) being the digit count of 1..n: one
+`np.fromstring` parse, then `Permutation`'s one validation.  The length
+guard means a line that passes holds no token of 19 or more digits, so an
+`int64` overflow inside `fromstring` is never accepted.  Every other line,
+and every fast-path line that fails (wrong value count, not a permutation),
+takes the exact path: its tokens are converted by one `np.array(...,
+dtype=np.int64)` call (Python `int()` syntax per token), and that path alone
+words the error.  Errors name the physical line.  As when the whole text was
+decoded before parsing, a byte that is not ASCII is reported first, then the
+header, then a wrong count of value lines, then the first bad value; only
+the ground-set cap is reported as soon as the header is read.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterator, Union
+from itertools import chain
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .perm import Permutation, PermSet
+from .perm import MAX_N, Permutation, PermSet
 
 _POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
+_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+# Entry v holds the four ASCII digits of v, zero-padded, for v in 0..9999.
+_DIGITS4 = (
+    np.stack(np.broadcast_arrays(_DIGITS[:, None, None, None], _DIGITS[:, None, None],
+                                 _DIGITS[:, None], _DIGITS), axis=-1)
+    .view(np.uint32)
+    .ravel()
+)
+_SPACES4 = np.frombuffer(b"    ", dtype=np.uint32)[0]
+_PLAIN = b"0123456789 \n"  # the only bytes a fast-path line holds
+
+_Line = Union[bytes, str]
 
 
 class FormatError(ValueError):
     """Raised when a PERMSET document is malformed."""
 
 
-def _value_line(p: Permutation) -> str:
-    """The 1-based one-line form as a value line, equal to
-    `" ".join(map(str, p.one_line)) + "\n"`."""
-    values = p.array + 1
+def _value_line(values: np.ndarray) -> np.ndarray:
+    """`" ".join(map(str, values)) + "\\n"` as a `uint8` buffer, for positive
+    `int64` values.
+
+    Each value gets a row of g four-digit groups, zero-padded on the left,
+    and four spaces; one boolean mask, picked by the value's width, keeps the
+    row's digits and one space.
+    """
     widths = np.searchsorted(_POWERS_OF_TEN, values, side="right")
-    ends = np.cumsum(widths + 1) - 1  # the separator after each value
-    buf = np.full(ends[-1] + 1, ord(" "), dtype=np.uint8)
+    groups = -(-int(widths.max()) // 4)
+    rows = np.empty((values.size, groups + 1), dtype=np.uint32)
+    rest = values
+    for g in range(groups - 1, -1, -1):
+        rest, low = np.divmod(rest, 10_000)
+        rows[:, g] = _DIGITS4[low]
+    rows[:, groups] = _SPACES4
+    col = np.arange(4 * groups + 4)
+    keep = (col >= 4 * groups - np.arange(20)[:, None]) & (col <= 4 * groups)
+    buf = rows.view(np.uint8)[np.take(keep, widths, axis=0)]
     buf[-1] = ord("\n")
-    # Write the last digit of every value, drop the values with no digits
-    # left, and step one byte to the left; each round is one digit column.
-    idx = ends - 1
-    while values.size:
-        buf[idx] = values % 10 + ord("0")
-        values = values // 10
-        alive = values > 0
-        values, idx = values[alive], idx[alive] - 1
-    return buf.tobytes().decode("ascii")
+    return buf
 
 
-def _permset_lines(s: PermSet) -> Iterator[str]:
-    yield f"permset 1 {s.k} {s.n}\n"
-    yield from map(_value_line, s.perms)
+def _permset_lines(s: PermSet) -> Iterator[Union[bytes, np.ndarray]]:
+    yield f"permset 1 {s.k} {s.n}\n".encode("ascii")
+    for p in s.perms:
+        yield _value_line(p.array + 1)
 
 
 def dumps_permset(s: PermSet) -> str:
-    return "".join(_permset_lines(s))
+    return b"".join(_permset_lines(s)).decode("ascii")
 
 
-def _parse_values(line: str, n: int, lineno: int) -> Permutation:
+def _split(chunk: _Line) -> Sequence[_Line]:
+    """The physical lines of a chunk that ends at a line break (or at the end
+    of the document), breaks kept.  A line of only digits, spaces and `\\n`
+    comes back as bytes; every other line as str."""
+    if isinstance(chunk, str):
+        if not chunk.isascii():
+            return (chunk,)  # loads_permset's text arrives split already
+        chunk = chunk.encode("ascii")
+    if chunk.translate(None, _PLAIN):
+        return chunk.decode("ascii").splitlines(keepends=True)
+    return (chunk,)
+
+
+def _digit_count(n: int) -> int:
+    """D(n), the number of digits in 1, 2, ..., n."""
+    total, low, width = 0, 1, 1
+    while low <= n:
+        total += (min(n, 10 * low - 1) - low + 1) * width
+        low, width = 10 * low, width + 1
+    return total
+
+
+def _parse_header(line: _Line) -> tuple[int, int]:
+    text = line if isinstance(line, str) else line.decode("ascii")
+    header = text.split()
+    bad = f"bad PERMSET header: {text.splitlines()[0]!r}"
+    if len(header) != 4 or header[:2] != ["permset", "1"]:
+        raise FormatError(bad)
+    try:
+        k, n = int(header[2]), int(header[3])
+    except ValueError as exc:
+        raise FormatError(bad) from exc
+    if k < 1 or n < 1:
+        raise FormatError(f"invalid PERMSET dimensions k={k}, n={n}")
+    return k, n
+
+
+def _parse_values(line: _Line, n: int, lineno: int) -> Permutation:
+    if isinstance(line, bytes):
+        if len(line) == n + _digit_count(n):
+            images = np.fromstring(line, dtype=np.int64, sep=" ")
+            if images.size == n:
+                try:
+                    return Permutation.from_one_line(images)
+                except ValueError:
+                    pass
+        line = line.decode("ascii")
     tokens = line.split()
     if len(tokens) != n:
         raise FormatError(f"line {lineno}: expected {n} values, got {len(tokens)}")
@@ -73,32 +153,47 @@ def _parse_values(line: str, n: int, lineno: int) -> Permutation:
         raise FormatError(f"line {lineno}: {exc}") from exc
 
 
-def loads_permset(text: str) -> PermSet:
-    lines = text.splitlines()
-    if not lines:
+def _parse_document(chunks: Iterable[_Line]) -> PermSet:
+    lines = enumerate(chain.from_iterable(map(_split, chunks)), start=1)
+    _, header = next(lines, (1, None))
+    if header is None:
         raise FormatError("empty document")
-    header = lines[0].split()
-    if len(header) != 4 or header[:2] != ["permset", "1"]:
-        raise FormatError(f"bad PERMSET header: {lines[0]!r}")
     try:
-        k, n = int(header[2]), int(header[3])
-    except ValueError as exc:
-        raise FormatError(f"bad PERMSET header: {lines[0]!r}") from exc
-    if k < 1 or n < 1:
-        raise FormatError(f"invalid PERMSET dimensions k={k}, n={n}")
-    body = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    if len(body) != k:
-        raise FormatError(f"expected {k} value lines, got {len(body)}")
-    perms = tuple(_parse_values(ln, n, lineno) for lineno, ln in body)
+        k, n = _parse_header(header)
+    except FormatError:
+        for _ in lines:  # a byte that is not ASCII further on is reported first
+            pass
+        raise
+    if n > MAX_N:
+        raise FormatError(f"n = {n} exceeds the ground-set cap {MAX_N}")
+    perms, count, error = [], 0, None
+    for lineno, line in lines:
+        if line.isspace():
+            continue
+        count += 1
+        if count <= k and error is None:
+            try:
+                perms.append(_parse_values(line, n, lineno))
+            except FormatError as exc:
+                error = exc  # a wrong line count is reported first
+    if count != k:
+        raise FormatError(f"expected {k} value lines, got {count}")
+    if error is not None:
+        raise error
     return PermSet(perms, provenance="imported")
+
+
+def loads_permset(text: str) -> PermSet:
+    return _parse_document(text.splitlines(keepends=True))
 
 
 def write_permset(s: PermSet, path: Union[str, os.PathLike]) -> None:
     """Write line by line, so the whole document is never held in memory."""
-    with open(path, "w", encoding="ascii", newline="") as f:
+    with open(path, "wb") as f:
         f.writelines(_permset_lines(s))
 
 
 def read_permset(path: Union[str, os.PathLike]) -> PermSet:
-    with open(path, "r", encoding="ascii") as f:
-        return loads_permset(f.read())
+    """Read line by line, so the whole document is never held in memory."""
+    with open(path, "rb") as f:
+        return _parse_document(f)

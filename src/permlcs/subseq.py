@@ -207,7 +207,9 @@ def _column(perms: Sequence[Permutation], j: int) -> list[int]:
     pos[perms[j].array] = np.arange(n)
     values = []
     for i in range(j):
-        np.take(pos, perms[i].array, out=word)
+        # perms[i] is a validated permutation of 0..n-1, so "clip" never
+        # clips; unlike the default "raise", it lets take write `out` unbuffered.
+        np.take(pos, perms[i].array, out=word, mode="clip")
         values.append(_lis_word(word, tops))
     return values
 

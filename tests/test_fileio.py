@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from permlcs import (
@@ -15,6 +17,8 @@ from permlcs import (
     reversal,
     write_permset,
 )
+from permlcs.fileio import _value_line
+from permlcs.perm import MAX_N
 from oracles import value_line
 
 
@@ -85,3 +89,118 @@ def test_value_lines_match_scalar_writer(n):
 def test_construction_round_trips(build, args):
     s = build(*args)
     assert loads_permset(dumps_permset(s)).perms == s.perms
+
+
+# Documents off the canonical form, with what the reader gives for each: the
+# members' one-line forms, or the error text.  Line breaks are those of
+# `str.splitlines` and tokens those of `str.split` and Python `int()`, as when
+# the whole text was decoded and split before parsing.
+SAME_AS_SPLITLINES = [
+    ("permset 1 2 3\r\n1 2 3\r\n3 2 1\r\n", ((1, 2, 3), (3, 2, 1))),
+    ("permset 1 2 3\r1 2 3\r3 2 1\r", ((1, 2, 3), (3, 2, 1))),
+    ("permset 1 2 3\v1 2 3\v3 2 1\n", ((1, 2, 3), (3, 2, 1))),
+    ("permset 1 2 3\n1 2 3\f3 2 1\n", ((1, 2, 3), (3, 2, 1))),
+    ("permset 1 2 3\n1 2 3\x1c3 2 1\x1d", ((1, 2, 3), (3, 2, 1))),
+    ("permset 1 2 3\x1e1 2 3\n3 2 1\n", ((1, 2, 3), (3, 2, 1))),
+    ("permset 1 1 3\n1 2\x1c3\n", "expected 1 value lines, got 2"),
+    ("permset 1 2 3\n1\t2\t3\n3 2 1\n", ((1, 2, 3), (3, 2, 1))),
+    ("permset 1 1 3\n1\x1f2\x1f3\n", ((1, 2, 3),)),
+    ("permset 1 2 3\n1  2 3\n3 2  1\n", ((1, 2, 3), (3, 2, 1))),
+    ("permset 1 2 3\n 1 2 3\n3 2 1 \n", ((1, 2, 3), (3, 2, 1))),
+    ("permset 1 1 3\n1 2 3 \n", ((1, 2, 3),)),
+    ("\t permset  1\t2 3 \n1 2 3\n3 2 1\n", ((1, 2, 3), (3, 2, 1))),
+    ("permset 1 2 3\n01 2 3\n3 002 1\n", ((1, 2, 3), (3, 2, 1))),
+    ("permset 1 1 3\n1 2 03", ((1, 2, 3),)),  # canonical length, no newline
+    ("permset 1 1 3\n+1 2 +3\n", ((1, 2, 3),)),
+    ("permset 1 +2 03\n1 2 3\n3 2 1\n", ((1, 2, 3), (3, 2, 1))),
+    ("permset 1 1 3\n0_1 2 3\n", ((1, 2, 3),)),
+    ("permset 1 2 3\n\n1 2 3\n  \n\t\n3 2 1\n\n", ((1, 2, 3), (3, 2, 1))),
+    ("permset 1 2 3\n1 2 3\n3 2 1", ((1, 2, 3), (3, 2, 1))),
+    ("permset 1 1 3\n-1 2 3\n", "line 2: one-line form is not a rearrangement of 1..3"),
+    ("permset 1 1 3\n1 2 2\n", "line 2: one-line form is not a rearrangement of 1..3"),
+    ("permset 1 1 3\n0 1 2\n", "line 2: one-line form is not a rearrangement of 1..3"),
+    ("permset 1 1 3\n12  3\n", "line 2: expected 3 values, got 2"),
+    ("permset 1 1 3\n1 2 3\x00\n", "line 2: non-integer value"),
+    ("permset 1 2 3\r\n\r\n1 2 3\r\n1 2 4\r\n",
+     "line 4: one-line form is not a rearrangement of 1..3"),
+    ("permset 1 2 3\r\r1 2 3\r1 2 x\r", "line 4: non-integer value"),
+    ("permset 1 2\r\n1 2 3\r\n", "bad PERMSET header: 'permset 1 2'"),
+    ("permset 1 x 3\n1 2 3\n", "bad PERMSET header: 'permset 1 x 3'"),
+    ("\n", "bad PERMSET header: ''"),
+    (" \n\n", "bad PERMSET header: ' '"),
+    ("permset 1 1 0\n", "invalid PERMSET dimensions k=1, n=0"),
+    ("permset 1 1 3\n", "expected 1 value lines, got 0"),
+    # 2**64 + 1 overflows int64 by any reading, and is still out of range.
+    ("permset 1 1 3\n1 2 18446744073709551617\n", "line 2: value outside 1..3"),
+    # A canonical-length line whose first token overflows int64.
+    ("permset 1 1 20\n18446744073709551617 1 2 3 4 5 6 7 8 9 10 11 12 13\n",
+     "line 2: expected 20 values, got 14"),
+    # A wrong count of value lines is reported before a bad value.
+    ("permset 1 2 3\n1 2 x\n", "expected 2 value lines, got 1"),
+    ("permset 1 2 3\n1 2 x\n1 2 3\n3 2 1\n", "expected 2 value lines, got 3"),
+]
+
+
+def _read_outcome(read, arg):
+    try:
+        return tuple(p.one_line for p in read(arg).perms)
+    except FormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("text, want", SAME_AS_SPLITLINES)
+def test_reader_splits_lines_and_tokens_as_python_does(tmp_path, text, want):
+    assert _read_outcome(loads_permset, text) == want
+    path = tmp_path / "s.permset"
+    path.write_bytes(text.encode("ascii"))
+    assert _read_outcome(read_permset, path) == want
+
+
+@pytest.mark.parametrize("data", [
+    b"permset 1 2\n1 2 3\n\n\xc3\xa9\n",  # after a bad header
+    b"permset 1 1 3\n1 2 x\n\xff\n",  # after a bad value
+    b"permset 1 1 3\n1 2 3\n\xff",
+])
+def test_non_ascii_byte_is_reported_first(tmp_path, data):
+    path = tmp_path / "s.permset"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError):
+        read_permset(path)
+
+
+def test_header_above_ground_set_cap_rejected(tmp_path):
+    cap = f"n = {MAX_N + 1} exceeds the ground-set cap {MAX_N}"
+    with pytest.raises(FormatError, match=f"^{cap}$"):
+        loads_permset(f"permset 1 1 {MAX_N + 1}\n1 2 x\n")
+    # Raised before any value line is read: the byte that is not ASCII on
+    # line 2 is never decoded.
+    path = tmp_path / "s.permset"
+    path.write_bytes(f"permset 1 1 {MAX_N + 1}\n\xff\n".encode("latin-1"))
+    with pytest.raises(FormatError, match=f"^{cap}$"):
+        read_permset(path)
+    with pytest.raises(FormatError, match="^expected 1 value lines, got 0$"):
+        loads_permset(f"permset 1 1 {MAX_N}\n")  # the cap itself is accepted
+
+
+def test_read_permset_streams(tmp_path):
+    """Peak traced memory stays below twice the members it returns; holding
+    the whole text and its split copies took 3.8 times."""
+    path = tmp_path / "h.permset"
+    write_permset(build_hadamard_set(8, 5), path)
+    tracemalloc.start()
+    try:
+        s = read_permset(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sum(p.array.nbytes for p in s.perms)
+
+
+def test_value_line_matches_str_at_every_width():
+    values = [v for w in range(1, 20) for v in (10 ** (w - 1), 10 ** (w - 1) + 7, 10**w - 1)]
+    values[-1] = 2**63 - 1  # 10**19 - 1 is beyond int64
+    values += [1, 10**18, 9999, 10_000, 10_001]
+    want = (" ".join(map(str, values)) + "\n").encode("ascii")
+    assert _value_line(np.array(values, dtype=np.int64)).tobytes() == want
+    for v in values:
+        assert _value_line(np.array([v], dtype=np.int64)).tobytes() == f"{v}\n".encode("ascii")
