@@ -23,6 +23,21 @@ import numpy as np
 MAX_N = 1 << 24
 
 
+def _checked(a: np.ndarray, *, copy: bool) -> np.ndarray:
+    """`a` as a read-only int64 word, copied only if `copy` or its dtype
+    needs it; ValueError unless it is a rearrangement of 0..n-1."""
+    n = a.size
+    if n == 0:
+        raise ValueError("ground set must be non-empty")
+    if a.ndim != 1 or a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n:
+        raise ValueError(f"one-line form is not a rearrangement of 1..{n}")
+    a = a.astype(np.int64, copy=copy)
+    if not np.bincount(a, minlength=n).all():
+        raise ValueError(f"one-line form is not a rearrangement of 1..{n}")
+    a.flags.writeable = False
+    return a
+
+
 class Permutation:
     """A bijection on [n], stored as the 0-based word of its one-line form.
 
@@ -34,21 +49,17 @@ class Permutation:
 
     def __init__(self, word: Iterable[int]):
         a = np.asarray(word if isinstance(word, np.ndarray) else list(word))
-        n = a.size
-        if n == 0:
-            raise ValueError("ground set must be non-empty")
-        if a.ndim != 1 or a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n:
-            raise ValueError(f"one-line form is not a rearrangement of 1..{n}")
-        a = a.astype(np.int64)
-        if not np.bincount(a, minlength=n).all():
-            raise ValueError(f"one-line form is not a rearrangement of 1..{n}")
-        a.flags.writeable = False
-        self._array = a
+        self._array = _checked(a, copy=True)
 
     @classmethod
     def from_one_line(cls, images: Iterable[int]) -> "Permutation":
         """Build from 1-based one-line notation pi(1) ... pi(n)."""
-        return cls(np.asarray(images if isinstance(images, np.ndarray) else list(images)) - 1)
+        a = np.asarray(images if isinstance(images, np.ndarray) else list(images))
+        # `a - 1` is a fresh array no caller holds, so it becomes the member
+        # without a second copy.
+        p = cls.__new__(cls)
+        p._array = _checked(a - 1, copy=False)
+        return p
 
     @property
     def array(self) -> np.ndarray:

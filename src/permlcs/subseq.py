@@ -11,14 +11,19 @@ to `_lis_word`; `lcs_pair` and `lcs_all_pairs` relabel through `_column`,
 which calls `_lis_word` per pair.
 
 Patience sorting runs in C (`_lis.c`, one function over an `int64` word).
-The first LIS call compiles it with `cc` into this package's `__pycache__/`
-and loads it with `ctypes`; importing the module does neither.  The file
-name carries a checksum of the source and of the compiler command, and the
-interpreter's extension tag, so an edited source or command never meets a
-stale library.  Where it cannot be built or loaded (no compiler, a
-read-only package, a failed build), `_lis_word` runs `_lis_core`, the same
-algorithm in Python, instead, with equal answers and no output; there is
-no switch between the two.
+Its pile tops sit in a sorted array padded with `INT64_MAX`, so a new pile
+is an ordinary overwrite and the binary search takes a fixed, branch-free
+log2 of the padded size; the padding doubles as the piles fill it.  Before
+searching, the kernel tries the pile the previous value landed on and the
+next one, where most values of a digit-set word go, and stops trying while
+that keeps missing, as on random words.  The first LIS call compiles it
+with `cc` into this package's `__pycache__/` and loads it with `ctypes`;
+importing the module does neither.  The file name carries a checksum of the
+source and of the compiler command, and the interpreter's extension tag, so
+an edited source or command never meets a stale library.  Where it cannot
+be built or loaded (no compiler, a read-only package, a failed build),
+`_lis_word` runs `_lis_core`, the same algorithm in Python, instead, with
+equal answers and no output; there is no switch between the two.
 
 Patience sorting needs no tie-breaking policy here: inputs are permutations,
 so pile-top binary search never sees equal values.
@@ -29,7 +34,6 @@ from __future__ import annotations
 import os
 import zlib
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -226,6 +230,9 @@ def lcs_all_pairs(s: PermSet, *, threads: int = 1) -> LcsMatrix:
         raise ValueError("pairwise LCS needs at least two permutations")
     column = partial(_column, s.perms)
     if threads > 1:
+        # Imported here: it pulls in logging, which no CLI start-up needs.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             columns = list(pool.map(column, range(1, k)))
     else:

@@ -12,6 +12,7 @@ from permlcs import (
     PermSet,
     Permutation,
     build_exact,
+    build_hadamard_set,
     compose,
     identity,
     lcs_all_pairs,
@@ -90,6 +91,51 @@ def test_lis_exhaustive_tiny(kernels):
     for kernel in kernels:
         for word in itertools.permutations(range(1, 6)):
             assert lis(word) == lis_quadratic(word)
+
+
+def test_int64_max_ends_an_increasing_run(kernels):
+    # The native kernel pads unused pile tops with INT64_MAX; a word holding
+    # that value itself must still start a pile of its own.
+    top = 2**63 - 1
+    shuffled = random.Random(3).sample(range(500), 500)
+    words = [[5, top, 6, 7], [top], [top, 0], [-(2**63), top],
+             list(range(64)) + [top] + list(range(64, 130)), [5, 6, 7, 0, top],
+             shuffled + [top], shuffled[:250] + [top] + shuffled[250:]]
+    for kernel in kernels:
+        assert lis([0, top]) == 2
+        assert lis(list(range(70)) + [top]) == 71
+        assert lds([top, 0]) == 2
+        assert lds([top] + list(range(69, -1, -1))) == 71
+        for word in words:
+            assert lis(word) == lis_quadratic(word)
+            assert lds(word) == lis_quadratic([-v for v in word])
+
+
+def test_monotone_words_cross_every_capacity_doubling(kernels):
+    # The native kernel searches 64 pile tops at first and doubles that up to
+    # n whenever the piles fill it; monotone words reach every step.
+    for kernel in kernels:
+        for n in (1, 63, 64, 65, 127, 128, 129, 4097):
+            up = np.arange(n) - n // 2
+            assert (lis(up), lds(up)) == (n, 1)
+            assert (lis(up[::-1]), lds(up[::-1])) == (1, n)
+
+
+def test_native_kernel_matches_python_kernel_on_long_words():
+    if subseq._native_kernel() is None:
+        pytest.skip("no native kernel on this machine")
+    rng = np.random.default_rng(8)
+    words = [rng.permutation(10**5) for _ in range(3)]
+    # every column of a digit set: long runs that land on the previous pile
+    # or its neighbour, the case the native kernel checks before searching
+    s = build_hadamard_set(8, 4)
+    for j in range(1, s.k):
+        pos = np.empty(s.n, dtype=np.int64)
+        pos[s.perms[j].array] = np.arange(s.n)
+        words += [pos[s.perms[i].array] for i in range(j)]
+    for word in words:
+        word = np.ascontiguousarray(word, dtype=np.int64)
+        assert subseq._lis_word(word) == subseq._lis_core(word.tolist())
 
 
 def test_lcs_pair_examples(kernels):
@@ -259,11 +305,11 @@ def test_importing_the_cli_builds_and_loads_nothing():
         "calls = []\n"
         "ctypes.CDLL = lambda *a, **k: calls.append(('CDLL', a))\n"
         "subprocess.Popen = lambda *a, **k: calls.append(('Popen', a))\n"
-        "import permlcs.cli, permlcs.subseq as s\n"
-        "print(calls, s._native is s._UNSET)\n"
+        "import permlcs.cli, permlcs.subseq as s, sys\n"
+        "print(calls, s._native is s._UNSET, 'concurrent.futures' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(subseq.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60)
-    assert (res.returncode, res.stdout) == (0, "[] True\n"), res.stderr
+    assert (res.returncode, res.stdout) == (0, "[] True False\n"), res.stderr
