@@ -13,9 +13,10 @@ significant.  The resulting k permutations have pairwise LCS at most
 2p - 1 < 16*(n*k)**(1/3).  For general n, the construction is run on the
 smallest exactly-representable n' >= n (n' <= 8n) and restricted back.
 
-Key triples for a fixed generator are pairwise distinct over [n]; the build
-re-checks this after every sort and refuses to emit a permutation obtained
-from tied keys.
+The build sorts one packed int64 key, (major*(k*s1 + s2 + 1) + middle)*(s1 + 1)
++ minor, which orders as the triple since 0 < middle <= k*s1 + s2 (checked)
+and 1 <= minor <= s1.  Key triples of one generator are distinct over [n]; a
+tie in the sorted keys stops the build rather than emit a permutation.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import ceil_cbrt, next_prime_above
-from .perm import MAX_N, Permutation, PermSet
+from .perm import MAX_N, PermSet, _adopt
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,16 @@ def _build(params: ConstructionParams, n: int) -> PermSet:
     perms = []
     for j in range(1, params.k + 1):
         major, middle, minor = _key_arrays(j, x, y, z, params)
+        # The packed key below orders as the triple only while middle is in range.
         if not ((middle > 0) & (middle <= middle_cap)).all():
             raise RuntimeError(f"middle key left (0, {middle_cap}] for j={j}")
-        order = np.lexsort((minor, middle, major))
-        sm, sd, sn = major[order], middle[order], minor[order]
-        ties = (np.diff(sm) == 0) & (np.diff(sd) == 0) & (np.diff(sn) == 0)
-        if ties.any():
+        key = (major * (middle_cap + 1) + middle) * (params.s1 + 1) + minor
+        order = np.argsort(key)
+        if not np.diff(key[order]).all():
             raise RuntimeError(f"duplicate sort key for j={j}; keys must be 1-1 on [n]")
         if n < params.n:
             order = order[order < n]
-        perms.append(Permutation(order))
+        perms.append(_adopt(order))
     record = params.as_dict() | {
         "n": n, "n_prime": params.n, "exact": n == params.n, "lcs_bound": 2 * params.p - 1,
     }

@@ -13,7 +13,7 @@ import numpy as np
 
 from .arith import ceil_cbrt, ceil_root
 from .hadamard import digit_lcs_bound
-from .perm import MAX_N, Permutation, PermSet, restrict
+from .perm import MAX_N, Permutation, PermSet, _adopt, restrict
 from .subseq import lcs_all_pairs, lis
 
 
@@ -28,7 +28,7 @@ def random_perm(n: int, rng: np.random.Generator) -> Permutation:
         raise ValueError("ground set must be non-empty")
     if n > MAX_N:
         raise ValueError(f"n = {n} exceeds the ground-set cap {MAX_N}")
-    return Permutation(rng.permutation(n))
+    return _adopt(rng.permutation(n))
 
 
 def random_perm_set(n: int, k: int, rng: np.random.Generator) -> PermSet:
@@ -57,6 +57,8 @@ class LisSample:
 def sample_lis(n: int, trials: int, seed: int) -> LisSample:
     if trials < 1:
         raise ValueError("need at least one trial")
+    if n < 1:
+        raise ValueError("ground set must be non-empty")
     if n > MAX_N:
         raise ValueError(f"n = {n} exceeds the ground-set cap {MAX_N}")
     lengths = tuple(lis(trial_rng(seed, t).permutation(n)) for t in range(trials))

@@ -3,9 +3,10 @@
 Elements of [n'], n' = s**(k-1), are read as (k-1)-digit base-s numbers.
 Row i of a normalized Hadamard matrix of order k chooses, per digit
 position, either the identity or the reversal of [s]; permutation i maps
-each element digit-wise through those choices.  Any two rows agree on
-exactly k/2 - 1 of the digit columns, which pigeonholes every common
-subsequence down to length at most s**(k/2 - 1).
+each element digit-wise through those choices, that is, flips the grid of
+[n'] with one axis per digit column along row i's -1 columns.  Any two rows
+agree on exactly k/2 - 1 of the digit columns, which pigeonholes every
+common subsequence down to length at most s**(k/2 - 1).
 
 Supported orders: powers of two (doubling construction) and q + 1 for
 primes q = 3 (mod 4) (quadratic-residue construction).
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_prime
-from .perm import MAX_N, Permutation, PermSet
+from .perm import MAX_N, PermSet, _adopt
 
 
 @dataclass(frozen=True)
@@ -119,20 +120,14 @@ def build_hadamard_set(k: int, s: int, *, n: int | None = None) -> PermSet:
         raise ValueError(f"restriction size {n} outside [1, {n_prime}]")
     h = hadamard_matrix(k)
 
-    x0 = np.arange(n_prime, dtype=np.int64)
-    powers = [s ** (k - 2 - c) for c in range(k - 1)]  # weight of digit column c+1
+    # Axis c-1 is digit column c; n' <= 2**24 keeps k-1 <= 24, under numpy 1.x's 32-dim cap.
+    grid = np.arange(n_prime, dtype=np.int64).reshape((s,) * (k - 1))
     perms = []
     for row in h.rows:
-        flipped = [c for c in range(1, k) if row[c] == -1]
-        out = x0.copy()
-        for c in flipped:
-            w = powers[c - 1]
-            digit = (x0 // w) % s
-            # replacing digit d by (s-1) - d changes the value by (s-1-2d)*w
-            out += (s - 1 - 2 * digit) * w
+        out = np.flip(grid, axis=tuple(c - 1 for c in range(1, k) if row[c] == -1)).ravel()
         if n < n_prime:
             out = out[out < n]
-        perms.append(Permutation(out))
+        perms.append(_adopt(out))
 
     record = {"k": k, "s": s, "n_prime": n_prime, "n": n, "lcs_bound": digit_lcs_bound(k, s)}
     return PermSet(tuple(perms), provenance="hadamard", params=record)

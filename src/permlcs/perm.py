@@ -38,6 +38,13 @@ def _checked(a: np.ndarray, *, copy: bool) -> np.ndarray:
     return a
 
 
+def _adopt(word: np.ndarray) -> "Permutation":
+    """The member with 0-based word `word`, a fresh array no caller holds: not copied."""
+    p = Permutation.__new__(Permutation)
+    p._array = _checked(word, copy=False)
+    return p
+
+
 class Permutation:
     """A bijection on [n], stored as the 0-based word of its one-line form.
 
@@ -55,11 +62,8 @@ class Permutation:
     def from_one_line(cls, images: Iterable[int]) -> "Permutation":
         """Build from 1-based one-line notation pi(1) ... pi(n)."""
         a = np.asarray(images if isinstance(images, np.ndarray) else list(images))
-        # `a - 1` is a fresh array no caller holds, so it becomes the member
-        # without a second copy.
-        p = cls.__new__(cls)
-        p._array = _checked(a - 1, copy=False)
-        return p
+        # in an unsigned dtype `a - 1` would wrap the illegal value 0 into range
+        return _adopt(np.subtract(a, 1, dtype=np.int64) if a.dtype.kind == "u" else a - 1)
 
     @property
     def array(self) -> np.ndarray:
@@ -100,25 +104,25 @@ class Permutation:
 
 def identity(n: int) -> Permutation:
     """The identity permutation on [n]."""
-    return Permutation(np.arange(n))
+    return _adopt(np.arange(n))
 
 
 def reversal(n: int) -> Permutation:
     """The order-reversing permutation t -> n+1-t."""
-    return Permutation(np.arange(n - 1, -1, -1))
+    return _adopt(np.arange(n - 1, -1, -1))
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """(a . b)(t) = a(b(t))."""
     if a.n != b.n:
         raise ValueError(f"cannot compose permutations on [{a.n}] and [{b.n}]")
-    return Permutation(a.array[b.array])
+    return _adopt(a.array[b.array])
 
 
 def invert(a: Permutation) -> Permutation:
     inv = np.empty(a.n, dtype=np.int64)
     inv[a.array] = np.arange(a.n)
-    return Permutation(inv)
+    return _adopt(inv)
 
 
 def restrict(a: Permutation, m: int) -> Permutation:
@@ -126,7 +130,7 @@ def restrict(a: Permutation, m: int) -> Permutation:
     in order, are a permutation on [m]."""
     if not 1 <= m <= a.n:
         raise ValueError(f"restriction size {m} outside [1, {a.n}]")
-    return Permutation(a.array[a.array < m])
+    return _adopt(a.array[a.array < m])
 
 
 PROVENANCE_TAGS = ("algebraic", "hadamard", "random", "imported")

@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from permlcs import build_exact, build_general, ceil_cbrt, lcs_all_pairs, params_from, restrict
 from permlcs.algebraic import _coordinate_arrays, _key_arrays
+from permlcs.perm import MAX_N
 
 from oracles import (
     LatticePoint,
@@ -99,6 +101,32 @@ def test_middle_key_stays_in_proof_window():
     for n, k in ((9, 3), (72, 3), (576, 3), (128, 4)):
         params = params_from(n, k)
         assert 2 * k * params.s1 + 2 * params.s2 < params.p
+
+
+def test_build_general_matches_lexsort_of_key_triples():
+    # reference order: numpy's lexsort of the (major, middle, minor) triples,
+    # independent of the build's packed key
+    rng = random.Random(41)
+    for k in range(3, 13):
+        for n in (k * k, k * k + 1, 8 * k * k - 1, 8 * k * k, rng.randint(k * k, 30 * k * k)):
+            params = params_from(k * k * ceil_cbrt(-(-n // (k * k))) ** 3, k)
+            x, y, z = _coordinate_arrays(params)
+            for j, p in enumerate(build_general(n, k).perms, start=1):
+                major, middle, minor = _key_arrays(j, x, y, z, params)
+                order = np.lexsort((minor, middle, major))
+                assert np.array_equal(p.array, order[order < n]), (n, k, j)
+
+
+def test_packed_key_fits_int64_up_to_the_cap():
+    # largest key: major = p-1, middle = k*s1 + s2, minor = s1
+    for k in range(3, 4097):
+        s1 = ceil_cbrt(MAX_N // (k * k))
+        if k * k * s1**3 > MAX_N:
+            s1 -= 1
+        params = params_from(k * k * s1**3, k)
+        middle_cap = k * s1 + params.s2
+        top = ((params.p - 1) * (middle_cap + 1) + middle_cap) * (s1 + 1) + s1
+        assert top < 2**63
 
 
 def test_build_exact_9_3_frozen():

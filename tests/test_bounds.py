@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -72,6 +73,25 @@ def test_sample_lis_csv():
 def test_sample_lis_rejects_zero_trials():
     with pytest.raises(ValueError):
         sample_lis(10, 0, seed=1)
+
+
+def test_sample_lis_rejects_empty_ground_set():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="ground set must be non-empty"):
+            sample_lis(n, 3, seed=0)
+
+
+def test_random_perm_keeps_its_word_without_a_second_copy():
+    """Peak traced memory is the shuffled word plus `np.bincount`'s counts;
+    copying the word into a member took 3.0 times its bytes."""
+    rng = trial_rng(8)
+    tracemalloc.start()
+    try:
+        p = random_perm(10**6, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * p.array.nbytes
 
 
 def test_sample_lis_rejects_oversize_ground_set():

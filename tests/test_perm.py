@@ -7,12 +7,16 @@ import pytest
 from permlcs import (
     PermSet,
     Permutation,
+    build_general,
+    build_hadamard_set,
     compose,
     identity,
     invert,
     lcs_pair,
+    random_perm,
     restrict,
     reversal,
+    trial_rng,
 )
 from oracles import compose_word, invert_word, restrict_word
 
@@ -151,6 +155,12 @@ def test_array_is_read_only():
     with pytest.raises(AttributeError):
         p.array = identity(5).array
     assert p.one_line == (5, 4, 3, 2, 1)
+    # builders and the sampler hand over their arrays without a copy
+    members = (*build_hadamard_set(4, 3).perms, *build_hadamard_set(4, 3, n=10).perms,
+               *build_general(40, 3).perms, random_perm(7, trial_rng(3)))
+    for q in members:
+        with pytest.raises(ValueError):
+            q.array[0] = 0
 
 
 def test_construction_copies_its_input():
@@ -175,6 +185,16 @@ def test_from_one_line_keeps_its_word_without_a_second_copy():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * p.array.nbytes + 2**16  # 64 KiB for interpreter bookkeeping
+
+
+def test_unsigned_one_line_cannot_wrap_zero_into_range():
+    # 0 - 1 in the input's own dtype would wrap to 255 (or 65535), which is
+    # a legal 0-based value when n is 256 (or 65536)
+    with pytest.raises(ValueError):
+        Permutation.from_one_line(np.arange(256, dtype=np.uint8))
+    with pytest.raises(ValueError):
+        Permutation.from_one_line(np.arange(65536, dtype=np.uint16))
+    assert Permutation.from_one_line(np.array([2, 1], dtype=np.uint8)).word == (1, 0)
 
 
 def test_non_integer_words_rejected_not_truncated():
