@@ -21,7 +21,7 @@ tie in the sorted keys stops the build rather than emit a permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,10 +44,6 @@ class ConstructionParams:
     s2: int
     s3: int
     p: int
-
-    def as_dict(self) -> dict[str, int]:
-        return {"n": self.n, "k": self.k, "s1": self.s1, "s2": self.s2,
-                "s3": self.s3, "p": self.p}
 
 
 def params_from(n: int, k: int) -> ConstructionParams:
@@ -104,7 +100,7 @@ def _build(params: ConstructionParams, n: int) -> PermSet:
         if n < params.n:
             order = order[order < n]
         perms.append(_adopt(order))
-    record = params.as_dict() | {
+    record = asdict(params) | {
         "n": n, "n_prime": params.n, "exact": n == params.n, "lcs_bound": 2 * params.p - 1,
     }
     return PermSet(tuple(perms), provenance="algebraic", params=record)

@@ -5,32 +5,35 @@
 
 A single permutation is stored as `permset 1 1 <n>`.  All values are
 1-based, space-separated ASCII decimal, newline-terminated, and n may not
-exceed the ground-set cap `perm.MAX_N`.
+exceed the ground-set cap `perm.MAX_N`, so values lie in 1..MAX_N < 10**8.
 
-Writing renders each value line in bulk into one `uint8` buffer, four digits
-per step from a table of 0000..9999, and `write_permset` writes those
-buffers to a binary file as they are.
+Writing has one route: each value line is rendered into one `uint8` buffer,
+every value as two four-digit groups from a table of 0000..9999, cut to its
+width by one precomputed mask.  A set above the cap, which no reader would
+accept, raises ValueError before `write_permset` opens its path.
 
-Reading streams: `read_permset` takes a binary file one line at a time, so
-it holds the current line and the members parsed so far, never the whole
-text.  Lines are split and numbered as `str.splitlines` splits the whole
-text, and `loads_permset` goes through the same line parser.  A value line
-takes the fast path when its bytes are only digits, spaces and `\\n` and its
-length is the canonical n + D(n), D(n) being the digit count of 1..n: one
-`np.fromstring` parse, then `Permutation`'s one validation.  The length
-guard means a line that passes holds no token of 19 or more digits, so an
-`int64` overflow inside `fromstring` is never accepted.  Every other line,
-and every fast-path line that fails (wrong value count, not a permutation),
-takes the exact path: its tokens are converted by one `np.array(...,
-dtype=np.int64)` call (Python `int()` syntax per token), and that path alone
-words the error.  Errors name the physical line.  As when the whole text was
-decoded before parsing, a byte that is not ASCII is reported first, then the
-header, then a wrong count of value lines, then the first bad value; only
-the ground-set cap is reported as soon as the header is read.
+Reading has one route: `read_permset` takes a binary file one line at a
+time, so it holds the current line and the members parsed so far, never the
+whole text, and `loads_permset` runs it over the text's ASCII encoding.
+Lines are split and numbered as `str.splitlines` splits the whole text.  A
+value line takes the fast path when its bytes are only digits, spaces and
+`\\n` and its length is the canonical n + D(n), D(n) being the digit count
+of 1..n: one `np.fromstring` parse, then `Permutation`'s one validation.
+The length guard means a line that passes holds no token of 19 or more
+digits, so an `int64` overflow inside `fromstring` is never accepted.  Every
+other line, and every fast-path line that fails (wrong value count, not a
+permutation), takes the exact path: its tokens are converted by one
+`np.array(..., dtype=np.int64)` call (Python `int()` syntax per token), and
+that path alone words the error.  Errors name the physical line.  As when
+the whole text was decoded before parsing, what is not ASCII is reported
+first (a `UnicodeError`), then the header, then a wrong count of value
+lines, then the first bad value; only the ground-set cap is reported as soon
+as the header is read from a file.
 """
 
 from __future__ import annotations
 
+import io
 import os
 from itertools import chain
 from typing import Iterable, Iterator, Sequence, Union
@@ -39,7 +42,8 @@ import numpy as np
 
 from .perm import MAX_N, Permutation, PermSet
 
-_POWERS_OF_TEN = 10 ** np.arange(19, dtype=np.int64)
+# 10**0..10**8: a value in 1..MAX_N is as wide as the count of entries <= it.
+_POWERS_OF_TEN = 10 ** np.arange(9, dtype=np.int64)
 _DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
 # Entry v holds the four ASCII digits of v, zero-padded, for v in 0..9999.
 _DIGITS4 = (
@@ -49,6 +53,8 @@ _DIGITS4 = (
     .ravel()
 )
 _SPACES4 = np.frombuffer(b"    ", dtype=np.uint32)[0]
+# Row w keeps the last w of a value's eight digits and the space after them.
+_KEEP = np.array([[8 - w <= col <= 8 for col in range(12)] for w in range(9)])
 _PLAIN = b"0123456789 \n"  # the only bytes a fast-path line holds
 
 _Line = Union[bytes, str]
@@ -59,46 +65,40 @@ class FormatError(ValueError):
 
 
 def _value_line(values: np.ndarray) -> np.ndarray:
-    """`" ".join(map(str, values)) + "\\n"` as a `uint8` buffer, for positive
-    `int64` values.
+    """`" ".join(map(str, values)) + "\\n"` as a `uint8` buffer, for `int64`
+    values in 1..MAX_N.
 
-    Each value gets a row of g four-digit groups, zero-padded on the left,
+    Each value gets a row of two four-digit groups, zero-padded on the left,
     and four spaces; one boolean mask, picked by the value's width, keeps the
     row's digits and one space.
     """
-    widths = np.searchsorted(_POWERS_OF_TEN, values, side="right")
-    groups = -(-int(widths.max()) // 4)
-    rows = np.empty((values.size, groups + 1), dtype=np.uint32)
-    rest = values
-    for g in range(groups - 1, -1, -1):
-        rest, low = np.divmod(rest, 10_000)
-        rows[:, g] = _DIGITS4[low]
-    rows[:, groups] = _SPACES4
-    col = np.arange(4 * groups + 4)
-    keep = (col >= 4 * groups - np.arange(20)[:, None]) & (col <= 4 * groups)
-    buf = rows.view(np.uint8)[np.take(keep, widths, axis=0)]
+    high, low = np.divmod(values, 10_000)
+    rows = np.empty((values.size, 3), dtype=np.uint32)
+    rows[:, 0] = _DIGITS4[high]
+    rows[:, 1] = _DIGITS4[low]
+    rows[:, 2] = _SPACES4
+    buf = rows.view(np.uint8)[_KEEP[np.searchsorted(_POWERS_OF_TEN, values, side="right")]]
     buf[-1] = ord("\n")
     return buf
 
 
 def _permset_lines(s: PermSet) -> Iterator[Union[bytes, np.ndarray]]:
-    yield f"permset 1 {s.k} {s.n}\n".encode("ascii")
-    for p in s.perms:
-        yield _value_line(p.array + 1)
+    """The document's lines; ValueError on the call, before any line is made,
+    for a set above the cap."""
+    if s.n > MAX_N:
+        raise ValueError(f"n = {s.n} exceeds the ground-set cap {MAX_N}")
+    header = f"permset 1 {s.k} {s.n}\n".encode("ascii")
+    return chain((header,), (_value_line(p.array + 1) for p in s.perms))
 
 
 def dumps_permset(s: PermSet) -> str:
     return b"".join(_permset_lines(s)).decode("ascii")
 
 
-def _split(chunk: _Line) -> Sequence[_Line]:
+def _split(chunk: bytes) -> Sequence[_Line]:
     """The physical lines of a chunk that ends at a line break (or at the end
     of the document), breaks kept.  A line of only digits, spaces and `\\n`
     comes back as bytes; every other line as str."""
-    if isinstance(chunk, str):
-        if not chunk.isascii():
-            return (chunk,)  # loads_permset's text arrives split already
-        chunk = chunk.encode("ascii")
     if chunk.translate(None, _PLAIN):
         return chunk.decode("ascii").splitlines(keepends=True)
     return (chunk,)
@@ -153,7 +153,7 @@ def _parse_values(line: _Line, n: int, lineno: int) -> Permutation:
         raise FormatError(f"line {lineno}: {exc}") from exc
 
 
-def _parse_document(chunks: Iterable[_Line]) -> PermSet:
+def _parse_document(chunks: Iterable[bytes]) -> PermSet:
     lines = enumerate(chain.from_iterable(map(_split, chunks)), start=1)
     _, header = next(lines, (1, None))
     if header is None:
@@ -184,13 +184,14 @@ def _parse_document(chunks: Iterable[_Line]) -> PermSet:
 
 
 def loads_permset(text: str) -> PermSet:
-    return _parse_document(text.splitlines(keepends=True))
+    return _parse_document(io.BytesIO(text.encode("ascii")))
 
 
 def write_permset(s: PermSet, path: Union[str, os.PathLike]) -> None:
     """Write line by line, so the whole document is never held in memory."""
+    lines = _permset_lines(s)
     with open(path, "wb") as f:
-        f.writelines(_permset_lines(s))
+        f.writelines(lines)
 
 
 def read_permset(path: Union[str, os.PathLike]) -> PermSet:

@@ -23,13 +23,23 @@ import numpy as np
 MAX_N = 1 << 24
 
 
+def _integer_array(word: Iterable[int]) -> np.ndarray:
+    """`word` as a non-empty integer array, for the public constructors."""
+    a = np.asarray(word if isinstance(word, np.ndarray) else list(word))
+    if a.size == 0:  # tested first: numpy reads [] as float64
+        raise ValueError("ground set must be non-empty")
+    if a.dtype.kind not in "iu":
+        raise ValueError(f"one-line form is not a rearrangement of 1..{a.size}")
+    return a
+
+
 def _checked(a: np.ndarray, *, copy: bool) -> np.ndarray:
-    """`a` as a read-only int64 word, copied only if `copy` or its dtype
-    needs it; ValueError unless it is a rearrangement of 0..n-1."""
+    """Integer array `a` as a read-only int64 word, copied only if `copy` or
+    its dtype needs it; ValueError unless it is a rearrangement of 0..n-1."""
     n = a.size
     if n == 0:
         raise ValueError("ground set must be non-empty")
-    if a.ndim != 1 or a.dtype.kind not in "iu" or a.min() < 0 or a.max() >= n:
+    if a.ndim != 1 or a.min() < 0 or a.max() >= n:
         raise ValueError(f"one-line form is not a rearrangement of 1..{n}")
     a = a.astype(np.int64, copy=copy)
     if not np.bincount(a, minlength=n).all():
@@ -55,15 +65,13 @@ class Permutation:
     __slots__ = ("_array",)
 
     def __init__(self, word: Iterable[int]):
-        a = np.asarray(word if isinstance(word, np.ndarray) else list(word))
-        self._array = _checked(a, copy=True)
+        self._array = _checked(_integer_array(word), copy=True)
 
     @classmethod
     def from_one_line(cls, images: Iterable[int]) -> "Permutation":
         """Build from 1-based one-line notation pi(1) ... pi(n)."""
-        a = np.asarray(images if isinstance(images, np.ndarray) else list(images))
-        # in an unsigned dtype `a - 1` would wrap the illegal value 0 into range
-        return _adopt(np.subtract(a, 1, dtype=np.int64) if a.dtype.kind == "u" else a - 1)
+        # int64 arithmetic: in an unsigned dtype `a - 1` would wrap the illegal 0 into range
+        return _adopt(np.subtract(_integer_array(images), 1, dtype=np.int64))
 
     @property
     def array(self) -> np.ndarray:

@@ -35,7 +35,7 @@ import os
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 from typing import Sequence
@@ -48,8 +48,6 @@ _SOURCE = Path(__file__).with_name("_lis.c")
 _CC = ("cc", "-O2", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 60
 _INT64_MAX = np.iinfo(np.int64).max
-_UNSET = object()
-_native = _UNSET  # the loaded kernel, None when it cannot be had, or _UNSET
 
 
 def _build(lib: Path) -> bool:
@@ -71,9 +69,11 @@ def _build(lib: Path) -> bool:
     return True
 
 
-def _load_native():
+@cache
+def _native_kernel():
     """`lis_length` from the compiled `_lis.c`, building it if needed; None
-    if it cannot be built or loaded."""
+    if it cannot be built or loaded.  Built or loaded once per process, on
+    first use."""
     try:
         source = _SOURCE.read_bytes()
         key = zlib.crc32(" ".join(_CC).encode(), zlib.crc32(source))
@@ -88,14 +88,6 @@ def _load_native():
     kernel.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
     kernel.restype = ctypes.c_ssize_t
     return kernel
-
-
-def _native_kernel():
-    """The kernel, or None; built or loaded once per process, on first use."""
-    global _native
-    if _native is _UNSET:
-        _native = _load_native()
-    return _native
 
 
 def _lis_core(seq: Sequence[int]) -> int:

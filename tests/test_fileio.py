@@ -17,6 +17,7 @@ from permlcs import (
     reversal,
     write_permset,
 )
+import permlcs.fileio as fileio
 from permlcs.fileio import _value_line
 from permlcs.perm import MAX_N
 from oracles import value_line
@@ -168,6 +169,22 @@ def test_non_ascii_byte_is_reported_first(tmp_path, data):
         read_permset(path)
 
 
+# Characters that `int()` or `str.splitlines` would read as digits or line
+# breaks, so decoding them would accept documents no ASCII reader writes.
+@pytest.mark.parametrize("text", [
+    "permset 1 1 3\n1 2 \uff13\n",  # FULLWIDTH DIGIT THREE
+    "permset 1 2 3\u20281 2 3\n3 2 1\n",  # LINE SEPARATOR
+    "permset 1 2 3\n1 2 3\x853 2 1\n",  # NEXT LINE
+])
+def test_non_ascii_documents_rejected_by_both_routes(tmp_path, text):
+    with pytest.raises(UnicodeError):
+        loads_permset(text)
+    path = tmp_path / "s.permset"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(UnicodeError):
+        read_permset(path)
+
+
 def test_header_above_ground_set_cap_rejected(tmp_path):
     cap = f"n = {MAX_N + 1} exceeds the ground-set cap {MAX_N}"
     with pytest.raises(FormatError, match=f"^{cap}$"):
@@ -197,10 +214,25 @@ def test_read_permset_streams(tmp_path):
 
 
 def test_value_line_matches_str_at_every_width():
-    values = [v for w in range(1, 20) for v in (10 ** (w - 1), 10 ** (w - 1) + 7, 10**w - 1)]
-    values[-1] = 2**63 - 1  # 10**19 - 1 is beyond int64
-    values += [1, 10**18, 9999, 10_000, 10_001]
+    # every width a value in 1..MAX_N can have, and MAX_N itself
+    values = [v for w in range(1, 9) for v in (10 ** (w - 1), 10 ** (w - 1) + 7, 10**w - 1)]
+    values += [1, 9999, 10_000, 10_001, MAX_N]
     want = (" ".join(map(str, values)) + "\n").encode("ascii")
     assert _value_line(np.array(values, dtype=np.int64)).tobytes() == want
     for v in values:
         assert _value_line(np.array([v], dtype=np.int64)).tobytes() == f"{v}\n".encode("ascii")
+
+
+def test_writers_refuse_a_set_above_the_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(fileio, "MAX_N", 4)
+    cap = "^n = 5 exceeds the ground-set cap 4$"
+    above = PermSet((identity(5), reversal(5)))
+    with pytest.raises(ValueError, match=cap):
+        dumps_permset(above)
+    path = tmp_path / "s.permset"
+    with pytest.raises(ValueError, match=cap):
+        write_permset(above, path)
+    assert not path.exists()  # refused before the path is opened
+    at_cap = PermSet((identity(4), reversal(4)))
+    write_permset(at_cap, path)
+    assert read_permset(path).perms == at_cap.perms

@@ -202,8 +202,13 @@ def test_non_integer_words_rejected_not_truncated():
         Permutation.from_one_line([1, 1.5])
     with pytest.raises(ValueError):
         Permutation.from_one_line([2, 1, 2**70])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ground set must be non-empty$"):
         Permutation.from_one_line([])
+    for word in (np.array([True]), np.array([True, False])):
+        with pytest.raises(ValueError):
+            Permutation.from_one_line(word)
+        with pytest.raises(ValueError):
+            Permutation(word)
 
 
 def test_array_operations_match_scalar_oracles():

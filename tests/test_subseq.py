@@ -34,7 +34,7 @@ def kernels(monkeypatch):
     def each():
         if subseq._native_kernel() is not None:
             yield "native"
-        monkeypatch.setattr(subseq, "_native", None)
+        monkeypatch.setattr(subseq, "_native_kernel", lambda: None)
         yield "python"
     return each()
 
@@ -266,18 +266,20 @@ def test_non_integer_words_rejected(kernels):
     (sys.executable, "-c", "print('compiler noise'); raise SystemExit(1)"),
     ("permlcs-no-such-compiler",),
 ], ids=["fails", "missing"])
-def test_failed_build_falls_back_silently(cc, tmp_path, monkeypatch, capfd):
+def test_failed_build_falls_back_silently(cc, tmp_path, monkeypatch, capfd, request):
+    subseq._native_kernel.cache_clear()
+    request.addfinalizer(subseq._native_kernel.cache_clear)  # forget the failed build
     source = tmp_path / "_lis.c"
     source.write_bytes(subseq._SOURCE.read_bytes())
     monkeypatch.setattr(subseq, "_SOURCE", source)
     monkeypatch.setattr(subseq, "_CC", cc)
-    monkeypatch.setattr(subseq, "_native", subseq._UNSET)
     rng = random.Random(4)
     words = [rng.sample(range(1, 500), rng.randint(0, 80)) for _ in range(30)]
     pairs = [(rand_perm(rng, 60), rand_perm(rng, 60)) for _ in range(10)]
     got = ([lis(w) for w in words], [lds(w) for w in words],
            [lcs_pair(a, b) for a, b in pairs])
-    assert subseq._native is None
+    assert subseq._native_kernel.cache_info().currsize == 1
+    assert subseq._native_kernel() is None
     assert capfd.readouterr() == ("", "")
     assert list(tmp_path.glob("__pycache__/*")) == []  # no torn or temp library left
     assert got == ([lis_quadratic(w) for w in words],
@@ -294,7 +296,7 @@ def test_compiler_command_keys_the_library(tmp_path, monkeypatch):
     word, tops = np.array([3, 1, 4, 2, 5], dtype=np.int64), np.empty(5, dtype=np.int64)
     for flag in ("-O2", "-O1", "-O2"):
         monkeypatch.setattr(subseq, "_CC", ("cc", flag, "-shared", "-fPIC"))
-        kernel = subseq._load_native()
+        kernel = subseq._native_kernel.__wrapped__()  # uncached: build for this command
         assert kernel(word.ctypes.data, 5, tops.ctypes.data) == 3
     assert len(list(tmp_path.glob("__pycache__/_lis-*"))) == 2
 
@@ -306,7 +308,8 @@ def test_importing_the_cli_builds_and_loads_nothing():
         "ctypes.CDLL = lambda *a, **k: calls.append(('CDLL', a))\n"
         "subprocess.Popen = lambda *a, **k: calls.append(('Popen', a))\n"
         "import permlcs.cli, permlcs.subseq as s, sys\n"
-        "print(calls, s._native is s._UNSET, 'concurrent.futures' in sys.modules)\n"
+        "print(calls, s._native_kernel.cache_info().currsize == 0,\n"
+        "      'concurrent.futures' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(subseq.__file__))
     env = {**os.environ, "PYTHONPATH": src}
