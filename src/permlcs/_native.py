@@ -1,0 +1,71 @@
+"""The package's C helpers, `_native.c`, compiled on first use and loaded
+with `ctypes`: `lis_length` (patience LIS, for `subseq`) and `parse_line` /
+`render_line` (the PERMSET value-line codec, for `fileio`).
+
+`library()` compiles the source with `cc` into this package's
+`__pycache__/` and loads it; importing the module does neither.  The file
+name carries a checksum of the source and of the compiler command, and the
+interpreter's extension tag, so an edited source or command never meets a
+stale library.  Where it cannot be built or loaded (no compiler, a
+read-only package, a failed build), `library()` returns None and each
+caller runs its plain-Python route instead, with equal results and no
+output; there is no switch between the two.
+"""
+
+from __future__ import annotations
+
+import os
+import zlib
+from functools import cache
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
+
+_SOURCE = Path(__file__).with_name("_native.c")
+_CC = ("cc", "-O2", "-shared", "-fPIC")
+_BUILD_TIMEOUT_S = 60
+
+
+def _build(lib: Path) -> bool:
+    """Compile `_SOURCE` to `lib` in a private temp directory and rename it
+    into place, so concurrent builds never leave a torn library; the
+    compiler's output is discarded."""
+    import subprocess
+    import tempfile
+
+    lib.parent.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
+        out = os.path.join(tmp, lib.name)
+        try:
+            subprocess.run([*_CC, "-o", out, str(_SOURCE)], stdin=subprocess.DEVNULL,
+                           capture_output=True, timeout=_BUILD_TIMEOUT_S, check=True)
+        except subprocess.SubprocessError:
+            return False
+        os.replace(out, lib)
+    return True
+
+
+@cache
+def library():
+    """The compiled `_native.c` with `argtypes` and `restype` set on each of
+    its functions, building it if needed; None if it cannot be built or
+    loaded.  Built or loaded once per process, on first use."""
+    try:
+        source = _SOURCE.read_bytes()
+        key = zlib.crc32(" ".join(_CC).encode(), zlib.crc32(source))
+        path = _SOURCE.parent / "__pycache__" / f"_native-{key:08x}{EXTENSION_SUFFIXES[0]}"
+        if not path.exists() and not _build(path):
+            return None
+        import ctypes
+
+        lib = ctypes.CDLL(str(path))
+        p, size = ctypes.c_void_p, ctypes.c_ssize_t
+        for name, restype, argtypes in (
+            ("lis_length", size, (p, size, p)),
+            ("render_line", size, (p, size, p, size)),
+            ("parse_line", ctypes.c_int, (ctypes.c_char_p, size, size, p)),
+        ):
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = restype, argtypes
+    except (OSError, AttributeError):
+        return None
+    return lib

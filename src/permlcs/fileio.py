@@ -7,28 +7,33 @@ A single permutation is stored as `permset 1 1 <n>`.  All values are
 1-based, space-separated ASCII decimal, newline-terminated, and n may not
 exceed the ground-set cap `perm.MAX_N`, so values lie in 1..MAX_N < 10**8.
 
-Writing has one route: each value line is rendered into one `uint8` buffer,
-every value as two four-digit groups from a table of 0000..9999, cut to its
-width by one precomputed mask.  A set above the cap, which no reader would
+Value lines go through the native codec, `render_line` and `parse_line` in
+`_native.c`, when `_native.library()` loads it, and through plain Python
+when it does not; the two give the same bytes and the same members.
+
+Writing renders each member's 0-based word, adding one in C, into one reused
+`uint8` buffer of exactly n + D(n) bytes, D(n) being the digit count of
+1..n, and writes that buffer as is; without the codec a line is
+`" ".join(map(str, one_line))`.  A set above the cap, which no reader would
 accept, raises ValueError before `write_permset` opens its path.
 
 Reading has one route: `read_permset` takes a binary file one line at a
 time, so it holds the current line and the members parsed so far, never the
-whole text, and `loads_permset` runs it over the text's ASCII encoding.
+whole text, and `loads_permset` runs it over the text's UTF-8 encoding.
 Lines are split and numbered as `str.splitlines` splits the whole text.  A
 value line takes the fast path when its bytes are only digits, spaces and
-`\\n` and its length is the canonical n + D(n), D(n) being the digit count
-of 1..n: one `np.fromstring` parse, then `Permutation`'s one validation.
-The length guard means a line that passes holds no token of 19 or more
-digits, so an `int64` overflow inside `fromstring` is never accepted.  Every
-other line, and every fast-path line that fails (wrong value count, not a
-permutation), takes the exact path: its tokens are converted by one
+`\\n`, its length is the canonical n + D(n) and the codec loads:
+`parse_line` accepts only the canonical form (tokens in 1..n with no
+leading zero, single spaces) and writes a fresh 0-based word, which
+`perm._adopt` takes after its one range check and `bincount`.  Every other
+line, every line `parse_line` or `_adopt` rejects, and every line when the
+codec is missing, takes the exact path: its tokens are converted by one
 `np.array(..., dtype=np.int64)` call (Python `int()` syntax per token), and
 that path alone words the error.  Errors name the physical line.  As when
 the whole text was decoded before parsing, what is not ASCII is reported
 first (a `UnicodeError`), then the header, then a wrong count of value
 lines, then the first bad value; only the ground-set cap is reported as soon
-as the header is read from a file.
+as the header is read.
 """
 
 from __future__ import annotations
@@ -40,21 +45,9 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .perm import MAX_N, Permutation, PermSet
+from . import _native
+from .perm import MAX_N, Permutation, PermSet, _adopt
 
-# 10**0..10**8: a value in 1..MAX_N is as wide as the count of entries <= it.
-_POWERS_OF_TEN = 10 ** np.arange(9, dtype=np.int64)
-_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-# Entry v holds the four ASCII digits of v, zero-padded, for v in 0..9999.
-_DIGITS4 = (
-    np.stack(np.broadcast_arrays(_DIGITS[:, None, None, None], _DIGITS[:, None, None],
-                                 _DIGITS[:, None], _DIGITS), axis=-1)
-    .view(np.uint32)
-    .ravel()
-)
-_SPACES4 = np.frombuffer(b"    ", dtype=np.uint32)[0]
-# Row w keeps the last w of a value's eight digits and the space after them.
-_KEEP = np.array([[8 - w <= col <= 8 for col in range(12)] for w in range(9)])
 _PLAIN = b"0123456789 \n"  # the only bytes a fast-path line holds
 
 _Line = Union[bytes, str]
@@ -64,35 +57,28 @@ class FormatError(ValueError):
     """Raised when a PERMSET document is malformed."""
 
 
-def _value_line(values: np.ndarray) -> np.ndarray:
-    """`" ".join(map(str, values)) + "\\n"` as a `uint8` buffer, for `int64`
-    values in 1..MAX_N.
-
-    Each value gets a row of two four-digit groups, zero-padded on the left,
-    and four spaces; one boolean mask, picked by the value's width, keeps the
-    row's digits and one space.
-    """
-    high, low = np.divmod(values, 10_000)
-    rows = np.empty((values.size, 3), dtype=np.uint32)
-    rows[:, 0] = _DIGITS4[high]
-    rows[:, 1] = _DIGITS4[low]
-    rows[:, 2] = _SPACES4
-    buf = rows.view(np.uint8)[_KEEP[np.searchsorted(_POWERS_OF_TEN, values, side="right")]]
-    buf[-1] = ord("\n")
-    return buf
-
-
 def _permset_lines(s: PermSet) -> Iterator[Union[bytes, np.ndarray]]:
     """The document's lines; ValueError on the call, before any line is made,
-    for a set above the cap."""
+    for a set above the cap.  With the native codec every value line is the
+    same reused buffer, so a caller must use each line before the next."""
     if s.n > MAX_N:
         raise ValueError(f"n = {s.n} exceeds the ground-set cap {MAX_N}")
     header = f"permset 1 {s.k} {s.n}\n".encode("ascii")
-    return chain((header,), (_value_line(p.array + 1) for p in s.perms))
+    lib = _native.library()
+    if lib is None:
+        values = ((" ".join(map(str, p.one_line)) + "\n").encode("ascii") for p in s.perms)
+        return chain((header,), values)
+    buf = np.empty(s.n + _digit_count(s.n), dtype=np.uint8)
+
+    def render(p: Permutation) -> np.ndarray:
+        lib.render_line(p.array.ctypes.data, p.n, buf.ctypes.data, buf.size)
+        return buf
+
+    return chain((header,), map(render, s.perms))
 
 
 def dumps_permset(s: PermSet) -> str:
-    return b"".join(_permset_lines(s)).decode("ascii")
+    return b"".join(map(bytes, _permset_lines(s))).decode("ascii")
 
 
 def _split(chunk: bytes) -> Sequence[_Line]:
@@ -130,11 +116,12 @@ def _parse_header(line: _Line) -> tuple[int, int]:
 
 def _parse_values(line: _Line, n: int, lineno: int) -> Permutation:
     if isinstance(line, bytes):
-        if len(line) == n + _digit_count(n):
-            images = np.fromstring(line, dtype=np.int64, sep=" ")
-            if images.size == n:
+        lib = _native.library()
+        if lib is not None and len(line) == n + _digit_count(n):
+            word = np.empty(n, dtype=np.int64)
+            if lib.parse_line(line, len(line), n, word.ctypes.data):
                 try:
-                    return Permutation.from_one_line(images)
+                    return _adopt(word)
                 except ValueError:
                     pass
         line = line.decode("ascii")
@@ -184,7 +171,7 @@ def _parse_document(chunks: Iterable[bytes]) -> PermSet:
 
 
 def loads_permset(text: str) -> PermSet:
-    return _parse_document(io.BytesIO(text.encode("ascii")))
+    return _parse_document(io.BytesIO(text.encode("utf-8", "surrogatepass")))
 
 
 def write_permset(s: PermSet, path: Union[str, os.PathLike]) -> None:

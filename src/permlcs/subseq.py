@@ -10,20 +10,17 @@ integers that fit `int64` (anything else is a ValueError) and hand the word
 to `_lis_word`; `lcs_pair` and `lcs_all_pairs` relabel through `_column`,
 which calls `_lis_word` per pair.
 
-Patience sorting runs in C (`_lis.c`, one function over an `int64` word).
-Its pile tops sit in a sorted array padded with `INT64_MAX`, so a new pile
-is an ordinary overwrite and the binary search takes a fixed, branch-free
-log2 of the padded size; the padding doubles as the piles fill it.  Before
-searching, the kernel tries the pile the previous value landed on and the
-next one, where most values of a digit-set word go, and stops trying while
-that keeps missing, as on random words.  The first LIS call compiles it
-with `cc` into this package's `__pycache__/` and loads it with `ctypes`;
-importing the module does neither.  The file name carries a checksum of the
-source and of the compiler command, and the interpreter's extension tag, so
-an edited source or command never meets a stale library.  Where it cannot
-be built or loaded (no compiler, a read-only package, a failed build),
-`_lis_word` runs `_lis_core`, the same algorithm in Python, instead, with
-equal answers and no output; there is no switch between the two.
+Patience sorting runs in C (`lis_length` in `_native.c`, over an `int64`
+word).  Its pile tops sit in a sorted array padded with `INT64_MAX`, so a
+new pile is an ordinary overwrite and the binary search takes a fixed,
+branch-free log2 of the padded size; the padding doubles as the piles fill
+it.  Before searching, the kernel tries the pile the previous value landed
+on and the next one, where most values of a digit-set word go, and stops
+trying while that keeps missing, as on random words.  The first LIS call
+builds and loads it through `_native.library()`; importing the module does
+neither.  Where it cannot be built or loaded, `_lis_word` runs `_lis_core`,
+the same algorithm in Python, instead, with equal answers and no output;
+there is no switch between the two.
 
 Patience sorting needs no tie-breaking policy here: inputs are permutations,
 so pile-top binary search never sees equal values.
@@ -31,63 +28,17 @@ so pile-top binary search never sees equal values.
 
 from __future__ import annotations
 
-import os
-import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cache, partial
-from importlib.machinery import EXTENSION_SUFFIXES
-from pathlib import Path
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
+from . import _native
 from .perm import Permutation, PermSet
 
-_SOURCE = Path(__file__).with_name("_lis.c")
-_CC = ("cc", "-O2", "-shared", "-fPIC")
-_BUILD_TIMEOUT_S = 60
 _INT64_MAX = np.iinfo(np.int64).max
-
-
-def _build(lib: Path) -> bool:
-    """Compile `_SOURCE` to `lib` in a private temp directory and rename it
-    into place, so concurrent builds never leave a torn library; the
-    compiler's output is discarded."""
-    import subprocess
-    import tempfile
-
-    lib.parent.mkdir(exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=lib.parent) as tmp:
-        out = os.path.join(tmp, lib.name)
-        try:
-            subprocess.run([*_CC, "-o", out, str(_SOURCE)], stdin=subprocess.DEVNULL,
-                           capture_output=True, timeout=_BUILD_TIMEOUT_S, check=True)
-        except subprocess.SubprocessError:
-            return False
-        os.replace(out, lib)
-    return True
-
-
-@cache
-def _native_kernel():
-    """`lis_length` from the compiled `_lis.c`, building it if needed; None
-    if it cannot be built or loaded.  Built or loaded once per process, on
-    first use."""
-    try:
-        source = _SOURCE.read_bytes()
-        key = zlib.crc32(" ".join(_CC).encode(), zlib.crc32(source))
-        lib = _SOURCE.parent / "__pycache__" / f"_lis-{key:08x}{EXTENSION_SUFFIXES[0]}"
-        if not lib.exists() and not _build(lib):
-            return None
-        import ctypes
-
-        kernel = ctypes.CDLL(str(lib)).lis_length
-    except (OSError, AttributeError):
-        return None
-    kernel.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
-    kernel.restype = ctypes.c_ssize_t
-    return kernel
 
 
 def _lis_core(seq: Sequence[int]) -> int:
@@ -105,12 +56,12 @@ def _lis_core(seq: Sequence[int]) -> int:
 
 def _lis_word(word: np.ndarray, tops: np.ndarray | None = None) -> int:
     """LIS of a contiguous int64 word; `tops` is scratch of at least its length."""
-    kernel = _native_kernel()
-    if kernel is None:
+    lib = _native.library()
+    if lib is None:
         return _lis_core(word.tolist())
     if tops is None:
         tops = np.empty(len(word), dtype=np.int64)
-    return kernel(word.ctypes.data, len(word), tops.ctypes.data)
+    return lib.lis_length(word.ctypes.data, len(word), tops.ctypes.data)
 
 
 def _distinct_word(seq: Sequence[int]) -> np.ndarray:

@@ -17,29 +17,46 @@ from permlcs import (
     reversal,
     write_permset,
 )
+import permlcs._native as _native
 import permlcs.fileio as fileio
-from permlcs.fileio import _value_line
 from permlcs.perm import MAX_N
 from oracles import value_line
 
 
-def test_permset_exact_bytes():
-    s = PermSet((identity(3), reversal(3)))
-    assert dumps_permset(s) == "permset 1 2 3\n1 2 3\n3 2 1\n"
-    one = PermSet((Permutation.from_one_line([2, 1, 4, 3]),))
-    assert dumps_permset(one) == "permset 1 1 4\n2 1 4 3\n"
+@pytest.fixture
+def codecs(monkeypatch):
+    """The value-line codecs a test body runs on, one loop pass each:
+    "native" when `_native.library()` loads, then "python", the plain route
+    forced as on a machine with no compiler.  A failing pass names its codec
+    in the loop variable `codec` (pytest -l)."""
+    def each():
+        if _native.library() is not None:
+            yield "native"
+        monkeypatch.setattr(_native, "library", lambda: None)
+        yield "python"
+    return each()
 
 
-def test_permset_round_trip(tmp_path):
-    s = PermSet((identity(5), reversal(5), Permutation.from_one_line([2, 4, 1, 5, 3])))
-    path = tmp_path / "s.permset"
-    write_permset(s, path)
-    back = read_permset(path)
-    assert back.perms == s.perms
-    assert back.provenance == "imported"
-    one = PermSet((reversal(9),))
-    write_permset(one, path)
-    assert read_permset(path).perms == one.perms
+def test_permset_exact_bytes(codecs):
+    for codec in codecs:
+        # dumps_permset joins the lines, so a reused line buffer must be copied
+        s = PermSet((identity(3), reversal(3)))
+        assert dumps_permset(s) == "permset 1 2 3\n1 2 3\n3 2 1\n"
+        one = PermSet((Permutation.from_one_line([2, 1, 4, 3]),))
+        assert dumps_permset(one) == "permset 1 1 4\n2 1 4 3\n"
+
+
+def test_permset_round_trip(tmp_path, codecs):
+    for codec in codecs:
+        s = PermSet((identity(5), reversal(5), Permutation.from_one_line([2, 4, 1, 5, 3])))
+        path = tmp_path / "s.permset"
+        write_permset(s, path)
+        back = read_permset(path)
+        assert back.perms == s.perms
+        assert back.provenance == "imported"
+        one = PermSet((reversal(9),))
+        write_permset(one, path)
+        assert read_permset(path).perms == one.perms
 
 
 def test_single_member_permset_parses():
@@ -64,9 +81,10 @@ def test_single_member_permset_parses():
         "permline 1 3\n1 2 3\n",  # PERMLINE is no longer a supported format
     ],
 )
-def test_malformed_documents_rejected(text):
-    with pytest.raises(FormatError):
-        loads_permset(text)
+def test_malformed_documents_rejected(text, codecs):
+    for codec in codecs:
+        with pytest.raises(FormatError):
+            loads_permset(text)
 
 
 def test_errors_name_the_physical_line():
@@ -77,19 +95,36 @@ def test_errors_name_the_physical_line():
 
 
 @pytest.mark.parametrize("n", [9, 10, 99, 100, 1000, 12345])
-def test_value_lines_match_scalar_writer(n):
+def test_value_lines_match_scalar_writer(n, codecs):
     images = list(range(1, n + 1))
     random.Random(n).shuffle(images)
     p = Permutation.from_one_line(images)
     s = PermSet((p, identity(n), reversal(n)))
     want = f"permset 1 3 {n}\n" + "".join(value_line(q.one_line) for q in s.perms)
-    assert dumps_permset(s) == want
+    for codec in codecs:
+        assert dumps_permset(s) == want
 
 
 @pytest.mark.parametrize("build, args", [(build_hadamard_set, (8, 3)), (build_general, (1000, 5))])
-def test_construction_round_trips(build, args):
+def test_construction_round_trips(build, args, codecs):
     s = build(*args)
-    assert loads_permset(dumps_permset(s)).perms == s.perms
+    for codec in codecs:
+        assert loads_permset(dumps_permset(s)).perms == s.perms
+
+
+def test_random_members_round_trip_byte_identically(tmp_path, codecs):
+    rng = np.random.default_rng(13)
+    sizes = sorted({1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 2000,
+                    *rng.integers(1, 2001, size=40).tolist()})
+    sets = [PermSet([Permutation(rng.permutation(n)) for _ in range(2)]) for n in sizes]
+    path = tmp_path / "s.permset"
+    for codec in codecs:
+        for s in sets:
+            want = f"permset 1 2 {s.n}\n" + "".join(value_line(p.one_line) for p in s.perms)
+            assert dumps_permset(s) == want
+            write_permset(s, path)
+            assert path.read_bytes() == want.encode("ascii")
+            assert read_permset(path).perms == loads_permset(want).perms == s.perms
 
 
 # Documents off the canonical form, with what the reader gives for each: the
@@ -150,11 +185,56 @@ def _read_outcome(read, arg):
 
 
 @pytest.mark.parametrize("text, want", SAME_AS_SPLITLINES)
-def test_reader_splits_lines_and_tokens_as_python_does(tmp_path, text, want):
-    assert _read_outcome(loads_permset, text) == want
+def test_reader_splits_lines_and_tokens_as_python_does(tmp_path, text, want, codecs):
     path = tmp_path / "s.permset"
     path.write_bytes(text.encode("ascii"))
-    assert _read_outcome(read_permset, path) == want
+    for codec in codecs:
+        assert _read_outcome(loads_permset, text) == want
+        assert _read_outcome(read_permset, path) == want
+
+
+# Lines of canonical length n + D(n) off the canonical form, with what the
+# native parse returns for each (1 only for a repeated value, which `_adopt`
+# rejects): all take the exact path and get its error text.
+OFF_CANONICAL = [
+    (3, b"0 1 2\n", 0, "line 2: one-line form is not a rearrangement of 1..3"),  # value 0
+    (3, b"1 2 4\n", 0, "line 2: one-line form is not a rearrangement of 1..3"),  # value n + 1
+    (3, b"1 2 2\n", 1, "line 2: one-line form is not a rearrangement of 1..3"),  # repeated
+    (3, b"012 3\n", 0, "line 2: expected 3 values, got 2"),  # a leading zero makes up the length
+    (3, b"1 2  3", 0, ((1, 2, 3),)),  # a double space makes up for the missing newline
+    (12, b"1 2 3 4 5 6 7 8 9 10 11  1\n", 0,  # a double space and a repeated value
+     "line 2: one-line form is not a rearrangement of 1..12"),
+    (9, b"123456789 1 2 3 4\n", 0, "line 2: expected 9 values, got 5"),  # a 9-digit token
+]
+
+
+@pytest.mark.parametrize("n, line, parsed, want", OFF_CANONICAL)
+def test_canonical_length_lines_off_the_canonical_form(tmp_path, n, line, parsed, want, codecs):
+    assert len(line) == n + fileio._digit_count(n)
+    lib = _native.library()
+    if lib is not None:
+        word = np.empty(n, dtype=np.int64)
+        assert lib.parse_line(line, len(line), n, word.ctypes.data) == parsed
+    path = tmp_path / "s.permset"
+    path.write_bytes(b"permset 1 1 %d\n" % n + line)
+    for codec in codecs:
+        assert _read_outcome(read_permset, path) == want
+
+
+def test_native_parse_accepts_only_the_canonical_form():
+    lib = _native.library()
+    if lib is None:
+        pytest.skip("no native codec on this machine")
+    word = np.empty(3, dtype=np.int64)
+    for line in (b"3 1 2\n", b"3 1 2"):
+        assert lib.parse_line(line, len(line), 3, word.ctypes.data) == 1
+        assert word.tolist() == [2, 0, 1]
+    for line in (b"1 2 3 \n", b" 1 2 3", b"1 2 3\n\n", b"1 2\n", b"1 2 3 1\n",
+                 b"1 2 +3", b"1\t2 3\n", b"", b"1 2 3\r"):
+        assert lib.parse_line(line, len(line), 3, word.ctypes.data) == 0
+    # 2**64 + 1 would wrap to 1 in 64 bits; a token is cut off at 18 digits
+    token = b"18446744073709551617"
+    assert lib.parse_line(token, len(token), 1, word.ctypes.data) == 0
 
 
 @pytest.mark.parametrize("data", [
@@ -189,8 +269,10 @@ def test_header_above_ground_set_cap_rejected(tmp_path):
     cap = f"n = {MAX_N + 1} exceeds the ground-set cap {MAX_N}"
     with pytest.raises(FormatError, match=f"^{cap}$"):
         loads_permset(f"permset 1 1 {MAX_N + 1}\n1 2 x\n")
-    # Raised before any value line is read: the byte that is not ASCII on
-    # line 2 is never decoded.
+    # Raised before any value line is read, on both routes: the character
+    # that is not ASCII on line 2 is never decoded.
+    with pytest.raises(FormatError, match=f"^{cap}$"):
+        loads_permset(f"permset 1 1 {MAX_N + 1}\n\xff\n")
     path = tmp_path / "s.permset"
     path.write_bytes(f"permset 1 1 {MAX_N + 1}\n\xff\n".encode("latin-1"))
     with pytest.raises(FormatError, match=f"^{cap}$"):
@@ -213,14 +295,28 @@ def test_read_permset_streams(tmp_path):
     assert peak < 2 * sum(p.array.nbytes for p in s.perms)
 
 
-def test_value_line_matches_str_at_every_width():
-    # every width a value in 1..MAX_N can have, and MAX_N itself
+def test_value_line_matches_str_at_every_width(codecs):
+    # every width a value in 1..MAX_N can have, and MAX_N itself, through the
+    # native render; it takes any word, so no member on [MAX_N] is built
     values = [v for w in range(1, 9) for v in (10 ** (w - 1), 10 ** (w - 1) + 7, 10**w - 1)]
     values += [1, 9999, 10_000, 10_001, MAX_N]
     want = (" ".join(map(str, values)) + "\n").encode("ascii")
-    assert _value_line(np.array(values, dtype=np.int64)).tobytes() == want
-    for v in values:
-        assert _value_line(np.array([v], dtype=np.int64)).tobytes() == f"{v}\n".encode("ascii")
+    lib = _native.library()
+    if lib is not None:
+        word = np.array(values, dtype=np.int64) - 1
+        buf = np.empty(len(want), dtype=np.uint8)
+        assert lib.render_line(word.ctypes.data, word.size, buf.ctypes.data, buf.size) == buf.size
+        assert buf.tobytes() == want
+        # one byte short, or a negative entry: refused, nothing past cap written
+        assert lib.render_line(word.ctypes.data, word.size, buf.ctypes.data, buf.size - 1) == -1
+        word[3] = -1
+        assert lib.render_line(word.ctypes.data, word.size, buf.ctypes.data, buf.size) == -1
+    # through the writers on both routes: widths 1..7 in one member
+    n = 10**6 + 1
+    s = PermSet((reversal(n),))
+    want = f"permset 1 1 {n}\n" + " ".join(map(str, range(n, 0, -1))) + "\n"
+    for codec in codecs:
+        assert dumps_permset(s) == want
 
 
 def test_writers_refuse_a_set_above_the_cap(tmp_path, monkeypatch):

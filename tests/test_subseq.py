@@ -14,13 +14,16 @@ from permlcs import (
     build_exact,
     build_hadamard_set,
     compose,
+    dumps_permset,
     identity,
     lcs_all_pairs,
     lcs_pair,
     lds,
     lis,
+    loads_permset,
     reversal,
 )
+import permlcs._native as _native
 import permlcs.subseq as subseq
 from oracles import lcs_by_enumeration, lcs_pair_dp, lis_quadratic
 
@@ -32,9 +35,9 @@ def kernels(monkeypatch):
     on a machine with no compiler.  A failing pass names its kernel in the
     loop variable `kernel` (pytest -l)."""
     def each():
-        if subseq._native_kernel() is not None:
+        if _native.library() is not None:
             yield "native"
-        monkeypatch.setattr(subseq, "_native_kernel", lambda: None)
+        monkeypatch.setattr(_native, "library", lambda: None)
         yield "python"
     return each()
 
@@ -122,7 +125,7 @@ def test_monotone_words_cross_every_capacity_doubling(kernels):
 
 
 def test_native_kernel_matches_python_kernel_on_long_words():
-    if subseq._native_kernel() is None:
+    if _native.library() is None:
         pytest.skip("no native kernel on this machine")
     rng = np.random.default_rng(8)
     words = [rng.permutation(10**5) for _ in range(3)]
@@ -267,19 +270,21 @@ def test_non_integer_words_rejected(kernels):
     ("permlcs-no-such-compiler",),
 ], ids=["fails", "missing"])
 def test_failed_build_falls_back_silently(cc, tmp_path, monkeypatch, capfd, request):
-    subseq._native_kernel.cache_clear()
-    request.addfinalizer(subseq._native_kernel.cache_clear)  # forget the failed build
-    source = tmp_path / "_lis.c"
-    source.write_bytes(subseq._SOURCE.read_bytes())
-    monkeypatch.setattr(subseq, "_SOURCE", source)
-    monkeypatch.setattr(subseq, "_CC", cc)
+    _native.library.cache_clear()
+    request.addfinalizer(_native.library.cache_clear)  # forget the failed build
+    source = tmp_path / "_native.c"
+    source.write_bytes(_native._SOURCE.read_bytes())
+    monkeypatch.setattr(_native, "_SOURCE", source)
+    monkeypatch.setattr(_native, "_CC", cc)
     rng = random.Random(4)
     words = [rng.sample(range(1, 500), rng.randint(0, 80)) for _ in range(30)]
     pairs = [(rand_perm(rng, 60), rand_perm(rng, 60)) for _ in range(10)]
     got = ([lis(w) for w in words], [lds(w) for w in words],
            [lcs_pair(a, b) for a, b in pairs])
-    assert subseq._native_kernel.cache_info().currsize == 1
-    assert subseq._native_kernel() is None
+    s = PermSet(pairs[0])  # the PERMSET codec shares the loader and falls back with it
+    assert loads_permset(dumps_permset(s)).perms == s.perms
+    assert _native.library.cache_info().currsize == 1
+    assert _native.library() is None
     assert capfd.readouterr() == ("", "")
     assert list(tmp_path.glob("__pycache__/*")) == []  # no torn or temp library left
     assert got == ([lis_quadratic(w) for w in words],
@@ -288,17 +293,17 @@ def test_failed_build_falls_back_silently(cc, tmp_path, monkeypatch, capfd, requ
 
 
 def test_compiler_command_keys_the_library(tmp_path, monkeypatch):
-    if subseq._native_kernel() is None:
+    if _native.library() is None:
         pytest.skip("no native kernel on this machine")
-    source = tmp_path / "_lis.c"
-    source.write_bytes(subseq._SOURCE.read_bytes())
-    monkeypatch.setattr(subseq, "_SOURCE", source)
+    source = tmp_path / "_native.c"
+    source.write_bytes(_native._SOURCE.read_bytes())
+    monkeypatch.setattr(_native, "_SOURCE", source)
     word, tops = np.array([3, 1, 4, 2, 5], dtype=np.int64), np.empty(5, dtype=np.int64)
     for flag in ("-O2", "-O1", "-O2"):
-        monkeypatch.setattr(subseq, "_CC", ("cc", flag, "-shared", "-fPIC"))
-        kernel = subseq._native_kernel.__wrapped__()  # uncached: build for this command
-        assert kernel(word.ctypes.data, 5, tops.ctypes.data) == 3
-    assert len(list(tmp_path.glob("__pycache__/_lis-*"))) == 2
+        monkeypatch.setattr(_native, "_CC", ("cc", flag, "-shared", "-fPIC"))
+        lib = _native.library.__wrapped__()  # uncached: build for this command
+        assert lib.lis_length(word.ctypes.data, 5, tops.ctypes.data) == 3
+    assert len(list(tmp_path.glob("__pycache__/_native-*"))) == 2
 
 
 def test_importing_the_cli_builds_and_loads_nothing():
@@ -307,8 +312,8 @@ def test_importing_the_cli_builds_and_loads_nothing():
         "calls = []\n"
         "ctypes.CDLL = lambda *a, **k: calls.append(('CDLL', a))\n"
         "subprocess.Popen = lambda *a, **k: calls.append(('Popen', a))\n"
-        "import permlcs.cli, permlcs.subseq as s, sys\n"
-        "print(calls, s._native_kernel.cache_info().currsize == 0,\n"
+        "import permlcs.cli, permlcs._native as native, sys\n"
+        "print(calls, native.library.cache_info().currsize == 0,\n"
         "      'concurrent.futures' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(subseq.__file__))
