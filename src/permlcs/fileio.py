@@ -20,20 +20,22 @@ accept, raises ValueError before `write_permset` opens its path.
 Reading has one route: `read_permset` takes a binary file one line at a
 time, so it holds the current line and the members parsed so far, never the
 whole text, and `loads_permset` runs it over the text's UTF-8 encoding.
-Lines are split and numbered as `str.splitlines` splits the whole text.  A
-value line takes the fast path when its bytes are only digits, spaces and
-`\\n`, its length is the canonical n + D(n) and the codec loads:
+Lines are numbered as `str.splitlines` splits the whole text.  While value
+lines are still wanted and none has failed, each raw `\\n`-terminated line
+goes first to `parse_line`, with no byte scan or length check before it.
 `parse_line` accepts only the canonical form (tokens in 1..n with no
-leading zero, single spaces) and writes a fresh 0-based word, which
-`perm._adopt` takes after its one range check and `bincount`.  Every other
-line, every line `parse_line` or `_adopt` rejects, and every line when the
-codec is missing, takes the exact path: its tokens are converted by one
-`np.array(..., dtype=np.int64)` call (Python `int()` syntax per token), and
-that path alone words the error.  Errors name the physical line.  As when
-the whole text was decoded before parsing, what is not ASCII is reported
-first (a `UnicodeError`), then the header, then a wrong count of value
-lines, then the first bad value; only the ground-set cap is reported as soon
-as the header is read.
+leading zero, single spaces, then `\\n` or the end), so no byte that
+`str.splitlines` breaks at but that last `\\n`, and writes a fresh 0-based
+word, which `perm._adopt` takes after its one range check and `bincount`:
+the raw line is one line and one member.  Every other raw line, and every
+line when the codec is missing, is decoded as ASCII and split with
+`str.splitlines`, and each piece takes the header or the exact path: a value
+line's tokens are converted by one `np.array(..., dtype=np.int64)` call
+(Python `int()` syntax per token), and that path alone words the error.
+Errors name the physical line.  As when the whole text was decoded before
+parsing, what is not ASCII is reported first (a `UnicodeError`), then the
+header, then a wrong count of value lines, then the first bad value; only
+the ground-set cap is reported as soon as the header is read.
 """
 
 from __future__ import annotations
@@ -41,16 +43,12 @@ from __future__ import annotations
 import io
 import os
 from itertools import chain
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
 from . import _native
 from .perm import MAX_N, Permutation, PermSet, _adopt
-
-_PLAIN = b"0123456789 \n"  # the only bytes a fast-path line holds
-
-_Line = Union[bytes, str]
 
 
 class FormatError(ValueError):
@@ -81,15 +79,6 @@ def dumps_permset(s: PermSet) -> str:
     return b"".join(map(bytes, _permset_lines(s))).decode("ascii")
 
 
-def _split(chunk: bytes) -> Sequence[_Line]:
-    """The physical lines of a chunk that ends at a line break (or at the end
-    of the document), breaks kept.  A line of only digits, spaces and `\\n`
-    comes back as bytes; every other line as str."""
-    if chunk.translate(None, _PLAIN):
-        return chunk.decode("ascii").splitlines(keepends=True)
-    return (chunk,)
-
-
 def _digit_count(n: int) -> int:
     """D(n), the number of digits in 1, 2, ..., n."""
     total, low, width = 0, 1, 1
@@ -99,10 +88,9 @@ def _digit_count(n: int) -> int:
     return total
 
 
-def _parse_header(line: _Line) -> tuple[int, int]:
-    text = line if isinstance(line, str) else line.decode("ascii")
-    header = text.split()
-    bad = f"bad PERMSET header: {text.splitlines()[0]!r}"
+def _parse_header(line: str) -> tuple[int, int]:
+    header = line.split()
+    bad = f"bad PERMSET header: {line.splitlines()[0]!r}"
     if len(header) != 4 or header[:2] != ["permset", "1"]:
         raise FormatError(bad)
     try:
@@ -114,17 +102,7 @@ def _parse_header(line: _Line) -> tuple[int, int]:
     return k, n
 
 
-def _parse_values(line: _Line, n: int, lineno: int) -> Permutation:
-    if isinstance(line, bytes):
-        lib = _native.library()
-        if lib is not None and len(line) == n + _digit_count(n):
-            word = np.empty(n, dtype=np.int64)
-            if lib.parse_line(line, len(line), n, word.ctypes.data):
-                try:
-                    return _adopt(word)
-                except ValueError:
-                    pass
-        line = line.decode("ascii")
+def _parse_values(line: str, n: int, lineno: int) -> Permutation:
     tokens = line.split()
     if len(tokens) != n:
         raise FormatError(f"line {lineno}: expected {n} values, got {len(tokens)}")
@@ -141,29 +119,44 @@ def _parse_values(line: _Line, n: int, lineno: int) -> Permutation:
 
 
 def _parse_document(chunks: Iterable[bytes]) -> PermSet:
-    lines = enumerate(chain.from_iterable(map(_split, chunks)), start=1)
-    _, header = next(lines, (1, None))
-    if header is None:
+    lib = _native.library()
+    k = n = lineno = count = 0
+    perms, error = [], None
+    for chunk in chunks:
+        if count < k and error is None and lib is not None:
+            word = np.empty(n, dtype=np.int64)
+            if lib.parse_line(chunk, len(chunk), n, word.ctypes.data):
+                try:
+                    perms.append(_adopt(word))
+                except ValueError:
+                    pass  # a repeated value: the exact path words the error
+                else:
+                    lineno, count = lineno + 1, count + 1
+                    # Freed before the next line is read, which then reuses
+                    # its space; held, it left `verify`'s peak RSS on Hadamard
+                    # k=8 s=6 to heap layout luck, 56 or 59 MB.
+                    del chunk
+                    continue
+        for line in chunk.decode("ascii").splitlines(keepends=True):
+            lineno += 1
+            if lineno == 1:
+                try:
+                    k, n = _parse_header(line)
+                except FormatError as exc:
+                    error = exc  # k stays 0; reported once every line is decoded
+                    continue
+                if n > MAX_N:
+                    raise FormatError(f"n = {n} exceeds the ground-set cap {MAX_N}")
+            elif not line.isspace():
+                count += 1
+                if count <= k and error is None:
+                    try:
+                        perms.append(_parse_values(line, n, lineno))
+                    except FormatError as exc:
+                        error = exc  # a wrong line count is reported first
+    if lineno == 0:
         raise FormatError("empty document")
-    try:
-        k, n = _parse_header(header)
-    except FormatError:
-        for _ in lines:  # a byte that is not ASCII further on is reported first
-            pass
-        raise
-    if n > MAX_N:
-        raise FormatError(f"n = {n} exceeds the ground-set cap {MAX_N}")
-    perms, count, error = [], 0, None
-    for lineno, line in lines:
-        if line.isspace():
-            continue
-        count += 1
-        if count <= k and error is None:
-            try:
-                perms.append(_parse_values(line, n, lineno))
-            except FormatError as exc:
-                error = exc  # a wrong line count is reported first
-    if count != k:
+    if k and count != k:
         raise FormatError(f"expected {k} value lines, got {count}")
     if error is not None:
         raise error

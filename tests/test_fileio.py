@@ -160,6 +160,11 @@ SAME_AS_SPLITLINES = [
     ("permset 1 2 3\r\n\r\n1 2 3\r\n1 2 4\r\n",
      "line 4: one-line form is not a rearrangement of 1..3"),
     ("permset 1 2 3\r\r1 2 3\r1 2 x\r", "line 4: non-integer value"),
+    # One raw line split into header and value, a line the native parse
+    # takes whole, then a bad line: one running line number across both.
+    ("permset 1 3 3\x1e1 2 3\n3 2 1\n1 2 2\n",
+     "line 4: one-line form is not a rearrangement of 1..3"),
+    ("permset 1 3 3\r1 2 3\n3 1 2\n2 x 1\n", "line 4: non-integer value"),
     ("permset 1 2\r\n1 2 3\r\n", "bad PERMSET header: 'permset 1 2'"),
     ("permset 1 x 3\n1 2 3\n", "bad PERMSET header: 'permset 1 x 3'"),
     ("\n", "bad PERMSET header: ''"),
@@ -193,9 +198,11 @@ def test_reader_splits_lines_and_tokens_as_python_does(tmp_path, text, want, cod
         assert _read_outcome(read_permset, path) == want
 
 
-# Lines of canonical length n + D(n) off the canonical form, with what the
-# native parse returns for each (1 only for a repeated value, which `_adopt`
-# rejects): all take the exact path and get its error text.
+# Lines off the canonical form with, by construction of the data, the
+# canonical length n + D(n), so length alone cannot tell them apart; the
+# reader checks no length.  Each row gives what the native parse returns
+# (1 only for a repeated value, which `_adopt` rejects): all take the exact
+# path and get its error text.
 OFF_CANONICAL = [
     (3, b"0 1 2\n", 0, "line 2: one-line form is not a rearrangement of 1..3"),  # value 0
     (3, b"1 2 4\n", 0, "line 2: one-line form is not a rearrangement of 1..3"),  # value n + 1
@@ -235,6 +242,17 @@ def test_native_parse_accepts_only_the_canonical_form():
     # 2**64 + 1 would wrap to 1 in 64 bits; a token is cut off at 18 digits
     token = b"18446744073709551617"
     assert lib.parse_line(token, len(token), 1, word.ctypes.data) == 0
+    # Any byte but a digit, a space or a final newline is refused, placed
+    # first, between tokens, in place of the newline or after it: a line the
+    # native parse takes is one line to `str.splitlines` too, so both routes
+    # number lines alike.
+    for value in set(range(256)) - set(b"0123456789 \n"):
+        c = bytes((value,))
+        for line in (c + b"3 1 2\n", b"3" + c + b"1 2\n", b"3 1" + c + b" 2\n",
+                     b"3 1 2" + c, b"3 1 2\n" + c):
+            assert lib.parse_line(line, len(line), 3, word.ctypes.data) == 0, line
+    for line in (b"\n3 1 2\n", b"3\n1 2\n", b"3 1 2\n\n"):
+        assert lib.parse_line(line, len(line), 3, word.ctypes.data) == 0, line
 
 
 @pytest.mark.parametrize("data", [
