@@ -14,7 +14,7 @@ import numpy as np
 from .arith import ceil_cbrt, ceil_root
 from .hadamard import digit_lcs_bound
 from .perm import MAX_N, Permutation, PermSet, _adopt, restrict
-from .subseq import lcs_all_pairs, lis
+from .subseq import _lis_word, lcs_all_pairs
 
 
 def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
@@ -57,11 +57,7 @@ class LisSample:
 def sample_lis(n: int, trials: int, seed: int) -> LisSample:
     if trials < 1:
         raise ValueError("need at least one trial")
-    if n < 1:
-        raise ValueError("ground set must be non-empty")
-    if n > MAX_N:
-        raise ValueError(f"n = {n} exceeds the ground-set cap {MAX_N}")
-    lengths = tuple(lis(trial_rng(seed, t).permutation(n)) for t in range(trials))
+    lengths = tuple(_lis_word(random_perm(n, trial_rng(seed, t)).array) for t in range(trials))
     return LisSample(n=n, trials=trials, seed=seed, lengths=lengths)
 
 

@@ -1,12 +1,13 @@
 """Command-line front end.
 
-Subcommands: construct, verify, sample, distance, bench.  JSON reports on
-stdout always carry the keys command/params/results/pass; bench emits CSV.
-Exit codes: 0 all asserted bounds hold, 1 a bound is violated, 2 usage
+Subcommands: construct, verify, sample, distance, bench.  Each returns
+whether its asserted bounds hold, and `main` alone maps that and the errors
+to the exit code: 0 all asserted bounds hold, 1 a bound is violated, 2 usage
 (including a ground set above `perm.MAX_N`), file-format or OS error, or
 running out of memory, 3 a broken internal invariant (a builder's
-`RuntimeError`).  The
-bound arithmetic lives with the constructions (`params["lcs_bound"]`) and in
+`RuntimeError`).  Every JSON report on stdout comes from `_json_command` with
+the keys command/params/results/pass; bench emits CSV.  The bound arithmetic
+lives with the constructions (`params["lcs_bound"]`) and in
 `bounds.BOUND_CHECKS`, and the `--bound all` policy in
 `bounds.check_all_bounds`; this module only selects, runs and reports.
 
@@ -22,7 +23,7 @@ import itertools
 import json
 import sys
 import time
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .algebraic import build_exact, build_general
 from .bounds import (
@@ -38,26 +39,30 @@ from .bounds import (
 from .codes import code_report
 from .fileio import read_permset, write_permset
 from .hadamard import build_hadamard_set, digit_ground_set
-from .subseq import LcsMatrix, lcs_all_pairs
+from .subseq import lcs_all_pairs
 
 BOUND_CHOICES = (*BOUND_CHECKS, "all")
-
-
-def _print_report(command: str, params: dict, results: dict, passed: bool) -> None:
-    report = {"command": command, "params": params, "results": results, "pass": passed}
-    print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def _elapsed_ms(t0: float, timing: bool) -> int:
     return int(round((time.perf_counter() - t0) * 1000)) if timing else 0
 
 
-def _pairs_1based(matrix: LcsMatrix) -> list[list[int]]:
-    return [[i + 1, j + 1, v] for i, j, v in matrix.off_diagonal()]
+def _json_command(body: Callable[..., tuple[dict, dict, bool]]) -> Callable[..., bool]:
+    """Run `body`, print its (params, results, passed) as the JSON report of
+    `args.command` with `results["elapsed_ms"]` added, and return passed."""
+    def command(args: argparse.Namespace) -> bool:
+        t0 = time.perf_counter()
+        params, results, passed = body(args)
+        results["elapsed_ms"] = _elapsed_ms(t0, args.timing)
+        report = {"command": args.command, "params": params, "results": results, "pass": passed}
+        print(json.dumps(report, indent=2, sort_keys=True))
+        return passed
+    return command
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+@_json_command
+def _cmd_construct(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     if args.kind == "algebraic":
         if args.n is None:
             raise ValueError("construct algebraic requires --n")
@@ -78,13 +83,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.out:
         write_permset(made, args.out)
         results["out"] = args.out
-    results["elapsed_ms"] = _elapsed_ms(t0, args.timing)
-    _print_report("construct", params, results, True)
-    return 0
+    return params, results, True
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+@_json_command
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     s = read_permset(args.path)
     matrix = lcs_all_pairs(s)
     max_lcs = matrix.max_pair
@@ -98,17 +101,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                  if b["applicable"] and b.get("asserted", True))
     results = {
         "n": s.n, "k": s.k,
-        "pairwise_lcs": _pairs_1based(matrix),
+        "pairwise_lcs": [[i + 1, j + 1, v] for i, j, v in matrix.off_diagonal()],
         "max_pair_lcs": max_lcs, "min_pair_lcs": matrix.min_pair,
         "bounds": bounds,
-        "elapsed_ms": _elapsed_ms(t0, args.timing),
     }
-    _print_report("verify", {"path": args.path, "bound": args.bound}, results, passed)
-    return 0 if passed else 1
+    return {"path": args.path, "bound": args.bound}, results, passed
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
+@_json_command
+def _cmd_sample(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     check = check_probabilistic_bound(args.n, args.k, args.trials, args.seed)
     results = {
         "threshold": check.threshold,
@@ -120,19 +121,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         with open(args.lis_csv, "w", encoding="ascii", newline="") as f:
             f.write(sample_lis(args.n, args.trials, args.seed).to_csv())
         results["lis_csv"] = args.lis_csv
-    results["elapsed_ms"] = _elapsed_ms(t0, args.timing)
     params = {"n": args.n, "k": args.k, "trials": args.trials, "seed": args.seed}
-    _print_report("sample", params, results, check.all_below)
-    return 0 if check.all_below else 1
+    return params, results, check.all_below
 
 
-def _cmd_distance(args: argparse.Namespace) -> int:
-    t0 = time.perf_counter()
-    s = read_permset(args.path)
-    report = code_report(s)
-    results = {"code": report.as_dict(), "elapsed_ms": _elapsed_ms(t0, args.timing)}
-    _print_report("distance", {"path": args.path}, results, True)
-    return 0
+@_json_command
+def _cmd_distance(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    report = code_report(read_permset(args.path))
+    return {"path": args.path}, {"code": report.as_dict()}, True
 
 
 # -- bench --
@@ -194,7 +190,7 @@ def _bench_row(kind: str, cell: dict[str, int], seed: int, row_idx: int):
     return made.n, made.k, lcs_all_pairs(made).max_pair, bound
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
+def _cmd_bench(args: argparse.Namespace) -> bool:
     cells = []
     for spec in args.grid:
         cells.extend(_parse_grid(spec))
@@ -202,17 +198,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ValueError("empty benchmark grid")
     print("construction,n,k,max_lcs,bound,elapsed_ms")
     cells.sort(key=_cell_order)
-    violated = False
+    passed = True
     for idx, (kind, cell) in enumerate(cells):
         t0 = time.perf_counter()
         with _named_cell(kind, cell):
             n, k, max_lcs, bound = _bench_row(kind, cell, args.seed, idx)
-        elapsed = _elapsed_ms(t0, args.timing)
-        bound_txt = repr(bound) if isinstance(bound, float) else str(bound)
-        print(f"{kind},{n},{k},{max_lcs},{bound_txt},{elapsed}")
-        if max_lcs > bound:
-            violated = True
-    return 1 if violated else 0
+        print(f"{kind},{n},{k},{max_lcs},{bound},{_elapsed_ms(t0, args.timing)}")
+        passed &= max_lcs <= bound
+    return passed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,13 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, required=True, help="number of permutations")
     c.add_argument("--s", type=int, help="digit base (hadamard only)")
     c.add_argument("--out", help="output PERMSET path")
-    c.add_argument("--timing", action="store_true", help="report real elapsed times")
     c.set_defaults(func=_cmd_construct)
 
     v = sub.add_parser("verify", help="check LCS bounds of a PERMSET file")
     v.add_argument("path")
     v.add_argument("--bound", choices=BOUND_CHOICES, default="all")
-    v.add_argument("--timing", action="store_true")
     v.set_defaults(func=_cmd_verify)
 
     m = sub.add_parser("sample", help="max-pair LCS of seeded random k-sets vs 2e*sqrt(n)")
@@ -243,20 +234,21 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--trials", type=int, required=True)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--lis-csv", help="also write per-trial LIS lengths as CSV")
-    m.add_argument("--timing", action="store_true")
     m.set_defaults(func=_cmd_sample)
 
     d = sub.add_parser("distance", help="deletion-code report of a PERMSET file")
     d.add_argument("path")
-    d.add_argument("--timing", action="store_true")
     d.set_defaults(func=_cmd_distance)
 
     b = sub.add_parser("bench", help="max-pair LCS vs bound over a parameter grid (CSV)")
     b.add_argument("--grid", action="append", required=True, metavar="SPEC",
                    help="e.g. algebraic:k=3,4,5:s1=1,2 | hadamard:k=4:s=2,3 | random:n=100:k=3")
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--timing", action="store_true")
     b.set_defaults(func=_cmd_bench)
+
+    # Last on every subcommand, so each usage line ends with it.
+    for command in sub.choices.values():
+        command.add_argument("--timing", action="store_true", help="report real elapsed times")
     return parser
 
 
@@ -267,7 +259,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        return 0 if args.func(args) else 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,10 +32,11 @@ line when the codec is missing, is decoded as ASCII and split with
 `str.splitlines`, and each piece takes the header or the exact path: a value
 line's tokens are converted by one `np.array(..., dtype=np.int64)` call
 (Python `int()` syntax per token), and that path alone words the error.
-Errors name the physical line.  As when the whole text was decoded before
-parsing, what is not ASCII is reported first (a `UnicodeError`), then the
-header, then a wrong count of value lines, then the first bad value; only
-the ground-set cap is reported as soon as the header is read.
+Errors name the physical line.  Two faults stop the read where they are
+met: a line that is not ASCII (a `UnicodeError`) and a header whose n
+exceeds the ground-set cap.  Every other fault is raised once all lines are
+read, in this order: the header, a wrong count of value lines, the first bad
+value.
 """
 
 from __future__ import annotations

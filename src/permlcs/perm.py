@@ -1,9 +1,10 @@
 """Permutations on [n] = {1, ..., n} and ordered collections of them.
 
 Storage is 0-based: a permutation pi is held as one read-only `np.int64`
-array, the word (pi(1)-1, ..., pi(n)-1).  Everything user-facing (one-line
-notation, file formats, constructor input) is 1-based; conversion happens
-only at this boundary.  Values are immutable and validated once, on
+array, the word (pi(1)-1, ..., pi(n)-1).  One-line notation and the file
+formats are 1-based.  `from_one_line`, `one_line` and iteration convert
+here; the native PERMSET codec converts in C, where `render_line` adds 1 and
+`parse_line` subtracts 1.  Values are immutable and validated once, on
 construction, by a range check and one O(n) `np.bincount`; the operations
 below work on the arrays and never box the entries as Python ints.  `word`,
 `one_line` and iteration build Python ints on access, for callers that want

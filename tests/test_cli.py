@@ -1,9 +1,15 @@
+import hashlib
+import itertools
 import json
 import time
+import types
 
 import pytest
 
-from permlcs import dumps_permset, identity, PermSet, read_permset
+from permlcs import (
+    build_general, build_hadamard_set, dumps_permset, identity, PermSet, read_permset,
+    write_permset,
+)
 from permlcs.cli import main
 
 
@@ -282,3 +288,57 @@ def test_out_of_memory_is_usage_error(capsys, monkeypatch):
 def test_usage_error_exit_code(capsys):
     assert run(capsys, "nonsense")[0] == 2
     assert run(capsys)[0] == 2
+
+
+@pytest.fixture
+def sets_dir(tmp_path):
+    write_permset(build_general(72, 3), tmp_path / "a72.permset")
+    write_permset(build_hadamard_set(4, 4, n=27), tmp_path / "h27.permset")
+    return tmp_path
+
+
+# Exit code and sha256 of stdout, with the temp directory written as "<tmp>",
+# for one case of each command; the JSON key order, indentation and float
+# text are part of the report.
+@pytest.mark.parametrize("argv, code, digest", [
+    (("construct", "algebraic", "--n", "72", "--k", "3"), 0,
+     "6e24b7249e838a9c7cde1f6ec342f20e29f56b18d879aec7e83d6cf45adcfc72"),
+    (("verify", "{d}/a72.permset"), 0,
+     "ec30149a35d4185844a48893fd72ea2aa62de8c589ae51f8977a0a51e400bf11"),
+    (("verify", "{d}/h27.permset", "--bound", "theorem1"), 1,
+     "0ff0b3edd72da46d7722447a50adedd5549c178efaaee4b234a1dd5b9ed888ba"),
+    (("sample", "--n", "400", "--k", "3", "--trials", "5", "--seed", "7"), 0,
+     "52b1898d0b3ee1d6f5b7fb0ec5c1b8bd57f56434550f88479d04e3c4fcd2e489"),
+    (("distance", "{d}/a72.permset"), 0,
+     "dc13ddb0cdb80e9ac3caf231652d13778bf1b3ef8159af11aeedcc9def39d531"),
+    (("bench", "--grid", "algebraic:k=3,4:s1=1", "--grid", "hadamard:k=4:s=2",
+      "--grid", "random:n=100:k=3", "--seed", "1"), 0,
+     "2bb9e7f15ec52b69438e55d618b30cf1374c27e01d1e9edc182e53fff61ff4b6"),
+])
+def test_report_bytes(sets_dir, capsys, argv, code, digest):
+    got, out, _ = run(capsys, *(a.format(d=sets_dir) for a in argv))
+    out = out.replace(str(sets_dir), "<tmp>")
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "hadamard", "--k", "4", "--s", "2"),
+    ("verify", "{d}/a72.permset"),
+    ("sample", "--n", "50", "--k", "2", "--trials", "2"),
+    ("distance", "{d}/a72.permset"),
+    ("bench", "--grid", "hadamard:k=4:s=2"),
+])
+@pytest.mark.parametrize("timing", [False, True])
+def test_timing_flag(sets_dir, capsys, monkeypatch, argv, timing):
+    # A clock that advances one second per reading: with --timing each
+    # reported span is exactly 1000 ms, without it 0.
+    clock = itertools.count(0.0, 1.0)
+    monkeypatch.setattr("permlcs.cli.time", types.SimpleNamespace(perf_counter=clock.__next__))
+    flag = ("--timing",) if timing else ()
+    code, out, _ = run(capsys, *(a.format(d=sets_dir) for a in argv), *flag)
+    assert code == 0
+    if argv[0] == "bench":
+        elapsed = int(out.splitlines()[1].rsplit(",", 1)[1])
+    else:
+        elapsed = json.loads(out)["results"]["elapsed_ms"]
+    assert type(elapsed) is int and elapsed == (1000 if timing else 0)
