@@ -102,21 +102,31 @@ def _check_theorem1(n: int, k: int, max_lcs: int) -> dict:
 
 
 BOUND_CHECKS = {"theorem2": _check_theorem2, "theorem1": _check_theorem1, "lower": _check_lower}
+BOUND_CHOICES = (*BOUND_CHECKS, "all")
 
 
-def check_all_bounds(n: int, k: int, max_lcs: int) -> dict:
-    """Every entry of BOUND_CHECKS, for `verify --bound all`.
+def check_bounds(choice: str, n: int, k: int, max_lcs: int) -> tuple[dict, bool]:
+    """`verify --bound choice`'s verdict: (reports by bound name, passed).
 
+    A single named bound must apply to (n, k), or this raises ValueError.
+    `all` reports every entry of BOUND_CHECKS and asserts only `theorem2`
+    and, where it applies, `lower`, which hold for every construction.
     `theorem1` guesses the digit base from n alone, which is right only for
     an unrestricted digit set (n = s**(k-1)); a lattice or restricted digit
-    set may exceed it while its own guarantee holds.  So it is reported but
-    marked `"asserted": False`; `theorem2` and `lower` hold for every
-    construction and stay asserted.
+    set may exceed it while its own guarantee holds.  So under `all` it is
+    reported but marked `"asserted": False`.
     """
-    bounds = {name: check(n, k, max_lcs) for name, check in BOUND_CHECKS.items()}
-    if bounds["theorem1"]["applicable"]:
-        bounds["theorem1"]["asserted"] = False
-    return bounds
+    if choice != "all":
+        report = BOUND_CHECKS[choice](n, k, max_lcs)
+        if not report["applicable"]:
+            raise ValueError(f"bound {choice} not applicable: {report['note']}")
+        return {choice: report}, report["holds"]
+    reports = {name: check(n, k, max_lcs) for name, check in BOUND_CHECKS.items()}
+    if reports["theorem1"]["applicable"]:
+        reports["theorem1"]["asserted"] = False
+    passed = all(r["holds"] for r in reports.values()
+                 if r["applicable"] and r.get("asserted", True))
+    return reports, passed
 
 
 @dataclass(frozen=True)

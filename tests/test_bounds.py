@@ -21,7 +21,7 @@ from permlcs import (
     sample_lis,
     trial_rng,
 )
-from permlcs.bounds import BOUND_CHECKS, largest_m_with_factorial_below
+from permlcs.bounds import BOUND_CHECKS, check_bounds, largest_m_with_factorial_below
 from permlcs.perm import MAX_N
 
 
@@ -167,6 +167,21 @@ def test_lower_bound_report_algebraic():
 
 def test_lower_bound_requires_three():
     assert BOUND_CHECKS["lower"](4, 2, 1) == {"applicable": False, "note": "needs k >= 3"}
+
+
+# `verify --bound all` verdicts no CLI test reaches: theorem2 failing on a
+# repeated member (LCS = n) while theorem1 is only reported, `lower` failing
+# (no real set can), and `lower` not applying at k = 2.
+@pytest.mark.parametrize("n, k, max_lcs, passed, failing", [
+    (400, 4, 400, False, {"theorem2", "theorem1"}),
+    (1000, 3, 9, False, {"lower"}),
+    (9, 2, 9, True, set()),
+])
+def test_check_bounds_all(n, k, max_lcs, passed, failing):
+    reports, got = check_bounds("all", n, k, max_lcs)
+    assert got is passed and list(reports) == list(BOUND_CHECKS)
+    assert {name for name, r in reports.items() if r.get("holds") is False} == failing
+    assert reports["theorem1"].get("asserted", False) is False
 
 
 def test_random_set_provenance():

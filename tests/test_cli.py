@@ -290,16 +290,17 @@ def test_usage_error_exit_code(capsys):
     assert run(capsys)[0] == 2
 
 
-@pytest.fixture
-def sets_dir(tmp_path):
-    write_permset(build_general(72, 3), tmp_path / "a72.permset")
-    write_permset(build_hadamard_set(4, 4, n=27), tmp_path / "h27.permset")
-    return tmp_path
+def write_sets(d):
+    d.mkdir(exist_ok=True)
+    write_permset(build_general(72, 3), d / "a72.permset")
+    write_permset(build_hadamard_set(4, 4, n=27), d / "h27.permset")
+    return d
 
 
 # Exit code and sha256 of stdout, with the temp directory written as "<tmp>",
 # for one case of each command; the JSON key order, indentation and float
-# text are part of the report.
+# text are part of the report.  Both routes must print the same bytes, and
+# each pass writes its own input files on its route.
 @pytest.mark.parametrize("argv, code, digest", [
     (("construct", "algebraic", "--n", "72", "--k", "3"), 0,
      "6e24b7249e838a9c7cde1f6ec342f20e29f56b18d879aec7e83d6cf45adcfc72"),
@@ -315,10 +316,12 @@ def sets_dir(tmp_path):
       "--grid", "random:n=100:k=3", "--seed", "1"), 0,
      "2bb9e7f15ec52b69438e55d618b30cf1374c27e01d1e9edc182e53fff61ff4b6"),
 ])
-def test_report_bytes(sets_dir, capsys, argv, code, digest):
-    got, out, _ = run(capsys, *(a.format(d=sets_dir) for a in argv))
-    out = out.replace(str(sets_dir), "<tmp>")
-    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+def test_report_bytes(tmp_path, capsys, routes, argv, code, digest):
+    for route in routes:
+        d = write_sets(tmp_path / route)
+        got, out, _ = run(capsys, *(a.format(d=d) for a in argv))
+        out = out.replace(str(d), "<tmp>")
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
 @pytest.mark.parametrize("argv", [
@@ -329,13 +332,14 @@ def test_report_bytes(sets_dir, capsys, argv, code, digest):
     ("bench", "--grid", "hadamard:k=4:s=2"),
 ])
 @pytest.mark.parametrize("timing", [False, True])
-def test_timing_flag(sets_dir, capsys, monkeypatch, argv, timing):
+def test_timing_flag(tmp_path, capsys, monkeypatch, argv, timing):
+    d = write_sets(tmp_path)
     # A clock that advances one second per reading: with --timing each
     # reported span is exactly 1000 ms, without it 0.
     clock = itertools.count(0.0, 1.0)
     monkeypatch.setattr("permlcs.cli.time", types.SimpleNamespace(perf_counter=clock.__next__))
     flag = ("--timing",) if timing else ()
-    code, out, _ = run(capsys, *(a.format(d=sets_dir) for a in argv), *flag)
+    code, out, _ = run(capsys, *(a.format(d=d) for a in argv), *flag)
     assert code == 0
     if argv[0] == "bench":
         elapsed = int(out.splitlines()[1].rsplit(",", 1)[1])

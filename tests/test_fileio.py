@@ -23,22 +23,8 @@ from permlcs.perm import MAX_N
 from oracles import value_line
 
 
-@pytest.fixture
-def codecs(monkeypatch):
-    """The value-line codecs a test body runs on, one loop pass each:
-    "native" when `_native.library()` loads, then "python", the plain route
-    forced as on a machine with no compiler.  A failing pass names its codec
-    in the loop variable `codec` (pytest -l)."""
-    def each():
-        if _native.library() is not None:
-            yield "native"
-        monkeypatch.setattr(_native, "library", lambda: None)
-        yield "python"
-    return each()
-
-
-def test_permset_exact_bytes(codecs):
-    for codec in codecs:
+def test_permset_exact_bytes(routes):
+    for codec in routes:
         # dumps_permset joins the lines, so a reused line buffer must be copied
         s = PermSet((identity(3), reversal(3)))
         assert dumps_permset(s) == "permset 1 2 3\n1 2 3\n3 2 1\n"
@@ -46,8 +32,8 @@ def test_permset_exact_bytes(codecs):
         assert dumps_permset(one) == "permset 1 1 4\n2 1 4 3\n"
 
 
-def test_permset_round_trip(tmp_path, codecs):
-    for codec in codecs:
+def test_permset_round_trip(tmp_path, routes):
+    for codec in routes:
         s = PermSet((identity(5), reversal(5), Permutation.from_one_line([2, 4, 1, 5, 3])))
         path = tmp_path / "s.permset"
         write_permset(s, path)
@@ -81,8 +67,8 @@ def test_single_member_permset_parses():
         "permline 1 3\n1 2 3\n",  # PERMLINE is no longer a supported format
     ],
 )
-def test_malformed_documents_rejected(text, codecs):
-    for codec in codecs:
+def test_malformed_documents_rejected(text, routes):
+    for codec in routes:
         with pytest.raises(FormatError):
             loads_permset(text)
 
@@ -95,30 +81,30 @@ def test_errors_name_the_physical_line():
 
 
 @pytest.mark.parametrize("n", [9, 10, 99, 100, 1000, 12345])
-def test_value_lines_match_scalar_writer(n, codecs):
+def test_value_lines_match_scalar_writer(n, routes):
     images = list(range(1, n + 1))
     random.Random(n).shuffle(images)
     p = Permutation.from_one_line(images)
     s = PermSet((p, identity(n), reversal(n)))
     want = f"permset 1 3 {n}\n" + "".join(value_line(q.one_line) for q in s.perms)
-    for codec in codecs:
+    for codec in routes:
         assert dumps_permset(s) == want
 
 
 @pytest.mark.parametrize("build, args", [(build_hadamard_set, (8, 3)), (build_general, (1000, 5))])
-def test_construction_round_trips(build, args, codecs):
+def test_construction_round_trips(build, args, routes):
     s = build(*args)
-    for codec in codecs:
+    for codec in routes:
         assert loads_permset(dumps_permset(s)).perms == s.perms
 
 
-def test_random_members_round_trip_byte_identically(tmp_path, codecs):
+def test_random_members_round_trip_byte_identically(tmp_path, routes):
     rng = np.random.default_rng(13)
     sizes = sorted({1, 2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 2000,
                     *rng.integers(1, 2001, size=40).tolist()})
     sets = [PermSet([Permutation(rng.permutation(n)) for _ in range(2)]) for n in sizes]
     path = tmp_path / "s.permset"
-    for codec in codecs:
+    for codec in routes:
         for s in sets:
             want = f"permset 1 2 {s.n}\n" + "".join(value_line(p.one_line) for p in s.perms)
             assert dumps_permset(s) == want
@@ -190,10 +176,10 @@ def _read_outcome(read, arg):
 
 
 @pytest.mark.parametrize("text, want", SAME_AS_SPLITLINES)
-def test_reader_splits_lines_and_tokens_as_python_does(tmp_path, text, want, codecs):
+def test_reader_splits_lines_and_tokens_as_python_does(tmp_path, text, want, routes):
     path = tmp_path / "s.permset"
     path.write_bytes(text.encode("ascii"))
-    for codec in codecs:
+    for codec in routes:
         assert _read_outcome(loads_permset, text) == want
         assert _read_outcome(read_permset, path) == want
 
@@ -216,7 +202,7 @@ OFF_CANONICAL = [
 
 
 @pytest.mark.parametrize("n, line, parsed, want", OFF_CANONICAL)
-def test_canonical_length_lines_off_the_canonical_form(tmp_path, n, line, parsed, want, codecs):
+def test_canonical_length_lines_off_the_canonical_form(tmp_path, n, line, parsed, want, routes):
     assert len(line) == n + fileio._digit_count(n)
     lib = _native.library()
     if lib is not None:
@@ -224,7 +210,7 @@ def test_canonical_length_lines_off_the_canonical_form(tmp_path, n, line, parsed
         assert lib.parse_line(line, len(line), n, word.ctypes.data) == parsed
     path = tmp_path / "s.permset"
     path.write_bytes(b"permset 1 1 %d\n" % n + line)
-    for codec in codecs:
+    for codec in routes:
         assert _read_outcome(read_permset, path) == want
 
 
@@ -313,7 +299,7 @@ def test_read_permset_streams(tmp_path):
     assert peak < 2 * sum(p.array.nbytes for p in s.perms)
 
 
-def test_value_line_matches_str_at_every_width(codecs):
+def test_value_line_matches_str_at_every_width(routes):
     # every width a value in 1..MAX_N can have, and MAX_N itself, through the
     # native render; it takes any word, so no member on [MAX_N] is built
     values = [v for w in range(1, 9) for v in (10 ** (w - 1), 10 ** (w - 1) + 7, 10**w - 1)]
@@ -333,7 +319,7 @@ def test_value_line_matches_str_at_every_width(codecs):
     n = 10**6 + 1
     s = PermSet((reversal(n),))
     want = f"permset 1 1 {n}\n" + " ".join(map(str, range(n, 0, -1))) + "\n"
-    for codec in codecs:
+    for codec in routes:
         assert dumps_permset(s) == want
 
 

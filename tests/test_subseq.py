@@ -28,26 +28,12 @@ import permlcs.subseq as subseq
 from oracles import lcs_by_enumeration, lcs_pair_dp, lis_quadratic
 
 
-@pytest.fixture
-def kernels(monkeypatch):
-    """The kernels a test body runs on, one loop pass each: "native" when the
-    compiled kernel loads, then "python", the fallback `_lis_core` forced as
-    on a machine with no compiler.  A failing pass names its kernel in the
-    loop variable `kernel` (pytest -l)."""
-    def each():
-        if _native.library() is not None:
-            yield "native"
-        monkeypatch.setattr(_native, "library", lambda: None)
-        yield "python"
-    return each()
-
-
 def rand_perm(rng, n):
     return Permutation.from_one_line(rng.sample(range(1, n + 1), n))
 
 
-def test_lis_examples(kernels):
-    for kernel in kernels:
+def test_lis_examples(routes):
+    for kernel in routes:
         assert lis(identity(7).one_line) == 7
         assert lis(reversal(7).one_line) == 1
         assert lis([3, 1, 4, 2, 5]) == 3 == lis_quadratic([3, 1, 4, 2, 5])
@@ -56,8 +42,8 @@ def test_lis_examples(kernels):
         assert lis(np.array([9, 2**63 - 1, 3], dtype=np.uint64)) == 2
 
 
-def test_lds_examples(kernels):
-    for kernel in kernels:
+def test_lds_examples(routes):
+    for kernel in routes:
         assert lds(reversal(6).one_line) == 6
         assert lds(identity(6).one_line) == 1
         assert lds([3, 1, 4, 2, 5]) == 2 == lis_quadratic([-v for v in [3, 1, 4, 2, 5]])
@@ -79,8 +65,8 @@ def test_duplicate_values_rejected():
             lds(word)
 
 
-def test_lis_matches_quadratic_oracle(kernels):
-    for kernel in kernels:
+def test_lis_matches_quadratic_oracle(routes):
+    for kernel in routes:
         rng = random.Random(101)
         for _ in range(200):
             n = rng.randint(0, 60)
@@ -89,14 +75,14 @@ def test_lis_matches_quadratic_oracle(kernels):
             assert lds(seq) == lis_quadratic([-v for v in seq])
 
 
-def test_lis_exhaustive_tiny(kernels):
+def test_lis_exhaustive_tiny(routes):
     # every permutation of [5]: patience == quadratic DP == definition
-    for kernel in kernels:
+    for kernel in routes:
         for word in itertools.permutations(range(1, 6)):
             assert lis(word) == lis_quadratic(word)
 
 
-def test_int64_max_ends_an_increasing_run(kernels):
+def test_int64_max_ends_an_increasing_run(routes):
     # The native kernel pads unused pile tops with INT64_MAX; a word holding
     # that value itself must still start a pile of its own.
     top = 2**63 - 1
@@ -104,7 +90,7 @@ def test_int64_max_ends_an_increasing_run(kernels):
     words = [[5, top, 6, 7], [top], [top, 0], [-(2**63), top],
              list(range(64)) + [top] + list(range(64, 130)), [5, 6, 7, 0, top],
              shuffled + [top], shuffled[:250] + [top] + shuffled[250:]]
-    for kernel in kernels:
+    for kernel in routes:
         assert lis([0, top]) == 2
         assert lis(list(range(70)) + [top]) == 71
         assert lds([top, 0]) == 2
@@ -114,10 +100,10 @@ def test_int64_max_ends_an_increasing_run(kernels):
             assert lds(word) == lis_quadratic([-v for v in word])
 
 
-def test_monotone_words_cross_every_capacity_doubling(kernels):
+def test_monotone_words_cross_every_capacity_doubling(routes):
     # The native kernel searches 64 pile tops at first and doubles that up to
     # n whenever the piles fill it; monotone words reach every step.
-    for kernel in kernels:
+    for kernel in routes:
         for n in (1, 63, 64, 65, 127, 128, 129, 4097):
             up = np.arange(n) - n // 2
             assert (lis(up), lds(up)) == (n, 1)
@@ -141,8 +127,8 @@ def test_native_kernel_matches_python_kernel_on_long_words():
         assert subseq._lis_word(word) == subseq._lis_core(word.tolist())
 
 
-def test_lcs_pair_examples(kernels):
-    for kernel in kernels:
+def test_lcs_pair_examples(routes):
+    for kernel in routes:
         p = Permutation.from_one_line([4, 2, 5, 1, 3])
         assert lcs_pair(p, p) == 5
         assert lcs_pair(identity(9), reversal(9)) == 1
@@ -168,8 +154,8 @@ def test_lcs_dp_size_guard():
         lcs_pair_dp(big, big)
 
 
-def test_lcs_matches_enumeration_tiny(kernels):
-    for kernel in kernels:
+def test_lcs_matches_enumeration_tiny(routes):
+    for kernel in routes:
         rng = random.Random(77)
         for _ in range(60):
             n = rng.randint(1, 7)
@@ -179,8 +165,8 @@ def test_lcs_matches_enumeration_tiny(kernels):
             assert lcs_pair_dp(a, b) == want
 
 
-def test_lcs_fast_equals_dp_random(kernels):
-    for kernel in kernels:
+def test_lcs_fast_equals_dp_random(routes):
+    for kernel in routes:
         rng = random.Random(2024)
         for _ in range(120):
             n = rng.randint(1, 128)
@@ -220,8 +206,8 @@ def test_all_pairs_requires_two():
         lcs_all_pairs(PermSet((identity(4),)))
 
 
-def test_all_pairs_matches_dp_on_construction(kernels):
-    for kernel in kernels:
+def test_all_pairs_matches_dp_on_construction(routes):
+    for kernel in routes:
         s = build_exact(72, 3)
         m = lcs_all_pairs(s)
         assert m.k == 3 and m.n == 72
@@ -231,10 +217,10 @@ def test_all_pairs_matches_dp_on_construction(kernels):
         assert m[0, 0] == 72
 
 
-def test_all_pairs_threaded_matches_serial(kernels):
+def test_all_pairs_threaded_matches_serial(routes):
     rng = random.Random(55)
     s = PermSet(tuple(rand_perm(rng, 40) for _ in range(5)))
-    for kernel in kernels:
+    for kernel in routes:
         assert lcs_all_pairs(s, threads=4) == lcs_all_pairs(s)
 
 
@@ -247,7 +233,7 @@ def test_erdos_szekeres_floor():
             assert max(lis(word), lds(word)) >= ceil_sqrt
 
 
-def test_non_integer_words_rejected(kernels):
+def test_non_integer_words_rejected(routes):
     # lis/lds take words of integers that fit int64, and nothing else
     words = [
         [0.5, 2.5, 1.5], np.array([3.0, 1.0, 2.0]),  # floats
@@ -257,7 +243,7 @@ def test_non_integer_words_rejected(kernels):
         np.arange(6).reshape(2, 3), [[1, 2], [3, 4]], [[1], [2, 3]],  # nesting
         (v for v in [3, 1, 2]),  # generators
     ]
-    for kernel in kernels:
+    for kernel in routes:
         for word in words:
             with pytest.raises(ValueError, match="1-D word of int64 integers"):
                 lis(word)
