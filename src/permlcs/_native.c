@@ -14,8 +14,8 @@ static void pad(int64_t *tops, ptrdiff_t from, ptrdiff_t to)
 
 /* Length of the longest strictly increasing subsequence of a[0..n), by
    patience sorting: tops[0..len) holds the smallest top of each pile, and
-   each value replaces the first top that is not below it.  tops must have
-   room for n entries; the caller owns it, so a sweep reuses one buffer.
+   each value replaces the first top that is not below it.  tops is the
+   caller's scratch, with room for n entries.
 
    tops[0..cap) stays sorted: its tail past len is padded with INT64_MAX, so
    starting a new pile is an overwrite like any other, and the search always

@@ -14,6 +14,7 @@ output; there is no switch between the two.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import zlib
 from functools import cache
@@ -28,7 +29,9 @@ _BUILD_TIMEOUT_S = 60
 def _build(lib: Path) -> bool:
     """Compile `_SOURCE` to `lib` in a private temp directory and rename it
     into place, so concurrent builds never leave a torn library; the
-    compiler's output is discarded."""
+    compiler's output is discarded.  Then delete the libraries of other
+    sources or commands (and of the module's former name, `_lis`) built for
+    this interpreter; a process that loaded one keeps its mapping."""
     import subprocess
     import tempfile
 
@@ -41,6 +44,11 @@ def _build(lib: Path) -> bool:
         except subprocess.SubprocessError:
             return False
         os.replace(out, lib)
+    suffix = EXTENSION_SUFFIXES[0]
+    for stale in (*lib.parent.glob(f"_native-*{suffix}"), *lib.parent.glob(f"_lis-*{suffix}")):
+        if stale != lib:
+            with contextlib.suppress(OSError):
+                stale.unlink()
     return True
 
 

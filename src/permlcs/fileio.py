@@ -12,8 +12,9 @@ Value lines go through the native codec, `render_line` and `parse_line` in
 when it does not; the two give the same bytes and the same members.
 
 Writing renders each member's 0-based word, adding one in C, into one reused
-`uint8` buffer of exactly n + D(n) bytes, D(n) being the digit count of
-1..n, and writes that buffer as is; without the codec a line is
+`uint8` buffer with room for n values as wide as n, and writes the prefix
+whose length `render_line` returns: the codec's count is the line, and a
+refused render raises RuntimeError.  Without the codec a line is
 `" ".join(map(str, one_line))`.  A set above the cap, which no reader would
 accept, raises ValueError before `write_permset` opens its path.
 
@@ -58,8 +59,8 @@ class FormatError(ValueError):
 
 def _permset_lines(s: PermSet) -> Iterator[Union[bytes, np.ndarray]]:
     """The document's lines; ValueError on the call, before any line is made,
-    for a set above the cap.  With the native codec every value line is the
-    same reused buffer, so a caller must use each line before the next."""
+    for a set above the cap.  With the native codec every value line is a
+    view of one reused buffer, so a caller must use each line before the next."""
     if s.n > MAX_N:
         raise ValueError(f"n = {s.n} exceeds the ground-set cap {MAX_N}")
     header = f"permset 1 {s.k} {s.n}\n".encode("ascii")
@@ -67,26 +68,19 @@ def _permset_lines(s: PermSet) -> Iterator[Union[bytes, np.ndarray]]:
     if lib is None:
         values = ((" ".join(map(str, p.one_line)) + "\n").encode("ascii") for p in s.perms)
         return chain((header,), values)
-    buf = np.empty(s.n + _digit_count(s.n), dtype=np.uint8)
+    buf = np.empty(s.n * (len(str(s.n)) + 1), dtype=np.uint8)
 
     def render(p: Permutation) -> np.ndarray:
-        lib.render_line(p.array.ctypes.data, p.n, buf.ctypes.data, buf.size)
-        return buf
+        end = lib.render_line(p.array.ctypes.data, p.n, buf.ctypes.data, buf.size)
+        if end < 0:
+            raise RuntimeError(f"render_line refused a member on [{p.n}]")
+        return buf[:end]
 
     return chain((header,), map(render, s.perms))
 
 
 def dumps_permset(s: PermSet) -> str:
     return b"".join(map(bytes, _permset_lines(s))).decode("ascii")
-
-
-def _digit_count(n: int) -> int:
-    """D(n), the number of digits in 1, 2, ..., n."""
-    total, low, width = 0, 1, 1
-    while low <= n:
-        total += (min(n, 10 * low - 1) - low + 1) * width
-        low, width = 10 * low, width + 1
-    return total
 
 
 def _parse_header(line: str) -> tuple[int, int]:

@@ -10,17 +10,13 @@ integers that fit `int64` (anything else is a ValueError) and hand the word
 to `_lis_word`; `lcs_pair` and `lcs_all_pairs` relabel through `_column`,
 which calls `_lis_word` per pair.
 
-Patience sorting runs in C (`lis_length` in `_native.c`, over an `int64`
-word).  Its pile tops sit in a sorted array padded with `INT64_MAX`, so a
-new pile is an ordinary overwrite and the binary search takes a fixed,
-branch-free log2 of the padded size; the padding doubles as the piles fill
-it.  Before searching, the kernel tries the pile the previous value landed
-on and the next one, where most values of a digit-set word go, and stops
-trying while that keeps missing, as on random words.  The first LIS call
-builds and loads it through `_native.library()`; importing the module does
-neither.  Where it cannot be built or loaded, `_lis_word` runs `_lis_core`,
-the same algorithm in Python, instead, with equal answers and no output;
-there is no switch between the two.
+Patience sorting runs in C, `lis_length` in `_native.c`, over an `int64`
+word and pile-top scratch that `_lis_word` allocates per call; the comment
+there describes its padded pile tops, its neighbour-pile check and the miss
+count that gates it.  The first LIS call builds and loads it through
+`_native.library()`; importing the module does neither.  Where it cannot be
+built or loaded, `_lis_word` runs `_lis_core`, the same algorithm in Python,
+with equal answers and no output; there is no switch between the two.
 
 Patience sorting needs no tie-breaking policy here: inputs are permutations,
 so pile-top binary search never sees equal values.
@@ -54,13 +50,12 @@ def _lis_core(seq: Sequence[int]) -> int:
     return len(tops)
 
 
-def _lis_word(word: np.ndarray, tops: np.ndarray | None = None) -> int:
-    """LIS of a contiguous int64 word; `tops` is scratch of at least its length."""
+def _lis_word(word: np.ndarray) -> int:
+    """LIS of a contiguous int64 word."""
     lib = _native.library()
     if lib is None:
         return _lis_core(word.tolist())
-    if tops is None:
-        tops = np.empty(len(word), dtype=np.int64)
+    tops = np.empty(len(word), dtype=np.int64)
     return lib.lis_length(word.ctypes.data, len(word), tops.ctypes.data)
 
 
@@ -147,17 +142,16 @@ class LcsMatrix:
 
 def _column(perms: Sequence[Permutation], j: int) -> list[int]:
     """LCS of member j with each earlier member.  j's position array is built
-    once and relabels each earlier member into one reused word, with one
-    pile-top buffer for the column."""
+    once and relabels each earlier member into one reused word."""
     n = perms[j].n
-    pos, word, tops = (np.empty(n, dtype=np.int64) for _ in range(3))
+    pos, word = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     pos[perms[j].array] = np.arange(n)
     values = []
     for i in range(j):
         # perms[i] is a validated permutation of 0..n-1, so "clip" never
         # clips; unlike the default "raise", it lets take write `out` unbuffered.
         np.take(pos, perms[i].array, out=word, mode="clip")
-        values.append(_lis_word(word, tops))
+        values.append(_lis_word(word))
     return values
 
 

@@ -147,6 +147,11 @@ def test_pigeonhole_pair_k2():
     assert m == 1 and (i, j) == (0, 1)
 
 
+def test_pigeonhole_pair_needs_two_members():
+    with pytest.raises(ValueError, match="^need at least two permutations$"):
+        pigeonhole_pair(PermSet((identity(5),)))
+
+
 def test_lower_bound_report_identity_reversal():
     s = PermSet((identity(16), reversal(16), random_perm(16, trial_rng(5))))
     max_pair = lcs_all_pairs(s).max_pair

@@ -47,6 +47,11 @@ def test_construct_hadamard(tmp_path, capsys):
     assert report["results"]["n_prime"] == 8
     assert report["results"]["lcs_bound"] == 2
     assert read_permset(out).k == 4
+    # --n restricts the set to [n] and is echoed in params
+    code, report, _ = run_json(capsys, "construct", "hadamard", "--k", "4", "--s", "4",
+                               "--n", "27")
+    assert code == 0
+    assert report["params"]["n"] == 27 and report["results"]["n_prime"] == 64
 
 
 def test_construct_round_trip_equal(tmp_path, capsys):
@@ -211,6 +216,16 @@ def test_bench_bad_grids(capsys):
     assert run(capsys, "bench", "--grid", "mystery:k=3:s1=1")[0] == 2
     assert run(capsys, "bench", "--grid", "algebraic:k=:s1=1")[0] == 2
     assert run(capsys, "bench")[0] == 2
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("construct", "algebraic", "--n", "72", "--k", "3", "--s", "2"),
+     "error: --s does not apply to the algebraic construction\n"),
+    (("construct", "hadamard", "--k", "4"), "error: construct hadamard requires --s\n"),
+    (("bench", "--grid", "algebraic:k=3:q=1"), "error: bad grid component 'q=1' for algebraic\n"),
+])
+def test_usage_errors_name_what_is_wrong(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
 
 
 def test_bench_error_names_failing_cell(capsys):

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from permlcs import (
 )
 import permlcs._native as _native
 import permlcs.fileio as fileio
+from permlcs.cli import main
 from permlcs.perm import MAX_N
 from oracles import value_line
 
@@ -185,10 +187,10 @@ def test_reader_splits_lines_and_tokens_as_python_does(tmp_path, text, want, rou
 
 
 # Lines off the canonical form with, by construction of the data, the
-# canonical length n + D(n), so length alone cannot tell them apart; the
-# reader checks no length.  Each row gives what the native parse returns
-# (1 only for a repeated value, which `_adopt` rejects): all take the exact
-# path and get its error text.
+# canonical length, that of "1 2 ... n\n", so length alone cannot tell them
+# apart; the reader checks no length.  Each row gives what the native parse
+# returns (1 only for a repeated value, which `_adopt` rejects): all take the
+# exact path and get its error text.
 OFF_CANONICAL = [
     (3, b"0 1 2\n", 0, "line 2: one-line form is not a rearrangement of 1..3"),  # value 0
     (3, b"1 2 4\n", 0, "line 2: one-line form is not a rearrangement of 1..3"),  # value n + 1
@@ -203,7 +205,7 @@ OFF_CANONICAL = [
 
 @pytest.mark.parametrize("n, line, parsed, want", OFF_CANONICAL)
 def test_canonical_length_lines_off_the_canonical_form(tmp_path, n, line, parsed, want, routes):
-    assert len(line) == n + fileio._digit_count(n)
+    assert len(line) == len(value_line(range(1, n + 1)))
     lib = _native.library()
     if lib is not None:
         word = np.empty(n, dtype=np.int64)
@@ -288,6 +290,9 @@ def test_header_above_ground_set_cap_rejected(tmp_path):
 def test_read_permset_streams(tmp_path):
     """Peak traced memory stays below twice the members it returns; holding
     the whole text and its split copies took 3.8 times."""
+    if _native.library() is None:
+        pytest.skip("no native codec on this machine; the Python route holds each "
+                    "line's token list, a peak of 2.4 times the members")
     path = tmp_path / "h.permset"
     write_permset(build_hadamard_set(8, 5), path)
     tracemalloc.start()
@@ -321,6 +326,19 @@ def test_value_line_matches_str_at_every_width(routes):
     want = f"permset 1 1 {n}\n" + " ".join(map(str, range(n, 0, -1))) + "\n"
     for codec in routes:
         assert dumps_permset(s) == want
+
+
+def test_refused_render_is_an_internal_error(tmp_path, monkeypatch, capsys):
+    # The writer keeps only the bytes render_line counts, so a refusal (-1)
+    # must raise rather than write a stale or partial line.
+    refusing = types.SimpleNamespace(render_line=lambda *args: -1)
+    monkeypatch.setattr(_native, "library", lambda: refusing)
+    with pytest.raises(RuntimeError, match=r"^render_line refused a member on \[3\]$"):
+        dumps_permset(PermSet((identity(3), reversal(3))))
+    path = tmp_path / "s.permset"
+    argv = ["construct", "algebraic", "--n", "72", "--k", "3", "--out", str(path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "internal error: render_line refused a member on [72]\n"
 
 
 def test_writers_refuse_a_set_above_the_cap(tmp_path, monkeypatch):

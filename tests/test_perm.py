@@ -148,6 +148,16 @@ def test_equal_members_compare_and_hash_equal():
     assert len({a, b, identity(3), identity(3)}) == 2
 
 
+def test_sequence_protocol_and_repr():
+    p = Permutation.from_one_line([3, 1, 2])
+    assert len(p) == 3
+    assert list(p) == [3, 1, 2]  # 1-based, unlike `word`
+    assert repr(p) == "Permutation((2, 0, 1))"
+    assert (p == "x") is False and (p != "x") is True
+    s = PermSet((p, identity(3)))
+    assert list(s) == [p, identity(3)]
+
+
 def test_array_is_read_only():
     p = reversal(5)
     with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,11 +287,32 @@ def test_compiler_command_keys_the_library(tmp_path, monkeypatch):
     source.write_bytes(_native._SOURCE.read_bytes())
     monkeypatch.setattr(_native, "_SOURCE", source)
     word, tops = np.array([3, 1, 4, 2, 5], dtype=np.int64), np.empty(5, dtype=np.int64)
+    names = []
     for flag in ("-O2", "-O1", "-O2"):
         monkeypatch.setattr(_native, "_CC", ("cc", flag, "-shared", "-fPIC"))
         lib = _native.library.__wrapped__()  # uncached: build for this command
         assert lib.lis_length(word.ctypes.data, 5, tops.ctypes.data) == 3
-    assert len(list(tmp_path.glob("__pycache__/_native-*"))) == 2
+        names.append(os.path.basename(lib._name))
+    assert names[0] == names[2] != names[1]
+    # each build deletes the other command's library
+    assert [p.name for p in tmp_path.glob("__pycache__/_native-*")] == [names[2]]
+
+
+def test_build_deletes_stale_libraries_of_this_interpreter(tmp_path, monkeypatch):
+    if _native.library() is None:
+        pytest.skip("no native kernel on this machine")
+    source = tmp_path / "_native.c"
+    source.write_bytes(_native._SOURCE.read_bytes())
+    monkeypatch.setattr(_native, "_SOURCE", source)
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    suffix = EXTENSION_SUFFIXES[0]
+    stale = [cache / f"_native-00000000{suffix}", cache / f"_lis-0755b41c{suffix}"]
+    kept = [cache / "_native-00000000.cpython-00-other.so", cache / "fileio.cpython-311.pyc"]
+    for path in stale + kept:
+        path.write_bytes(b"")
+    lib = _native.library.__wrapped__()
+    assert sorted(cache.iterdir()) == sorted([Path(lib._name), *kept])
 
 
 def test_importing_the_cli_builds_and_loads_nothing():
