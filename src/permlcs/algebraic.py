@@ -46,24 +46,29 @@ class ConstructionParams:
     p: int
 
 
-def params_from(n: int, k: int) -> ConstructionParams:
-    """Parameters for the exact case n = k^2 * s1^3; rejects other n."""
+def _params(n: int, k: int) -> ConstructionParams:
+    """Parameters of the smallest exact n' = k^2 * s1^3 >= n (n' <= 8n)."""
     if k < 3:
         raise ValueError(f"need at least k=3 generators, got {k}")
     if n < k * k:
         raise ValueError(f"need n >= k^2 = {k * k}, got {n}")
-    if n > MAX_N:
-        raise ValueError(f"n' = {n} exceeds the ground-set cap {MAX_N}")
     s1 = ceil_cbrt(-(-n // (k * k)))
-    if k * k * s1**3 != n:
-        raise ValueError(
-            f"n={n} is not of the form k^2*s1^3 for k={k}; use build_general"
-        )
+    n_prime = k * k * s1**3
+    if n_prime > MAX_N:
+        raise ValueError(f"n' = {n_prime} exceeds the ground-set cap {MAX_N}")
     s3 = s1 * k
     p = next_prime_above(4 * s3)
     if not p < 8 * s3:
         raise RuntimeError(f"prime search overran the Bertrand window: p={p}, s3={s3}")
-    return ConstructionParams(n=n, k=k, s1=s1, s2=s3, s3=s3, p=p)
+    return ConstructionParams(n=n_prime, k=k, s1=s1, s2=s3, s3=s3, p=p)
+
+
+def params_from(n: int, k: int) -> ConstructionParams:
+    """Parameters for the exact case n = k^2 * s1^3; rejects other n."""
+    params = _params(n, k)
+    if params.n != n:
+        raise ValueError(f"n={n} is not of the form k^2*s1^3 for k={k}; use build_general")
+    return params
 
 
 def _coordinate_arrays(params: ConstructionParams):
@@ -122,9 +127,4 @@ def build_general(n: int, k: int) -> PermSet:
     (n' <= 8n), builds there, and restricts every member back to [n].
     Pairwise LCS of the result is at most 32*(n*k)**(1/3).
     """
-    if k < 3:
-        raise ValueError(f"need at least k=3 generators, got {k}")
-    if n < k * k:
-        raise ValueError(f"need n >= k^2 = {k * k}, got {n}")
-    s1 = ceil_cbrt(-(-n // (k * k)))
-    return _build(params_from(k * k * s1**3, k), n)
+    return _build(_params(n, k), n)

@@ -1,10 +1,13 @@
 """Exact integer arithmetic: primality by trial division and integer roots.
 
-Float cube roots are never trusted for bound decisions; comparisons of the
-form m <= c * (n*k)**(1/3) are decided exactly via m**3 <= c**3 * n * k.
+No float is used: roots come from integer Newton steps, and comparisons of
+the form m <= c * (n*k)**(1/3) are decided exactly via m**3 <= c**3 * n * k.
 """
 
 from __future__ import annotations
+
+import math
+
 
 def is_prime(n: int) -> bool:
     """Trial division by 2 and the odd numbers up to floor(sqrt(n)).
@@ -18,7 +21,7 @@ def is_prime(n: int) -> bool:
         return False
     if n % 2 == 0:
         return n == 2
-    return all(n % d for d in range(3, floor_root(n, 2) + 1, 2))
+    return all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
 def next_prime_above(t: int) -> int:
@@ -30,17 +33,16 @@ def next_prime_above(t: int) -> int:
 
 
 def floor_root(n: int, r: int) -> int:
-    """Largest x with x**r <= n, computed in integer arithmetic."""
+    """Largest x with x**r <= n, computed in integer arithmetic for any size of n."""
     if n < 0 or r < 1:
         raise ValueError("floor_root requires n >= 0 and r >= 1")
     if n < 2 or r == 1:
         return n
-    # Float seed, then correct; exact for any size of n.
-    x = int(round(n ** (1.0 / r)))
-    while x > 0 and x**r > n:
-        x -= 1
-    while (x + 1) ** r <= n:
-        x += 1
+    # From above the root, integer Newton steps fall strictly while x**r > n
+    # and never below the floor root (AM-GM): the first one that does not fall ends it.
+    x = 1 << -(-n.bit_length() // r)
+    while (y := ((r - 1) * x + n // x ** (r - 1)) // r) < x:
+        x = y
     return x
 
 

@@ -134,15 +134,16 @@ def _parse_grid(spec: str) -> list[tuple[str, dict[str, int]]]:
     lists: dict[str, list[int]] = {}
     for part in parts:
         key, sep, vals = part.partition("=")
-        if not sep or key not in wanted:
-            raise ValueError(f"bad grid component {part!r} for {head}")
-        lists[key] = [int(v) for v in vals.split(",") if v]
+        try:  # a repeated key or a value int() refuses is as bad as an unknown key
+            if not sep or key not in wanted or key in lists:
+                raise ValueError
+            lists[key] = [int(v) for v in vals.split(",") if v]
+        except ValueError:
+            raise ValueError(f"bad grid component {part!r} for {head}") from None
     if set(lists) != set(wanted) or any(not v for v in lists.values()):
         raise ValueError(f"grid for {head} needs values for {wanted}")
-    cells = []
-    for combo in itertools.product(*(lists[key] for key in wanted)):
-        cells.append((head, dict(zip(wanted, combo))))
-    return cells
+    combos = itertools.product(*(lists[key] for key in wanted))
+    return [(head, dict(zip(wanted, combo))) for combo in combos]
 
 
 @contextlib.contextmanager

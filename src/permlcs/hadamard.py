@@ -92,9 +92,9 @@ def digit_lcs_bound(k: int, s: int) -> int:
 def digit_ground_set(k: int, s: int) -> int:
     """n' = s**(k-1), or MAX_N + 1 for any n' above the ground-set cap.
 
-    Raises ValueError unless k >= 2 and s >= 2.  The power is past the cap
-    once k - 1 exceeds 24, and it is not computed there: it would be an
-    unbounded integer.
+    Raises ValueError unless k >= 2 and s >= 2.  The power is not computed
+    once k - 1 exceeds 24 (it would be unbounded), and the sentinel sorts an
+    above-cap `bench` cell after every valid one, so their rows print first.
     """
     if k < 2:
         raise ValueError(f"need at least k=2 rows, got {k}")

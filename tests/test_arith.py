@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from permlcs import ceil_cbrt, ceil_root, floor_root, is_prime, next_prime_above
@@ -47,18 +49,34 @@ def test_next_prime_above():
     assert next_prime_above(13) == 17
 
 
+# floor(10**(400/3)), checked against a 300-digit decimal.Decimal cube root
+CBRT_1E400 = int(
+    "2154434690031883721759293566519350495259344942192108582489235506346411106648"
+    "3408001854415035432432761012612204917809204465575051000832"
+)
+
+
 def test_integer_roots_exhaustive():
     for n in range(1, 2000):
         c = floor_root(n, 3)
         assert c**3 <= n < (c + 1) ** 3
         cc = ceil_cbrt(n)
         assert (cc - 1) ** 3 < n <= cc**3
+    # seeded sweep over wide n and several r, where a float seed would be off
+    rng = random.Random(2009)
+    for _ in range(3000):
+        n, r = rng.getrandbits(rng.randint(1, 200)), rng.randint(2, 9)
+        x = floor_root(n, r)
+        assert x**r <= n < (x + 1) ** r
 
 
 @pytest.mark.parametrize(
     "n,r,floor,ceil",
     [(64, 3, 4, 4), (63, 3, 3, 4), (65, 3, 4, 5), (128, 7, 2, 2),
-     (127, 7, 1, 2), (1, 5, 1, 1), (10**15, 3, 10**5, 10**5)],
+     (127, 7, 1, 2), (1, 5, 1, 1), (10**15, 3, 10**5, 10**5),
+     # past float range (10**400 is above 2**1024): the root must come from integers alone
+     pytest.param(10**399, 3, 10**133, 10**133, id="10**399-3"),
+     pytest.param(10**400, 3, CBRT_1E400, CBRT_1E400 + 1, id="10**400-3")],
 )
 def test_root_spot_values(n, r, floor, ceil):
     assert floor_root(n, r) == floor

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import sys
 import time
 import types
 
@@ -223,6 +224,15 @@ def test_bench_bad_grids(capsys):
      "error: --s does not apply to the algebraic construction\n"),
     (("construct", "hadamard", "--k", "4"), "error: construct hadamard requires --s\n"),
     (("bench", "--grid", "algebraic:k=3:q=1"), "error: bad grid component 'q=1' for algebraic\n"),
+    # a repeated key would silently replace the earlier values
+    (("bench", "--grid", "algebraic:k=3:s1=1:k=4"),
+     "error: bad grid component 'k=4' for algebraic\n"),
+    (("bench", "--grid", "algebraic:k=x:s1=1"), "error: bad grid component 'k=x' for algebraic\n"),
+    pytest.param(("bench", "--grid", "algebraic:k=3:s1=" + "9" * 5000),
+                 f"error: bad grid component 's1={'9' * 5000}' for algebraic\n",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="int() has no digit limit"),
+                 id="argv5-s1 past the int() digit limit"),
 ])
 def test_usage_errors_name_what_is_wrong(capsys, argv, err):
     assert run(capsys, *argv) == (2, "", err)
@@ -253,12 +263,25 @@ def test_directory_path_is_os_error(tmp_path, capsys, argv):
     ("construct", "algebraic", "--n", "1000000000000", "--k", "8"),
     ("construct", "hadamard", "--k", "8", "--s", "11"),
     ("sample", "--n", "1000000000000", "--k", "3", "--trials", "1"),
+    # n' is past float range, so the cap must be checked with integer roots
+    ("construct", "algebraic", "--n", "1" + "0" * 400, "--k", "3"),
 ])
 def test_oversize_ground_set_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1 and "ground-set cap" in err
+
+
+def test_bench_orders_above_cap_cell_last(capsys):
+    # digit_ground_set returns MAX_N + 1 for any n' above the cap, so bench
+    # sorts such a cell after every valid one: their rows print, then it fails.
+    code, out, err = run(capsys, "bench", "--grid", "hadamard:k=30:s=2",
+                         "--grid", "hadamard:k=4:s=2")
+    assert code == 2
+    assert out == "construction,n,k,max_lcs,bound,elapsed_ms\nhadamard,8,4,2,2,0\n"
+    assert err == "error: hadamard:k=30:s=2: s**(k-1) exceeds the ground-set cap 16777216\n"
 
 
 @pytest.mark.parametrize("argv", [
