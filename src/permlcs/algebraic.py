@@ -13,10 +13,10 @@ significant.  The resulting k permutations have pairwise LCS at most
 2p - 1 < 16*(n*k)**(1/3).  For general n, the construction is run on the
 smallest exactly-representable n' >= n (n' <= 8n) and restricted back.
 
-The build sorts one packed int64 key, (major*(k*s1 + s2 + 1) + middle)*(s1 + 1)
-+ minor, which orders as the triple since 0 < middle <= k*s1 + s2 (checked)
-and 1 <= minor <= s1.  Key triples of one generator are distinct over [n]; a
-tie in the sorted keys stops the build rather than emit a permutation.
+Keys are computed on the int64 axes x, y, z of the (s3, s2, s1) grid, whose C
+order is the point index.  One argsort of (major*(k*s1 + s2 + 1) + middle) *
+(s1 + 1) + minor orders as the triple (0 < middle <= k*s1 + s2 is checked, and
+1 <= minor <= s1).  Triples are 1-1 on [n], so a tie in the keys stops the build.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _params(n: int, k: int) -> ConstructionParams:
     s1 = ceil_cbrt(-(-n // (k * k)))
     n_prime = k * k * s1**3
     if n_prime > MAX_N:
-        raise ValueError(f"n' = {n_prime} exceeds the ground-set cap {MAX_N}")
+        raise ValueError(f"n' = {k}^2*{s1}^3 exceeds the ground-set cap {MAX_N}")
     s3 = s1 * k
     p = next_prime_above(4 * s3)
     if not p < 8 * s3:
@@ -72,10 +72,9 @@ def params_from(n: int, k: int) -> ConstructionParams:
 
 
 def _coordinate_arrays(params: ConstructionParams):
-    a0 = np.arange(params.n, dtype=np.int64)
-    x = a0 % params.s1 + 1
-    y = (a0 // params.s1) % params.s2 + 1
-    z = a0 // (params.s1 * params.s2) + 1
+    x = np.arange(1, params.s1 + 1, dtype=np.int64)
+    y = np.arange(1, params.s2 + 1, dtype=np.int64)[:, None]
+    z = np.arange(1, params.s3 + 1, dtype=np.int64)[:, None, None]
     return x, y, z
 
 
@@ -98,7 +97,7 @@ def _build(params: ConstructionParams, n: int) -> PermSet:
         # The packed key below orders as the triple only while middle is in range.
         if not ((middle > 0) & (middle <= middle_cap)).all():
             raise RuntimeError(f"middle key left (0, {middle_cap}] for j={j}")
-        key = (major * (middle_cap + 1) + middle) * (params.s1 + 1) + minor
+        key = ((major * (middle_cap + 1) + middle) * (params.s1 + 1) + minor).ravel()
         order = np.argsort(key)
         if not np.diff(key[order]).all():
             raise RuntimeError(f"duplicate sort key for j={j}; keys must be 1-1 on [n]")

@@ -189,7 +189,7 @@ def test_criterion_08_key_injectivity():
         if n > 10**4:
             continue
         params = params_from(n, k)
-        x, y, z = _coordinate_arrays(params)
+        x, y, z = (a.ravel() for a in np.broadcast_arrays(*_coordinate_arrays(params)))
         for j in range(1, k + 1):
             major, middle, minor = _key_arrays(j, x, y, z, params)
             stacked = np.stack([major, middle, minor], axis=1)

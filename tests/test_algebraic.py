@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,7 +88,7 @@ def test_keys_injective_per_generator():
 
 def test_vectorized_keys_match_scalar():
     params = params_from(243, 3)
-    x, y, z = _coordinate_arrays(params)
+    x, y, z = (a.ravel() for a in np.broadcast_arrays(*_coordinate_arrays(params)))
     rng = random.Random(17)
     for j in range(1, params.k + 1):
         major, middle, minor = _key_arrays(j, x, y, z, params)
@@ -105,16 +106,32 @@ def test_middle_key_stays_in_proof_window():
 
 def test_build_general_matches_lexsort_of_key_triples():
     # reference order: numpy's lexsort of the (major, middle, minor) triples,
-    # independent of the build's packed key
+    # independent of the build's packed key; the last two inputs are the
+    # algebraic-verify benchmark set and a larger k=5 set
     rng = random.Random(41)
-    for k in range(3, 13):
-        for n in (k * k, k * k + 1, 8 * k * k - 1, 8 * k * k, rng.randint(k * k, 30 * k * k)):
-            params = params_from(k * k * ceil_cbrt(-(-n // (k * k))) ** 3, k)
-            x, y, z = _coordinate_arrays(params)
-            for j, p in enumerate(build_general(n, k).perms, start=1):
-                major, middle, minor = _key_arrays(j, x, y, z, params)
-                order = np.lexsort((minor, middle, major))
-                assert np.array_equal(p.array, order[order < n]), (n, k, j)
+    cases = [(n, k) for k in range(3, 13)
+             for n in (k * k, k * k + 1, 8 * k * k - 1, 8 * k * k, rng.randint(k * k, 30 * k * k))]
+    for n, k in cases + [(100_000, 8), (12_345, 5)]:
+        params = params_from(k * k * ceil_cbrt(-(-n // (k * k))) ** 3, k)
+        x, y, z = (a.ravel() for a in np.broadcast_arrays(*_coordinate_arrays(params)))
+        for j, p in enumerate(build_general(n, k).perms, start=1):
+            major, middle, minor = _key_arrays(j, x, y, z, params)
+            order = np.lexsort((minor, middle, major))
+            assert np.array_equal(p.array, order[order < n]), (n, k, j)
+
+
+def test_lattice_build_scratch_stays_small():
+    # The keys are computed on the grid's axes, so the build's traced peak
+    # above its members stays within 6 int64 words per point of [n'].
+    for n, k in ((100_000, 8), (100_000, 3)):
+        tracemalloc.start()
+        try:
+            s = build_general(n, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch = peak - sum(p.array.nbytes for p in s.perms)
+        assert scratch <= 6 * 8 * s.params["n_prime"], (n, k, scratch)
 
 
 def test_packed_key_fits_int64_up_to_the_cap():

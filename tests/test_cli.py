@@ -284,6 +284,16 @@ def test_bench_orders_above_cap_cell_last(capsys):
     assert err == "error: hadamard:k=30:s=2: s**(k-1) exceeds the ground-set cap 16777216\n"
 
 
+def test_bench_names_the_cap_for_a_huge_s1(capsys):
+    # n' = 9*s1**3 has about 4,500 digits, past Python's integer-to-string
+    # limit, so the cap message names n' by k and s1 instead.
+    code, out, err = run(capsys, "bench", "--grid", "algebraic:k=3:s1=" + "9" * 1500)
+    assert code == 2
+    assert out == "construction,n,k,max_lcs,bound,elapsed_ms\n"
+    assert err.startswith("error: algebraic:k=3:s1=999") and err.count("\n") == 1
+    assert "exceeds the ground-set cap 16777216" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("construct", "hadamard", "--k", "20000001", "--s", "3"),
     ("construct", "hadamard", "--k", "512", "--s", "1"),
