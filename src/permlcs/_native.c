@@ -1,15 +1,16 @@
 /* The package's native helpers, built and loaded by `_native.py`: the
-   patience LIS kernel and the PERMSET value-line codec. */
+   patience LIS kernel and the PERMSET value-line codec.  Words are int32:
+   every ground set is at most 2^24, so each entry and each rank fits. */
 
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
-/* Fill tops[from..to) with the sentinel INT64_MAX. */
-static void pad(int64_t *tops, ptrdiff_t from, ptrdiff_t to)
+/* Fill tops[from..to) with the sentinel INT32_MAX. */
+static void pad(int32_t *tops, ptrdiff_t from, ptrdiff_t to)
 {
     for (ptrdiff_t i = from; i < to; i++)
-        tops[i] = INT64_MAX;
+        tops[i] = INT32_MAX;
 }
 
 /* Length of the longest strictly increasing subsequence of a[0..n), by
@@ -17,7 +18,7 @@ static void pad(int64_t *tops, ptrdiff_t from, ptrdiff_t to)
    each value replaces the first top that is not below it.  tops is the
    caller's scratch, with room for n entries.
 
-   tops[0..cap) stays sorted: its tail past len is padded with INT64_MAX, so
+   tops[0..cap) stays sorted: its tail past len is padded with INT32_MAX, so
    starting a new pile is an overwrite like any other, and the search always
    takes log2(cap) steps with no data-dependent branch.  cap starts at 64 and
    doubles, up to n, whenever the piles fill it.  Before that search, the
@@ -27,15 +28,16 @@ static void pad(int64_t *tops, ptrdiff_t from, ptrdiff_t to)
    it is skipped while `miss`, a decaying count of values that landed
    elsewhere, is high; it settles near 256 times their share, so the check
    runs while about half the values or more land on p or p + 1.  len is
-   counted, not read off the sentinels, because the word may hold INT64_MAX
-   itself. */
-ptrdiff_t lis_length(const int64_t *a, ptrdiff_t n, int64_t *tops)
+   counted, not read off the sentinels, so a word holding INT32_MAX itself
+   would still be measured right; the package's words, relabeled members and
+   ranks, lie in 0..n-1 and never do. */
+ptrdiff_t lis_length(const int32_t *a, ptrdiff_t n, int32_t *tops)
 {
     ptrdiff_t cap = n < 64 ? n : 64, len = 0, p = 0;
     unsigned miss = 0;
     pad(tops, 0, cap);
     for (ptrdiff_t i = 0; i < n; i++) {
-        int64_t v = a[i];
+        int32_t v = a[i];
         ptrdiff_t prev = p;
         /* len < cap here, so tops[len] is a sentinel and the pile is at most
            len; p <= len, and p + 1 is read only once p < len. */
@@ -50,7 +52,7 @@ ptrdiff_t lis_length(const int64_t *a, ptrdiff_t n, int64_t *tops)
             }
         }
         {
-            const int64_t *base = tops;
+            const int32_t *base = tops;
             ptrdiff_t m = cap;
             while (m > 1) {
                 ptrdiff_t half = m / 2;
@@ -60,7 +62,7 @@ ptrdiff_t lis_length(const int64_t *a, ptrdiff_t n, int64_t *tops)
             p = base - tops + (*base < v);
         }
     place:
-        miss = miss - miss / 8 + ((size_t)(p - prev) > 1) * 32;
+        miss = miss - miss / 8 + ((size_t)(p - prev) > 1) * 32u;
         tops[p] = v;
         if (p == len && ++len == cap && cap < n) {
             ptrdiff_t grown = 2 * cap < n ? 2 * cap : n;
@@ -71,13 +73,10 @@ ptrdiff_t lis_length(const int64_t *a, ptrdiff_t n, int64_t *tops)
     return len;
 }
 
-/* 10^0 .. 10^19: a uint64 value v is as wide as the count of entries <= v. */
-static const uint64_t POWERS_OF_TEN[20] = {
-    1ULL, 10ULL, 100ULL, 1000ULL, 10000ULL, 100000ULL, 1000000ULL, 10000000ULL,
-    100000000ULL, 1000000000ULL, 10000000000ULL, 100000000000ULL,
-    1000000000000ULL, 10000000000000ULL, 100000000000000ULL,
-    1000000000000000ULL, 10000000000000000ULL, 100000000000000000ULL,
-    1000000000000000000ULL, 10000000000000000000ULL,
+/* 10^0 .. 10^9: a value v below 2^32 is as wide as the count of entries <= v. */
+static const uint32_t POWERS_OF_TEN[10] = {
+    1u, 10u, 100u, 1000u, 10000u, 100000u, 1000000u, 10000000u, 100000000u,
+    1000000000u,
 };
 
 /* The two ASCII digits of each of 00..99. */
@@ -91,15 +90,15 @@ static const char DIGIT_PAIRS[] =
    w[i] + 1 in decimal, one space between values, then '\n'.  Writes at most
    cap bytes to out and returns the count written, or -1 (out partly
    written) for a negative entry or a line longer than cap. */
-ptrdiff_t render_line(const int64_t *w, ptrdiff_t n, uint8_t *out, ptrdiff_t cap)
+ptrdiff_t render_line(const int32_t *w, ptrdiff_t n, uint8_t *out, ptrdiff_t cap)
 {
     uint8_t *p = out;
     for (ptrdiff_t i = 0; i < n; i++) {
         if (w[i] < 0)
             return -1;
-        uint64_t v = (uint64_t)w[i] + 1;
+        uint32_t v = (uint32_t)w[i] + 1u;
         ptrdiff_t width = 1;
-        while (width < 20 && v >= POWERS_OF_TEN[width])
+        while (width < 10 && v >= POWERS_OF_TEN[width])
             width++;
         if (cap - (p - out) <= width)
             return -1;
@@ -125,9 +124,9 @@ ptrdiff_t render_line(const int64_t *w, ptrdiff_t n, uint8_t *out, ptrdiff_t cap
    decimal tokens, each in 1..n with no leading zero, one space between
    tokens, then '\n' or the end of the line.  Returns 1 with each value
    minus 1 in word[0..n), or 0 (word partly written) for any other line.
-   Distinctness is left to the caller.  A token is cut off at 18 digits, so
-   its value never overflows. */
-int parse_line(const uint8_t *line, ptrdiff_t len, ptrdiff_t n, int64_t *word)
+   Distinctness is left to the caller.  A token is cut off at 9 digits, so
+   its value never overflows an int32; a valid one, at most n <= 2^24, has 8. */
+int parse_line(const uint8_t *line, ptrdiff_t len, ptrdiff_t n, int32_t *word)
 {
     const uint8_t *p = line, *end = line + len;
     for (ptrdiff_t i = 0; i < n; i++) {
@@ -136,9 +135,9 @@ int parse_line(const uint8_t *line, ptrdiff_t len, ptrdiff_t n, int64_t *word)
         if (p == end || *p < '1' || *p > '9')
             return 0;
         const uint8_t *start = p;
-        int64_t v = 0;
+        int32_t v = 0;
         for (; p < end && *p >= '0' && *p <= '9'; p++) {
-            if (p - start == 18)
+            if (p - start == 9)
                 return 0;
             v = 10 * v + (*p - '0');
         }

@@ -1,6 +1,7 @@
 """The package's C helpers, `_native.c`, compiled on first use and loaded
 with `ctypes`: `lis_length` (patience LIS, for `subseq`) and `parse_line` /
-`render_line` (the PERMSET value-line codec, for `fileio`).
+`render_line` (the PERMSET value-line codec, for `fileio`).  Each takes the
+package's one word type, a contiguous `int32` array passed by address.
 
 `library()` compiles the source with `cc` into this package's
 `__pycache__/` and loads it; importing the module does neither.  The file

@@ -11,12 +11,14 @@ Value lines go through the native codec, `render_line` and `parse_line` in
 `_native.c`, when `_native.library()` loads it, and through plain Python
 when it does not; the two give the same bytes and the same members.
 
-Writing renders each member's 0-based word, adding one in C, into one reused
-`uint8` buffer with room for n values as wide as n, and writes the prefix
-whose length `render_line` returns: the codec's count is the line, and a
-refused render raises RuntimeError.  Without the codec a line is
+Writing renders each member's 0-based `int32` word, adding one in C, into
+one reused `uint8` buffer with room for n values as wide as n, and writes
+the prefix whose length `render_line` returns: the codec's count is the
+line, and a refused render raises RuntimeError.  Without the codec a line is
 `" ".join(map(str, one_line))`.  A set above the cap, which no reader would
-accept, raises ValueError before `write_permset` opens its path.
+accept, raises ValueError before `write_permset` opens its path.  The lines
+go to a temporary file that is renamed onto the path once all are written,
+so a failed write leaves no partial document.
 
 Reading has one route: `read_permset` takes a binary file one line at a
 time, so it holds the current line and the members parsed so far, never the
@@ -27,12 +29,14 @@ goes first to `parse_line`, with no byte scan or length check before it.
 `parse_line` accepts only the canonical form (tokens in 1..n with no
 leading zero, single spaces, then `\\n` or the end), so no byte that
 `str.splitlines` breaks at but that last `\\n`, and writes a fresh 0-based
-word, which `perm._adopt` takes after its one range check and `bincount`:
-the raw line is one line and one member.  Every other raw line, and every
-line when the codec is missing, is decoded as ASCII and split with
-`str.splitlines`, and each piece takes the header or the exact path: a value
-line's tokens are converted by one `np.array(..., dtype=np.int64)` call
-(Python `int()` syntax per token), and that path alone words the error.
+`int32` word, which `perm._adopt` takes as it is after its one range check
+and 1-byte mark: the raw line is one line and one member.  Every other raw
+line, and every line when the codec is missing, is decoded as ASCII and
+split with `str.splitlines`, and each piece takes the header or the exact
+path: a value line's tokens are converted by one `np.array(...,
+dtype=np.int64)` call (Python `int()` syntax per token, so a token past
+int64 is caught there), `Permutation.from_one_line` turns them into an
+`int32` word, and that path alone words the error.
 Errors name the physical line.  Two faults stop the read where they are
 met: a line that is not ASCII (a `UnicodeError`) and a header whose n
 exceeds the ground-set cap.  Every other fault is raised once all lines are
@@ -42,8 +46,10 @@ value.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
+import stat
 from itertools import chain
 from typing import Iterable, Iterator, Union
 
@@ -119,7 +125,7 @@ def _parse_document(chunks: Iterable[bytes]) -> PermSet:
     perms, error = [], None
     for chunk in chunks:
         if count < k and error is None and lib is not None:
-            word = np.empty(n, dtype=np.int64)
+            word = np.empty(n, dtype=np.int32)
             if lib.parse_line(chunk, len(chunk), n, word.ctypes.data):
                 try:
                     perms.append(_adopt(word))
@@ -163,10 +169,32 @@ def loads_permset(text: str) -> PermSet:
 
 
 def write_permset(s: PermSet, path: Union[str, os.PathLike]) -> None:
-    """Write line by line, so the whole document is never held in memory."""
+    """Write line by line, so the whole document is never held in memory.
+
+    The lines go to a new file beside `path` (beside the file a symbolic
+    link names), which replaces it, keeping an existing file's permission
+    bits, only once every line is written: on any error the new file is
+    deleted and `path` is left as it was.  A path that exists but is not a
+    regular file (a device, a FIFO, a directory) is opened in place."""
     lines = _permset_lines(s)
-    with open(path, "wb") as f:
-        f.writelines(lines)
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(path, "wb") as f:
+            f.writelines(lines)
+        return
+    head, tail = os.path.split(target)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    f = open(tmp, "xb")  # outside the try: a name that exists is not ours to delete
+    try:
+        with f:
+            f.writelines(lines)
+        if os.path.exists(target):
+            os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def read_permset(path: Union[str, os.PathLike]) -> PermSet:

@@ -121,7 +121,7 @@ def build_hadamard_set(k: int, s: int, *, n: int | None = None) -> PermSet:
     h = hadamard_matrix(k)
 
     # Axis c-1 is digit column c; n' <= 2**24 keeps k-1 <= 24, under numpy 1.x's 32-dim cap.
-    grid = np.arange(n_prime, dtype=np.int64).reshape((s,) * (k - 1))
+    grid = np.arange(n_prime, dtype=np.int32).reshape((s,) * (k - 1))
     perms = []
     for row in h.rows:
         out = np.flip(grid, axis=tuple(c - 1 for c in range(1, k) if row[c] == -1)).ravel()

@@ -1,14 +1,16 @@
 """Permutations on [n] = {1, ..., n} and ordered collections of them.
 
-Storage is 0-based: a permutation pi is held as one read-only `np.int64`
-array, the word (pi(1)-1, ..., pi(n)-1).  One-line notation and the file
-formats are 1-based.  `from_one_line`, `one_line` and iteration convert
-here; the native PERMSET codec converts in C, where `render_line` adds 1 and
-`parse_line` subtracts 1.  Values are immutable and validated once, on
-construction, by a range check and one O(n) `np.bincount`; the operations
-below work on the arrays and never box the entries as Python ints.  `word`,
-`one_line` and iteration build Python ints on access, for callers that want
-them.
+Storage is 0-based: a permutation pi is held as one read-only, C-contiguous
+`np.int32` array, the word (pi(1)-1, ..., pi(n)-1).  Every ground set is
+capped at `MAX_N` = 2^24 < 2^31, so `int32` holds every entry and no cast
+into it can wrap.  One-line notation and the file formats are 1-based.
+`from_one_line`, `one_line` and iteration convert here; the native PERMSET
+codec converts in C, where `render_line` adds 1 and `parse_line` subtracts 1.
+Values are immutable and validated once, on construction, by the cap, a
+range check and one O(n) pass that marks each value in a 1-byte array; the
+operations below work on the arrays and never box the entries as Python
+ints.  `word`, `one_line` and iteration build Python ints on access, for
+callers that want them.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-# Largest ground set the builders and samplers accept.  They check it before
-# allocating anything, so an oversize request is a ValueError rather than a
-# MemoryError partway through a build.
+# Largest ground set of any member, below 2^31 so an int32 word holds every
+# entry.  Builders and samplers check it before allocating anything, so an
+# oversize request is a ValueError rather than a MemoryError partway through
+# a build; `_checked` checks it for every other member.
 MAX_N = 1 << 24
 
 
@@ -34,23 +37,37 @@ def _integer_array(word: Iterable[int]) -> np.ndarray:
     return a
 
 
-def _checked(a: np.ndarray, *, copy: bool) -> np.ndarray:
-    """Integer array `a` as a read-only int64 word, copied only if `copy` or
-    its dtype needs it; ValueError unless it is a rearrangement of 0..n-1."""
+def _checked(a: np.ndarray, *, copy: bool, first: int = 0) -> np.ndarray:
+    """Integer array `a`, a rearrangement of first..first+n-1, as the
+    read-only, C-contiguous int32 word a - first, copied only if `copy`,
+    `first`, its dtype or its layout needs it; ValueError for any other `a`
+    and for n > MAX_N."""
     n = a.size
     if n == 0:
         raise ValueError("ground set must be non-empty")
-    if a.ndim != 1 or a.min() < 0 or a.max() >= n:
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the ground-set cap {MAX_N}")
+    if a.ndim != 1 or a.min() < first or a.max() >= first + n:
         raise ValueError(f"one-line form is not a rearrangement of 1..{n}")
-    a = a.astype(np.int64, copy=copy)
-    if not np.bincount(a, minlength=n).all():
+    # Marked in the input's own dtype: numpy indexes with an int64 array
+    # faster than with the int32 word cast from it.
+    seen = np.zeros(first + n, dtype=bool)
+    seen[a] = True
+    if not seen[first:].all():
         raise ValueError(f"one-line form is not a rearrangement of 1..{n}")
+    # In range, so the word fits int32 and an unsigned 0 cannot wrap below first.
+    if first:
+        a = np.subtract(a, first, dtype=np.int32, casting="unsafe")
+    else:
+        a = a.astype(np.int32, order="C", copy=copy)
     a.flags.writeable = False
     return a
 
 
 def _adopt(word: np.ndarray) -> "Permutation":
-    """The member with 0-based word `word`, a fresh array no caller holds: not copied."""
+    """The member with 0-based word `word`, a fresh array no caller holds:
+    not copied, unless it must be cast to int32 (an argsort order or an
+    `rng.permutation` draw, for instance)."""
     p = Permutation.__new__(Permutation)
     p._array = _checked(word, copy=False)
     return p
@@ -59,7 +76,7 @@ def _adopt(word: np.ndarray) -> "Permutation":
 class Permutation:
     """A bijection on [n], stored as the 0-based word of its one-line form.
 
-    The word (any integer sequence or array) is copied into a fresh int64
+    The word (any integer sequence or array) is copied into a fresh int32
     array, checked, and made read-only.
     """
 
@@ -71,8 +88,9 @@ class Permutation:
     @classmethod
     def from_one_line(cls, images: Iterable[int]) -> "Permutation":
         """Build from 1-based one-line notation pi(1) ... pi(n)."""
-        # int64 arithmetic: in an unsigned dtype `a - 1` would wrap the illegal 0 into range
-        return _adopt(np.subtract(_integer_array(images), 1, dtype=np.int64))
+        p = cls.__new__(cls)
+        p._array = _checked(_integer_array(images), copy=True, first=1)
+        return p
 
     @property
     def array(self) -> np.ndarray:
@@ -113,12 +131,12 @@ class Permutation:
 
 def identity(n: int) -> Permutation:
     """The identity permutation on [n]."""
-    return _adopt(np.arange(n))
+    return _adopt(np.arange(n, dtype=np.int32))
 
 
 def reversal(n: int) -> Permutation:
     """The order-reversing permutation t -> n+1-t."""
-    return _adopt(np.arange(n - 1, -1, -1))
+    return _adopt(np.arange(n - 1, -1, -1, dtype=np.int32))
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
@@ -129,8 +147,8 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
 
 
 def invert(a: Permutation) -> Permutation:
-    inv = np.empty(a.n, dtype=np.int64)
-    inv[a.array] = np.arange(a.n)
+    inv = np.empty(a.n, dtype=np.int32)
+    inv[a.array] = np.arange(a.n, dtype=np.int32)
     return _adopt(inv)
 
 

@@ -5,12 +5,13 @@ permutation by positions in the other, then run patience sorting.  The test
 suite cross-checks it against an independent quadratic DP and brute-force
 enumeration, kept in `tests/oracles.py`.
 
-Every answer takes one route.  `lis`/`lds` accept only words of distinct
-integers that fit `int64` (anything else is a ValueError) and hand the word
-to `_lis_word`; `lcs_pair` and `lcs_all_pairs` relabel through `_column`,
+Every answer takes one route, over `int32` words.  `lis`/`lds` accept only
+words of distinct integers that fit `int64` (anything else is a ValueError)
+and hand `_lis_word` the word's ranks 0..m-1, which have the same increasing
+subsequences; `lcs_pair` and `lcs_all_pairs` relabel through `_column`,
 which calls `_lis_word` per pair.
 
-Patience sorting runs in C, `lis_length` in `_native.c`, over an `int64`
+Patience sorting runs in C, `lis_length` in `_native.c`, over an `int32`
 word and pile-top scratch that `_lis_word` allocates per call; the comment
 there describes its padded pile tops, its neighbour-pile check and the miss
 count that gates it.  The first LIS call builds and loads it through
@@ -35,6 +36,7 @@ from . import _native
 from .perm import Permutation, PermSet
 
 _INT64_MAX = np.iinfo(np.int64).max
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 def _lis_core(seq: Sequence[int]) -> int:
@@ -51,16 +53,17 @@ def _lis_core(seq: Sequence[int]) -> int:
 
 
 def _lis_word(word: np.ndarray) -> int:
-    """LIS of a contiguous int64 word."""
+    """LIS of a contiguous int32 word."""
     lib = _native.library()
     if lib is None:
         return _lis_core(word.tolist())
-    tops = np.empty(len(word), dtype=np.int64)
+    tops = np.empty(len(word), dtype=np.int32)
     return lib.lis_length(word.ctypes.data, len(word), tops.ctypes.data)
 
 
 def _distinct_word(seq: Sequence[int]) -> np.ndarray:
-    """`seq` as a contiguous int64 word of distinct values.
+    """The ranks 0..m-1 of `seq`, a word of distinct integers that fit int64,
+    as a contiguous int32 word.
 
     Raises ValueError for anything else: floats, integers outside int64,
     strings, nesting, generators, or a repeated value.
@@ -70,16 +73,20 @@ def _distinct_word(seq: Sequence[int]) -> np.ndarray:
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"sequence must be a 1-D word of int64 integers: {exc}") from exc
     if arr.ndim == 1 and arr.size == 0:  # numpy reads [] as float64
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=np.int32)
     if arr.ndim != 1 or arr.dtype.kind not in "iu" or (
             arr.dtype.kind == "u" and arr.max() > _INT64_MAX):
         raise ValueError(f"sequence must be a 1-D word of int64 integers, "
                          f"not {arr.ndim}-D {arr.dtype}")
-    word = np.ascontiguousarray(arr, dtype=np.int64)
-    ordered = np.sort(word)
+    if arr.size > _INT32_MAX:  # its ranks would not fit the kernel's word
+        raise ValueError(f"sequence longer than {_INT32_MAX} elements")
+    order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("sequence elements must be distinct")
-    return word
+    ranks = np.empty(arr.size, dtype=np.int32)
+    ranks[order] = np.arange(arr.size, dtype=np.int32)
+    return ranks
 
 
 def lis(seq: Sequence[int]) -> int:
@@ -93,7 +100,7 @@ def lis(seq: Sequence[int]) -> int:
 
 def lds(seq: Sequence[int]) -> int:
     """Length of the longest strictly decreasing subsequence."""
-    return _lis_word(_distinct_word(seq)[::-1].copy())
+    return _lis_word(np.ascontiguousarray(_distinct_word(seq)[::-1]))
 
 
 def lcs_pair(a: Permutation, b: Permutation) -> int:
@@ -144,8 +151,8 @@ def _column(perms: Sequence[Permutation], j: int) -> list[int]:
     """LCS of member j with each earlier member.  j's position array is built
     once and relabels each earlier member into one reused word."""
     n = perms[j].n
-    pos, word = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    pos[perms[j].array] = np.arange(n)
+    pos, word = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
+    pos[perms[j].array] = np.arange(n, dtype=np.int32)
     values = []
     for i in range(j):
         # perms[i] is a validated permutation of 0..n-1, so "clip" never

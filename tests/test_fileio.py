@@ -208,7 +208,7 @@ def test_canonical_length_lines_off_the_canonical_form(tmp_path, n, line, parsed
     assert len(line) == len(value_line(range(1, n + 1)))
     lib = _native.library()
     if lib is not None:
-        word = np.empty(n, dtype=np.int64)
+        word = np.empty(n, dtype=np.int32)
         assert lib.parse_line(line, len(line), n, word.ctypes.data) == parsed
     path = tmp_path / "s.permset"
     path.write_bytes(b"permset 1 1 %d\n" % n + line)
@@ -220,16 +220,17 @@ def test_native_parse_accepts_only_the_canonical_form():
     lib = _native.library()
     if lib is None:
         pytest.skip("no native codec on this machine")
-    word = np.empty(3, dtype=np.int64)
+    word = np.empty(3, dtype=np.int32)
     for line in (b"3 1 2\n", b"3 1 2"):
         assert lib.parse_line(line, len(line), 3, word.ctypes.data) == 1
         assert word.tolist() == [2, 0, 1]
     for line in (b"1 2 3 \n", b" 1 2 3", b"1 2 3\n\n", b"1 2\n", b"1 2 3 1\n",
                  b"1 2 +3", b"1\t2 3\n", b"", b"1 2 3\r"):
         assert lib.parse_line(line, len(line), 3, word.ctypes.data) == 0
-    # 2**64 + 1 would wrap to 1 in 64 bits; a token is cut off at 18 digits
-    token = b"18446744073709551617"
-    assert lib.parse_line(token, len(token), 1, word.ctypes.data) == 0
+    # 2**64 + 1 would wrap to 1 in 64 bits, and 2**32 + 1 in 32; a token is
+    # cut off at 9 digits
+    for token in (b"18446744073709551617", b"4294967297"):
+        assert lib.parse_line(token, len(token), 1, word.ctypes.data) == 0
     # Any byte but a digit, a space or a final newline is refused, placed
     # first, between tokens, in place of the newline or after it: a line the
     # native parse takes is one line to `str.splitlines` too, so both routes
@@ -312,7 +313,7 @@ def test_value_line_matches_str_at_every_width(routes):
     want = (" ".join(map(str, values)) + "\n").encode("ascii")
     lib = _native.library()
     if lib is not None:
-        word = np.array(values, dtype=np.int64) - 1
+        word = np.array(values, dtype=np.int32) - 1
         buf = np.empty(len(want), dtype=np.uint8)
         assert lib.render_line(word.ctypes.data, word.size, buf.ctypes.data, buf.size) == buf.size
         assert buf.tobytes() == want
@@ -339,6 +340,38 @@ def test_refused_render_is_an_internal_error(tmp_path, monkeypatch, capsys):
     argv = ["construct", "algebraic", "--n", "72", "--k", "3", "--out", str(path)]
     assert main(argv) == 3
     assert capsys.readouterr().err == "internal error: render_line refused a member on [72]\n"
+
+
+def test_failed_write_leaves_the_path_as_it_was(tmp_path, monkeypatch, capsys):
+    # The lines go to a temporary file that replaces the path only once all
+    # are written: a refused render leaves an existing file's bytes, creates
+    # no file where there was none, and leaves no temporary file behind.
+    refusing = types.SimpleNamespace(render_line=lambda *args: -1)
+    monkeypatch.setattr(_native, "library", lambda: refusing)
+    old = tmp_path / "old.permset"
+    old.write_bytes(b"permset 1 1 2\n2 1\n")
+    new = tmp_path / "new.permset"
+    for path in (old, new):
+        argv = ["construct", "algebraic", "--n", "72", "--k", "3", "--out", str(path)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "internal error: render_line refused a member on [72]\n"
+    assert old.read_bytes() == b"permset 1 1 2\n2 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old.permset"]
+
+
+def test_write_replaces_a_file_and_writes_through_a_link(tmp_path):
+    s = PermSet((identity(3), reversal(3)))
+    want = dumps_permset(s).encode("ascii")
+    target = tmp_path / "t.permset"
+    target.write_bytes(b"x" * 100)
+    target.chmod(0o640)
+    link = tmp_path / "link.permset"
+    link.symlink_to(target)
+    write_permset(s, link)
+    assert link.is_symlink()
+    assert target.read_bytes() == want
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.permset", "t.permset"]
 
 
 def test_writers_refuse_a_set_above_the_cap(tmp_path, monkeypatch):

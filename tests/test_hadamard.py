@@ -193,7 +193,7 @@ def test_build_restricted():
 
 def test_build_holds_each_member_once():
     """Peak traced memory is the k members, the grid they are flipped from
-    and one `np.bincount`; copying every member again took 12.0 times."""
+    and one 1-byte validation mark; copying every member again took 12.0 times."""
     k = 8
     tracemalloc.start()
     try:

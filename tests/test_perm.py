@@ -10,14 +10,19 @@ from permlcs import (
     build_general,
     build_hadamard_set,
     compose,
+    dumps_permset,
     identity,
     invert,
     lcs_pair,
+    loads_permset,
     random_perm,
+    read_permset,
     restrict,
     reversal,
     trial_rng,
+    write_permset,
 )
+from permlcs.perm import MAX_N, _adopt
 from oracles import compose_word, invert_word, restrict_word
 
 
@@ -173,6 +178,55 @@ def test_array_is_read_only():
             q.array[0] = 0
 
 
+WORD_MAKERS = {
+    "identity": lambda tmp: [identity(7)],
+    "reversal": lambda tmp: [reversal(7)],
+    "compose": lambda tmp: [compose(reversal(7), Permutation([3, 0, 6, 1, 5, 2, 4]))],
+    "invert": lambda tmp: [invert(Permutation([3, 0, 6, 1, 5, 2, 4]))],
+    "restrict": lambda tmp: [restrict(reversal(7), 4)],
+    "Permutation": lambda tmp: [
+        Permutation([2, 0, 1]), Permutation(np.array([2, 0, 1], dtype=np.uint8)),
+        Permutation(np.repeat(np.arange(4, -1, -1), 2)[::2])],  # a strided view
+    "from_one_line": lambda tmp: [
+        Permutation.from_one_line([3, 1, 2]),
+        Permutation.from_one_line(np.array([3, 1, 2], dtype=np.uint64)),
+        Permutation.from_one_line(np.repeat(np.arange(5, 0, -1, dtype=np.int16), 2)[::2])],
+    "random_perm": lambda tmp: [random_perm(100, trial_rng(2))],
+    "_adopt": lambda tmp: [_adopt(np.arange(7, dtype=np.int32)[::-1])],  # a reversed view
+    "build_hadamard_set": lambda tmp: [*build_hadamard_set(4, 3), *build_hadamard_set(4, 3, n=10)],
+    "build_general": lambda tmp: [*build_general(40, 3), *build_general(27, 3)],
+    "read_permset": lambda tmp: [*_round_trip(tmp)],
+    "loads_permset": lambda tmp: [*loads_permset(dumps_permset(build_general(40, 3)))],
+}
+
+
+def _round_trip(tmp):
+    path = tmp / "s.permset"
+    write_permset(build_general(40, 3), path)
+    return read_permset(path)
+
+
+@pytest.mark.parametrize("maker", WORD_MAKERS)
+def test_every_member_is_a_read_only_contiguous_int32_word(maker, tmp_path, routes):
+    for route in routes:
+        for p in WORD_MAKERS[maker](tmp_path):
+            a = p.array
+            assert a.dtype == np.int32
+            assert a.flags.c_contiguous
+            assert not a.flags.writeable
+            assert sorted(a.tolist()) == list(range(p.n))
+
+
+def test_every_member_is_capped_at_max_n():
+    # zero-copy broadcast views: nothing of length MAX_N + 1 is allocated
+    over = MAX_N + 1
+    cap = f"^n = {over} exceeds the ground-set cap {MAX_N}$"
+    with pytest.raises(ValueError, match=cap):
+        Permutation(np.broadcast_to(np.int64(0), (over,)))
+    with pytest.raises(ValueError, match=cap):
+        Permutation.from_one_line(np.broadcast_to(np.int64(1), (over,)))
+
+
 def test_construction_copies_its_input():
     word = np.array([1, 0, 2], dtype=np.int64)
     p = Permutation(word)
@@ -185,8 +239,8 @@ def test_construction_copies_its_input():
 
 
 def test_from_one_line_keeps_its_word_without_a_second_copy():
-    """Peak traced memory is the 0-based word plus `np.bincount`'s counts,
-    two member-sized arrays; copying the word again took 3.0 times."""
+    """Peak traced memory is the 0-based int32 word plus its 1-byte mark,
+    under two member-sized arrays; copying the word again took 3.0 times."""
     images = np.random.default_rng(6).permutation(10**6) + 1
     tracemalloc.start()
     try:

@@ -54,6 +54,35 @@ def test_lds_examples(routes):
         assert lds(np.array([9, 2**63 - 1, 3], dtype=np.uint64)) == 2
 
 
+def test_lis_takes_any_int64_range_word_through_its_ranks(routes):
+    # The kernel sees the word's int32 ranks; the LIS of the raw values is the
+    # same, at both ends of int64, in unsigned words and in int32 words.
+    rng = np.random.default_rng(5)
+    words = [
+        [-(2**63), 2**63 - 1, 0, 5],
+        np.array([-(2**63), 2**63 - 1, 0, 5], dtype=np.int64),
+        np.array([9, 2**63 - 1, 3, 2**32, 0], dtype=np.uint64),
+        rng.permutation(2**20)[:500].astype(np.uint64) * (2**43),
+        np.array([2**31 - 1, -(2**31), 7, -1, 2**30], dtype=np.int32),
+        rng.permutation(1000).astype(np.int32) - 500,
+    ]
+    for kernel in routes:
+        for word in words:
+            raw = [int(v) for v in word]
+            assert lis(word) == subseq._lis_core(raw)
+            assert lds(word) == subseq._lis_core([-v for v in raw])
+
+
+def test_lis_refuses_a_word_whose_ranks_overflow_int32(monkeypatch):
+    # A word longer than int32's largest rank is refused before it is sorted;
+    # the limit is lowered here so that no such word is ever allocated.
+    monkeypatch.setattr(subseq, "_INT32_MAX", 4)
+    for f in (lis, lds):
+        assert f([2, 1, 4, 3]) == 2
+        with pytest.raises(ValueError, match="^sequence longer than 4 elements$"):
+            f([5, 4, 1, 3, 2])
+
+
 def test_duplicate_values_rejected():
     with pytest.raises(ValueError):
         lis([1, 2, 2])
@@ -125,7 +154,7 @@ def test_native_kernel_matches_python_kernel_on_long_words():
         pos[s.perms[j].array] = np.arange(s.n)
         words += [pos[s.perms[i].array] for i in range(j)]
     for word in words:
-        word = np.ascontiguousarray(word, dtype=np.int64)
+        word = np.ascontiguousarray(word, dtype=np.int32)
         assert subseq._lis_word(word) == subseq._lis_core(word.tolist())
 
 
@@ -286,7 +315,7 @@ def test_compiler_command_keys_the_library(tmp_path, monkeypatch):
     source = tmp_path / "_native.c"
     source.write_bytes(_native._SOURCE.read_bytes())
     monkeypatch.setattr(_native, "_SOURCE", source)
-    word, tops = np.array([3, 1, 4, 2, 5], dtype=np.int64), np.empty(5, dtype=np.int64)
+    word, tops = np.array([3, 1, 4, 2, 5], dtype=np.int32), np.empty(5, dtype=np.int32)
     names = []
     for flag in ("-O2", "-O1", "-O2"):
         monkeypatch.setattr(_native, "_CC", ("cc", flag, "-shared", "-fPIC"))
