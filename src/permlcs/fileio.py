@@ -168,20 +168,41 @@ def loads_permset(text: str) -> PermSet:
     return _parse_document(io.BytesIO(text.encode("utf-8", "surrogatepass")))
 
 
+def _opens_in_place(path: Union[str, os.PathLike]) -> bool:
+    """True when `path` opens something other than a regular file by name: a
+    device, a FIFO or a directory, or a descriptor link such as `/dev/stdout`
+    or `/dev/fd/N`, which resolves to a descriptor this process holds open."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return True
+    except FileNotFoundError:
+        return False
+    p = os.path.abspath(path)
+    for _ in range(40):  # the kernel's own limit on a chain of links
+        parent = os.path.realpath(os.path.dirname(p))
+        if os.path.basename(parent) == "fd" and parent.startswith(("/proc/", "/dev/")):
+            return True
+        if not os.path.islink(p):
+            return False
+        p = os.path.join(os.path.dirname(p), os.readlink(p))
+    return False
+
+
 def write_permset(s: PermSet, path: Union[str, os.PathLike]) -> None:
     """Write line by line, so the whole document is never held in memory.
 
     The lines go to a new file beside `path` (beside the file a symbolic
     link names), which replaces it, keeping an existing file's permission
     bits, only once every line is written: on any error the new file is
-    deleted and `path` is left as it was.  A path that exists but is not a
-    regular file (a device, a FIFO, a directory) is opened in place."""
+    deleted and `path` is left as it was.  A path that is not a regular file
+    (a device, a FIFO, a directory) or that names an open descriptor
+    (`/dev/stdout`, `/dev/fd/N`) is opened in place."""
     lines = _permset_lines(s)
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
+    if _opens_in_place(path):
         with open(path, "wb") as f:
             f.writelines(lines)
         return
+    target = os.path.realpath(path)
     head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     f = open(tmp, "xb")  # outside the try: a name that exists is not ours to delete

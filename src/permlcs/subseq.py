@@ -80,13 +80,10 @@ def _distinct_word(seq: Sequence[int]) -> np.ndarray:
                          f"not {arr.ndim}-D {arr.dtype}")
     if arr.size > _INT32_MAX:  # its ranks would not fit the kernel's word
         raise ValueError(f"sequence longer than {_INT32_MAX} elements")
-    order = np.argsort(arr, kind="stable")
-    ordered = arr[order]
-    if (ordered[1:] == ordered[:-1]).any():
+    uniq, ranks = np.unique(arr, return_inverse=True)  # ranks, once distinct
+    if uniq.size != arr.size:
         raise ValueError("sequence elements must be distinct")
-    ranks = np.empty(arr.size, dtype=np.int32)
-    ranks[order] = np.arange(arr.size, dtype=np.int32)
-    return ranks
+    return ranks.astype(np.int32)
 
 
 def lis(seq: Sequence[int]) -> int:

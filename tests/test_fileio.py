@@ -1,3 +1,4 @@
+import os
 import random
 import tracemalloc
 import types
@@ -372,6 +373,34 @@ def test_write_replaces_a_file_and_writes_through_a_link(tmp_path):
     assert target.read_bytes() == want
     assert target.stat().st_mode & 0o777 == 0o640
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.permset", "t.permset"]
+
+
+def test_write_goes_through_an_open_descriptor(tmp_path):
+    # /dev/fd/N names a descriptor this process holds: a pipe's write end is
+    # written in place, and so is a regular file, which keeps its inode.
+    s = PermSet((identity(3), reversal(3)))
+    want = dumps_permset(s).encode("ascii")
+    r, w = os.pipe()
+    try:
+        write_permset(s, f"/dev/fd/{w}")
+        os.close(w)
+        w = -1
+        got = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
+    finally:
+        os.close(r)
+        if w >= 0:
+            os.close(w)
+    assert got == want
+    target = tmp_path / "t.permset"
+    target.write_bytes(b"x" * 100)
+    inode = target.stat().st_ino
+    fd = os.open(target, os.O_WRONLY)
+    try:
+        write_permset(s, f"/dev/fd/{fd}")
+    finally:
+        os.close(fd)
+    assert (target.stat().st_ino, target.read_bytes()) == (inode, want)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.permset"]
 
 
 def test_writers_refuse_a_set_above_the_cap(tmp_path, monkeypatch):

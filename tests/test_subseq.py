@@ -114,19 +114,27 @@ def test_lis_exhaustive_tiny(routes):
 
 
 def test_int64_max_ends_an_increasing_run(routes):
-    # The native kernel pads unused pile tops with INT64_MAX; a word holding
-    # that value itself must still start a pile of its own.
-    top = 2**63 - 1
+    # The native kernel pads unused pile tops with INT32_MAX; a word holding
+    # that value itself must still start a pile of its own.  `lis`/`lds` pass
+    # ranks, which never reach it, so the kernel gets these words directly.
+    top = 2**31 - 1
     shuffled = random.Random(3).sample(range(500), 500)
-    words = [[5, top, 6, 7], [top], [top, 0], [-(2**63), top],
+    words = [[5, top, 6, 7], [top], [top, 0], [-(2**31), top],
              list(range(64)) + [top] + list(range(64, 130)), [5, 6, 7, 0, top],
              shuffled + [top], shuffled[:250] + [top] + shuffled[250:]]
     for kernel in routes:
-        assert lis([0, top]) == 2
-        assert lis(list(range(70)) + [top]) == 71
-        assert lds([top, 0]) == 2
-        assert lds([top] + list(range(69, -1, -1))) == 71
+        for word in words + [[0, top], list(range(70)) + [top]]:
+            assert subseq._lis_word(np.array(word, dtype=np.int32)) == subseq._lis_core(word)
+            back = word[::-1]
+            assert subseq._lis_word(np.array(back, dtype=np.int32)) == subseq._lis_core(back)
+        # and the public route, whose raw values reach the int64 maximum
+        big = 2**63 - 1
+        assert lis([0, big]) == 2
+        assert lis(list(range(70)) + [big]) == 71
+        assert lds([big, 0]) == 2
+        assert lds([big] + list(range(69, -1, -1))) == 71
         for word in words:
+            word = [big if v == top else v for v in word]
             assert lis(word) == lis_quadratic(word)
             assert lds(word) == lis_quadratic([-v for v in word])
 
