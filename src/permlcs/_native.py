@@ -31,8 +31,8 @@ def _build(lib: Path) -> bool:
     """Compile `_SOURCE` to `lib` in a private temp directory and rename it
     into place, so concurrent builds never leave a torn library; the
     compiler's output is discarded.  Then delete the libraries of other
-    sources or commands (and of the module's former name, `_lis`) built for
-    this interpreter; a process that loaded one keeps its mapping."""
+    sources or commands built for this interpreter; a process that loaded
+    one keeps its mapping."""
     import subprocess
     import tempfile
 
@@ -46,7 +46,7 @@ def _build(lib: Path) -> bool:
             return False
         os.replace(out, lib)
     suffix = EXTENSION_SUFFIXES[0]
-    for stale in (*lib.parent.glob(f"_native-*{suffix}"), *lib.parent.glob(f"_lis-*{suffix}")):
+    for stale in lib.parent.glob(f"_native-*{suffix}"):
         if stale != lib:
             with contextlib.suppress(OSError):
                 stale.unlink()

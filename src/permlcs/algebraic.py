@@ -13,10 +13,11 @@ significant.  The resulting k permutations have pairwise LCS at most
 2p - 1 < 16*(n*k)**(1/3).  For general n, the construction is run on the
 smallest exactly-representable n' >= n (n' <= 8n) and restricted back.
 
-Keys are computed on the int64 axes x, y, z of the (s3, s2, s1) grid, whose C
-order is the point index.  One argsort of (major*(k*s1 + s2 + 1) + middle) *
-(s1 + 1) + minor orders as the triple (0 < middle <= k*s1 + s2 is checked, and
-1 <= minor <= s1).  Triples are 1-1 on [n], so a tie in the keys stops the build.
+Keys are computed on the int32 axes x, y, z of the (s3, s2, s1) grid, whose C
+order is the point's 0-based value.  (middle, minor) is 1-1 on the (y, x) plane,
+so major*(s1*s2) + rank in the plane's (middle, minor) order is an int32 key
+(< p*s1*s2 < 8n' <= 2^27) that orders as the triple.  Each member is one argsort
+of it over the kept points [n]; triples are 1-1, so a tied kept key stops the build.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ def params_from(n: int, k: int) -> ConstructionParams:
 
 
 def _coordinate_arrays(params: ConstructionParams):
-    x = np.arange(1, params.s1 + 1, dtype=np.int64)
-    y = np.arange(1, params.s2 + 1, dtype=np.int64)[:, None]
-    z = np.arange(1, params.s3 + 1, dtype=np.int64)[:, None, None]
+    x = np.arange(1, params.s1 + 1, dtype=np.int32)
+    y = np.arange(1, params.s2 + 1, dtype=np.int32)[:, None]
+    z = np.arange(1, params.s3 + 1, dtype=np.int32)[:, None, None]
     return x, y, z
 
 
@@ -90,19 +91,17 @@ def _build(params: ConstructionParams, n: int) -> PermSet:
     Restriction never grows an LCS, so every result keeps the 2p - 1 bound.
     """
     x, y, z = _coordinate_arrays(params)
-    middle_cap = params.k * params.s1 + params.s2
+    plane = params.s1 * params.s2
     perms = []
     for j in range(1, params.k + 1):
         major, middle, minor = _key_arrays(j, x, y, z, params)
-        # The packed key below orders as the triple only while middle is in range.
-        if not ((middle > 0) & (middle <= middle_cap)).all():
-            raise RuntimeError(f"middle key left (0, {middle_cap}] for j={j}")
-        key = ((major * (middle_cap + 1) + middle) * (params.s1 + 1) + minor).ravel()
+        # each (y, x) point's rank in the plane's (middle, minor) order
+        plane_order = np.lexsort((np.broadcast_to(minor, middle.shape).ravel(), middle.ravel()))
+        rank = plane_order.argsort().astype(np.int32).reshape(middle.shape)
+        key = (major * plane + rank).ravel()[:n]
         order = np.argsort(key)
         if not np.diff(key[order]).all():
             raise RuntimeError(f"duplicate sort key for j={j}; keys must be 1-1 on [n]")
-        if n < params.n:
-            order = order[order < n]
         perms.append(_adopt(order))
     record = asdict(params) | {
         "n": n, "n_prime": params.n, "exact": n == params.n, "lcs_bound": 2 * params.p - 1,

@@ -15,10 +15,9 @@ Writing renders each member's 0-based `int32` word, adding one in C, into
 one reused `uint8` buffer with room for n values as wide as n, and writes
 the prefix whose length `render_line` returns: the codec's count is the
 line, and a refused render raises RuntimeError.  Without the codec a line is
-`" ".join(map(str, one_line))`.  A set above the cap, which no reader would
-accept, raises ValueError before `write_permset` opens its path.  The lines
-go to a temporary file that is renamed onto the path once all are written,
-so a failed write leaves no partial document.
+`" ".join(map(str, one_line))`.  The lines go to a temporary file that is
+renamed onto the path once all are written, so a failed write leaves no
+partial document.
 
 Reading has one route: `read_permset` takes a binary file one line at a
 time, so it holds the current line and the members parsed so far, never the
@@ -64,11 +63,8 @@ class FormatError(ValueError):
 
 
 def _permset_lines(s: PermSet) -> Iterator[Union[bytes, np.ndarray]]:
-    """The document's lines; ValueError on the call, before any line is made,
-    for a set above the cap.  With the native codec every value line is a
+    """The document's lines.  With the native codec every value line is a
     view of one reused buffer, so a caller must use each line before the next."""
-    if s.n > MAX_N:
-        raise ValueError(f"n = {s.n} exceeds the ground-set cap {MAX_N}")
     header = f"permset 1 {s.k} {s.n}\n".encode("ascii")
     lib = _native.library()
     if lib is None:

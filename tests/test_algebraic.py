@@ -121,8 +121,9 @@ def test_build_general_matches_lexsort_of_key_triples():
 
 
 def test_lattice_build_scratch_stays_small():
-    # The keys are computed on the grid's axes, so the build's traced peak
-    # above its members stays within 6 int64 words per point of [n'].
+    # The int32 keys are computed on the grid's axes and sorted over the kept
+    # points only, so the build's traced peak above its members stays within
+    # 4 int64 words per point of [n'].
     for n, k in ((100_000, 8), (100_000, 3)):
         tracemalloc.start()
         try:
@@ -131,19 +132,20 @@ def test_lattice_build_scratch_stays_small():
         finally:
             tracemalloc.stop()
         scratch = peak - sum(p.array.nbytes for p in s.perms)
-        assert scratch <= 6 * 8 * s.params["n_prime"], (n, k, scratch)
+        assert scratch <= 4 * 8 * s.params["n_prime"], (n, k, scratch)
 
 
-def test_packed_key_fits_int64_up_to_the_cap():
-    # largest key: major = p-1, middle = k*s1 + s2, minor = s1
+def test_lattice_key_fits_int32_up_to_the_cap():
+    # largest key: major = p-1 and plane rank s1*s2 - 1; largest sum that
+    # _key_arrays reduces mod p: j = k, x = s1, y = s2, z = s3
     for k in range(3, 4097):
         s1 = ceil_cbrt(MAX_N // (k * k))
         if k * k * s1**3 > MAX_N:
             s1 -= 1
         params = params_from(k * k * s1**3, k)
-        middle_cap = k * s1 + params.s2
-        top = ((params.p - 1) * (middle_cap + 1) + middle_cap) * (s1 + 1) + s1
-        assert top < 2**63
+        plane = s1 * params.s2
+        assert (params.p - 1) * plane + plane - 1 < 2**31
+        assert k * k * s1 + 2 * k * params.s2 + 2 * params.s3 < 2**31
 
 
 def test_build_exact_9_3_frozen():

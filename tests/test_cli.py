@@ -11,6 +11,7 @@ from permlcs import (
     build_general, build_hadamard_set, dumps_permset, identity, PermSet, read_permset,
     write_permset,
 )
+import permlcs.algebraic as algebraic
 from permlcs.cli import main
 
 
@@ -320,6 +321,24 @@ def test_internal_invariant_exits_3(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "internal error: duplicate sort key for j=1; keys must be 1-1 on [n]\n"
+
+
+def test_tied_lattice_keys_stop_the_build(tmp_path, capsys, monkeypatch):
+    key_arrays = algebraic._key_arrays
+
+    def tied(*args):
+        major, middle, minor = key_arrays(*args)
+        return major * 0, middle, minor
+
+    monkeypatch.setattr(algebraic, "_key_arrays", tied)
+    with pytest.raises(RuntimeError, match="duplicate sort key for j=1"):
+        build_general(72, 3)
+    path = tmp_path / "s.permset"
+    code, out, err = run(capsys, "construct", "algebraic", "--n", "72", "--k", "3",
+                         "--out", str(path))
+    assert (code, out) == (3, "")
+    assert err == "internal error: duplicate sort key for j=1; keys must be 1-1 on [n]\n"
+    assert not path.exists()
 
 
 def test_out_of_memory_is_usage_error(capsys, monkeypatch):

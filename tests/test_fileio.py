@@ -20,7 +20,6 @@ from permlcs import (
     write_permset,
 )
 import permlcs._native as _native
-import permlcs.fileio as fileio
 from permlcs.cli import main
 from permlcs.perm import MAX_N
 from oracles import value_line
@@ -401,18 +400,3 @@ def test_write_goes_through_an_open_descriptor(tmp_path):
         os.close(fd)
     assert (target.stat().st_ino, target.read_bytes()) == (inode, want)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.permset"]
-
-
-def test_writers_refuse_a_set_above_the_cap(tmp_path, monkeypatch):
-    monkeypatch.setattr(fileio, "MAX_N", 4)
-    cap = "^n = 5 exceeds the ground-set cap 4$"
-    above = PermSet((identity(5), reversal(5)))
-    with pytest.raises(ValueError, match=cap):
-        dumps_permset(above)
-    path = tmp_path / "s.permset"
-    with pytest.raises(ValueError, match=cap):
-        write_permset(above, path)
-    assert not path.exists()  # refused before the path is opened
-    at_cap = PermSet((identity(4), reversal(4)))
-    write_permset(at_cap, path)
-    assert read_permset(path).perms == at_cap.perms

@@ -344,7 +344,7 @@ def test_build_deletes_stale_libraries_of_this_interpreter(tmp_path, monkeypatch
     cache = tmp_path / "__pycache__"
     cache.mkdir()
     suffix = EXTENSION_SUFFIXES[0]
-    stale = [cache / f"_native-00000000{suffix}", cache / f"_lis-0755b41c{suffix}"]
+    stale = [cache / f"_native-00000000{suffix}"]
     kept = [cache / "_native-00000000.cpython-00-other.so", cache / "fileio.cpython-311.pyc"]
     for path in stale + kept:
         path.write_bytes(b"")
