@@ -1,7 +1,11 @@
 """The package's C helpers, `_native.c`, compiled on first use and loaded
 with `ctypes`: `lis_length` (patience LIS, for `subseq`) and `parse_line` /
 `render_line` (the PERMSET value-line codec, for `fileio`).  Each takes the
-package's one word type, a contiguous `int32` array passed by address.
+package's one word type, a contiguous `int32` array, and callers pass the
+arrays themselves: the argument table `library()` sets declares each array
+argument with `np.ctypeslib.ndpointer`, so a call with the wrong dtype, a
+strided view or a read-only output raises `ctypes.ArgumentError` instead of
+handing C the wrong bytes.
 
 `library()` compiles the source with `cc` into this package's
 `__pycache__/` and loads it; importing the module does neither.  The file
@@ -66,12 +70,17 @@ def library():
             return None
         import ctypes
 
+        import numpy as np
+
         lib = ctypes.CDLL(str(path))
-        p, size = ctypes.c_void_p, ctypes.c_ssize_t
+        size = ctypes.c_ssize_t
+        word = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+        out = np.ctypeslib.ndpointer(np.int32, flags=("C_CONTIGUOUS", "WRITEABLE"))
+        line = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
         for name, restype, argtypes in (
-            ("lis_length", size, (p, size, p)),
-            ("render_line", size, (p, size, p, size)),
-            ("parse_line", ctypes.c_int, (ctypes.c_char_p, size, size, p)),
+            ("lis_length", size, (word, size, out)),
+            ("render_line", size, (word, size, line, size)),
+            ("parse_line", ctypes.c_int, (ctypes.c_char_p, size, size, out)),
         ):
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = restype, argtypes

@@ -14,10 +14,11 @@ significant.  The resulting k permutations have pairwise LCS at most
 smallest exactly-representable n' >= n (n' <= 8n) and restricted back.
 
 Keys are computed on the int32 axes x, y, z of the (s3, s2, s1) grid, whose C
-order is the point's 0-based value.  (middle, minor) is 1-1 on the (y, x) plane,
-so major*(s1*s2) + rank in the plane's (middle, minor) order is an int32 key
-(< p*s1*s2 < 8n' <= 2^27) that orders as the triple.  Each member is one argsort
-of it over the kept points [n]; triples are 1-1, so a tied kept key stops the build.
+order is the point's 0-based value.  With W = k*s1 + s2 + 1, one above the
+largest middle, and 1 <= minor <= s1, the closed form
+(major*W + middle)*s1 + minor - 1 is an int32 key (< p*W*s1 < 24n' < 2^29) that
+orders as the triple.  Each member is one argsort of it over the kept points
+[n]; triples are 1-1, so a tied kept key stops the build.
 """
 
 from __future__ import annotations
@@ -91,14 +92,11 @@ def _build(params: ConstructionParams, n: int) -> PermSet:
     Restriction never grows an LCS, so every result keeps the 2p - 1 bound.
     """
     x, y, z = _coordinate_arrays(params)
-    plane = params.s1 * params.s2
+    width = params.k * params.s1 + params.s2 + 1  # one above the largest middle
     perms = []
     for j in range(1, params.k + 1):
         major, middle, minor = _key_arrays(j, x, y, z, params)
-        # each (y, x) point's rank in the plane's (middle, minor) order
-        plane_order = np.lexsort((np.broadcast_to(minor, middle.shape).ravel(), middle.ravel()))
-        rank = plane_order.argsort().astype(np.int32).reshape(middle.shape)
-        key = (major * plane + rank).ravel()[:n]
+        key = ((major * width + middle) * params.s1 + minor - 1).ravel()[:n]
         order = np.argsort(key)
         if not np.diff(key[order]).all():
             raise RuntimeError(f"duplicate sort key for j={j}; keys must be 1-1 on [n]")

@@ -11,13 +11,15 @@ Value lines go through the native codec, `render_line` and `parse_line` in
 `_native.c`, when `_native.library()` loads it, and through plain Python
 when it does not; the two give the same bytes and the same members.
 
-Writing renders each member's 0-based `int32` word, adding one in C, into
-one reused `uint8` buffer with room for n values as wide as n, and writes
-the prefix whose length `render_line` returns: the codec's count is the
-line, and a refused render raises RuntimeError.  Without the codec a line is
-`" ".join(map(str, one_line))`.  The lines go to a temporary file that is
-renamed onto the path once all are written, so a failed write leaves no
-partial document.
+Writing has one route: `_write_document` writes the header and then each
+line into a binary file as it is rendered, and `dumps_permset` runs it into
+a `BytesIO`.  Each member's 0-based `int32` word is rendered, adding one in
+C, into one reused `uint8` buffer with room for n values as wide as n, and
+the prefix whose length `render_line` returns is written: the codec's count
+is the line, and a refused render raises RuntimeError.  Without the codec a
+line is `" ".join(map(str, one_line))`.  `write_permset` writes to a
+temporary file that is renamed onto the path once all lines are written, so
+a failed write leaves no partial document.
 
 Reading has one route: `read_permset` takes a binary file one line at a
 time, so it holds the current line and the members parsed so far, never the
@@ -49,8 +51,7 @@ import contextlib
 import io
 import os
 import stat
-from itertools import chain
-from typing import Iterable, Iterator, Union
+from typing import BinaryIO, Iterable, Optional, Union
 
 import numpy as np
 
@@ -62,27 +63,26 @@ class FormatError(ValueError):
     """Raised when a PERMSET document is malformed."""
 
 
-def _permset_lines(s: PermSet) -> Iterator[Union[bytes, np.ndarray]]:
-    """The document's lines.  With the native codec every value line is a
-    view of one reused buffer, so a caller must use each line before the next."""
-    header = f"permset 1 {s.k} {s.n}\n".encode("ascii")
+def _write_document(s: PermSet, f: BinaryIO) -> None:
+    """Write the document to the binary file `f`, one line at a time."""
+    f.write(f"permset 1 {s.k} {s.n}\n".encode("ascii"))
     lib = _native.library()
     if lib is None:
-        values = ((" ".join(map(str, p.one_line)) + "\n").encode("ascii") for p in s.perms)
-        return chain((header,), values)
+        for p in s.perms:
+            f.write((" ".join(map(str, p.one_line)) + "\n").encode("ascii"))
+        return
     buf = np.empty(s.n * (len(str(s.n)) + 1), dtype=np.uint8)
-
-    def render(p: Permutation) -> np.ndarray:
-        end = lib.render_line(p.array.ctypes.data, p.n, buf.ctypes.data, buf.size)
+    for p in s.perms:
+        end = lib.render_line(p.array, p.n, buf, buf.size)
         if end < 0:
             raise RuntimeError(f"render_line refused a member on [{p.n}]")
-        return buf[:end]
-
-    return chain((header,), map(render, s.perms))
+        f.write(buf[:end])
 
 
 def dumps_permset(s: PermSet) -> str:
-    return b"".join(map(bytes, _permset_lines(s))).decode("ascii")
+    f = io.BytesIO()
+    _write_document(s, f)
+    return f.getvalue().decode("ascii")
 
 
 def _parse_header(line: str) -> tuple[int, int]:
@@ -122,7 +122,7 @@ def _parse_document(chunks: Iterable[bytes]) -> PermSet:
     for chunk in chunks:
         if count < k and error is None and lib is not None:
             word = np.empty(n, dtype=np.int32)
-            if lib.parse_line(chunk, len(chunk), n, word.ctypes.data):
+            if lib.parse_line(chunk, len(chunk), n, word):
                 try:
                     perms.append(_adopt(word))
                 except ValueError:
@@ -164,24 +164,28 @@ def loads_permset(text: str) -> PermSet:
     return _parse_document(io.BytesIO(text.encode("utf-8", "surrogatepass")))
 
 
-def _opens_in_place(path: Union[str, os.PathLike]) -> bool:
-    """True when `path` opens something other than a regular file by name: a
-    device, a FIFO or a directory, or a descriptor link such as `/dev/stdout`
-    or `/dev/fd/N`, which resolves to a descriptor this process holds open."""
+def _open_in_place(path: Union[str, os.PathLike]) -> Optional[BinaryIO]:
+    """A binary file open on `path` itself, or None for a regular file by
+    name (or no file).  A descriptor link such as `/dev/stdout` or `/dev/fd/N`
+    that resolves to a descriptor this process holds is written through a
+    duplicate of it, at its own offset; any other descriptor link, a device, a
+    FIFO or a directory is opened by name."""
     try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return True
+        regular = stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
-        return False
+        return None
+    own = (f"/proc/{os.getpid()}/fd", "/dev/fd")  # /dev/fd where it is a real directory
     p = os.path.abspath(path)
     for _ in range(40):  # the kernel's own limit on a chain of links
         parent = os.path.realpath(os.path.dirname(p))
+        if parent in own:
+            return os.fdopen(os.dup(int(os.path.basename(p))), "wb")
         if os.path.basename(parent) == "fd" and parent.startswith(("/proc/", "/dev/")):
-            return True
+            return open(p, "wb")
         if not os.path.islink(p):
-            return False
+            break
         p = os.path.join(os.path.dirname(p), os.readlink(p))
-    return False
+    return None if regular else open(path, "wb")
 
 
 def write_permset(s: PermSet, path: Union[str, os.PathLike]) -> None:
@@ -190,13 +194,15 @@ def write_permset(s: PermSet, path: Union[str, os.PathLike]) -> None:
     The lines go to a new file beside `path` (beside the file a symbolic
     link names), which replaces it, keeping an existing file's permission
     bits, only once every line is written: on any error the new file is
-    deleted and `path` is left as it was.  A path that is not a regular file
-    (a device, a FIFO, a directory) or that names an open descriptor
-    (`/dev/stdout`, `/dev/fd/N`) is opened in place."""
-    lines = _permset_lines(s)
-    if _opens_in_place(path):
-        with open(path, "wb") as f:
-            f.writelines(lines)
+    deleted and `path` is left as it was.  A path that names a descriptor
+    this process holds (`/dev/stdout`, `/dev/fd/N`) is written at that
+    descriptor's own offset, so what the process writes to it next follows
+    the document; any other path that is not a regular file (a device, a
+    FIFO, a directory, another process's descriptor) is opened in place."""
+    f = _open_in_place(path)
+    if f is not None:
+        with f:
+            _write_document(s, f)
         return
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
@@ -204,7 +210,7 @@ def write_permset(s: PermSet, path: Union[str, os.PathLike]) -> None:
     f = open(tmp, "xb")  # outside the try: a name that exists is not ours to delete
     try:
         with f:
-            f.writelines(lines)
+            _write_document(s, f)
         if os.path.exists(target):
             os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
         os.replace(tmp, target)

@@ -58,7 +58,7 @@ def _lis_word(word: np.ndarray) -> int:
     if lib is None:
         return _lis_core(word.tolist())
     tops = np.empty(len(word), dtype=np.int32)
-    return lib.lis_length(word.ctypes.data, len(word), tops.ctypes.data)
+    return lib.lis_length(word, len(word), tops)
 
 
 def _distinct_word(seq: Sequence[int]) -> np.ndarray:

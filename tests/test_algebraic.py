@@ -136,15 +136,16 @@ def test_lattice_build_scratch_stays_small():
 
 
 def test_lattice_key_fits_int32_up_to_the_cap():
-    # largest key: major = p-1 and plane rank s1*s2 - 1; largest sum that
-    # _key_arrays reduces mod p: j = k, x = s1, y = s2, z = s3
+    # largest key: major = p-1, middle = k*s1 + s2 and minor = s1, so below
+    # p*W*s1 with W = k*s1 + s2 + 1; largest sum that _key_arrays reduces
+    # mod p: j = k, x = s1, y = s2, z = s3
     for k in range(3, 4097):
         s1 = ceil_cbrt(MAX_N // (k * k))
         if k * k * s1**3 > MAX_N:
             s1 -= 1
         params = params_from(k * k * s1**3, k)
-        plane = s1 * params.s2
-        assert (params.p - 1) * plane + plane - 1 < 2**31
+        width = k * s1 + params.s2 + 1
+        assert params.p * width * s1 - 1 < 2**31
         assert k * k * s1 + 2 * k * params.s2 + 2 * params.s3 < 2**31
 
 

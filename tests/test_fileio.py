@@ -1,5 +1,8 @@
+import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
 import types
 
@@ -19,6 +22,7 @@ from permlcs import (
     reversal,
     write_permset,
 )
+import permlcs
 import permlcs._native as _native
 from permlcs.cli import main
 from permlcs.perm import MAX_N
@@ -27,7 +31,7 @@ from oracles import value_line
 
 def test_permset_exact_bytes(routes):
     for codec in routes:
-        # dumps_permset joins the lines, so a reused line buffer must be copied
+        # each line is written from one reused buffer before the next is rendered
         s = PermSet((identity(3), reversal(3)))
         assert dumps_permset(s) == "permset 1 2 3\n1 2 3\n3 2 1\n"
         one = PermSet((Permutation.from_one_line([2, 1, 4, 3]),))
@@ -209,7 +213,7 @@ def test_canonical_length_lines_off_the_canonical_form(tmp_path, n, line, parsed
     lib = _native.library()
     if lib is not None:
         word = np.empty(n, dtype=np.int32)
-        assert lib.parse_line(line, len(line), n, word.ctypes.data) == parsed
+        assert lib.parse_line(line, len(line), n, word) == parsed
     path = tmp_path / "s.permset"
     path.write_bytes(b"permset 1 1 %d\n" % n + line)
     for codec in routes:
@@ -222,15 +226,15 @@ def test_native_parse_accepts_only_the_canonical_form():
         pytest.skip("no native codec on this machine")
     word = np.empty(3, dtype=np.int32)
     for line in (b"3 1 2\n", b"3 1 2"):
-        assert lib.parse_line(line, len(line), 3, word.ctypes.data) == 1
+        assert lib.parse_line(line, len(line), 3, word) == 1
         assert word.tolist() == [2, 0, 1]
     for line in (b"1 2 3 \n", b" 1 2 3", b"1 2 3\n\n", b"1 2\n", b"1 2 3 1\n",
                  b"1 2 +3", b"1\t2 3\n", b"", b"1 2 3\r"):
-        assert lib.parse_line(line, len(line), 3, word.ctypes.data) == 0
+        assert lib.parse_line(line, len(line), 3, word) == 0
     # 2**64 + 1 would wrap to 1 in 64 bits, and 2**32 + 1 in 32; a token is
     # cut off at 9 digits
     for token in (b"18446744073709551617", b"4294967297"):
-        assert lib.parse_line(token, len(token), 1, word.ctypes.data) == 0
+        assert lib.parse_line(token, len(token), 1, word) == 0
     # Any byte but a digit, a space or a final newline is refused, placed
     # first, between tokens, in place of the newline or after it: a line the
     # native parse takes is one line to `str.splitlines` too, so both routes
@@ -239,9 +243,9 @@ def test_native_parse_accepts_only_the_canonical_form():
         c = bytes((value,))
         for line in (c + b"3 1 2\n", b"3" + c + b"1 2\n", b"3 1" + c + b" 2\n",
                      b"3 1 2" + c, b"3 1 2\n" + c):
-            assert lib.parse_line(line, len(line), 3, word.ctypes.data) == 0, line
+            assert lib.parse_line(line, len(line), 3, word) == 0, line
     for line in (b"\n3 1 2\n", b"3\n1 2\n", b"3 1 2\n\n"):
-        assert lib.parse_line(line, len(line), 3, word.ctypes.data) == 0, line
+        assert lib.parse_line(line, len(line), 3, word) == 0, line
 
 
 @pytest.mark.parametrize("data", [
@@ -315,12 +319,12 @@ def test_value_line_matches_str_at_every_width(routes):
     if lib is not None:
         word = np.array(values, dtype=np.int32) - 1
         buf = np.empty(len(want), dtype=np.uint8)
-        assert lib.render_line(word.ctypes.data, word.size, buf.ctypes.data, buf.size) == buf.size
+        assert lib.render_line(word, word.size, buf, buf.size) == buf.size
         assert buf.tobytes() == want
         # one byte short, or a negative entry: refused, nothing past cap written
-        assert lib.render_line(word.ctypes.data, word.size, buf.ctypes.data, buf.size - 1) == -1
+        assert lib.render_line(word, word.size, buf, buf.size - 1) == -1
         word[3] = -1
-        assert lib.render_line(word.ctypes.data, word.size, buf.ctypes.data, buf.size) == -1
+        assert lib.render_line(word, word.size, buf, buf.size) == -1
     # through the writers on both routes: widths 1..7 in one member
     n = 10**6 + 1
     s = PermSet((reversal(n),))
@@ -376,7 +380,8 @@ def test_write_replaces_a_file_and_writes_through_a_link(tmp_path):
 
 def test_write_goes_through_an_open_descriptor(tmp_path):
     # /dev/fd/N names a descriptor this process holds: a pipe's write end is
-    # written in place, and so is a regular file, which keeps its inode.
+    # written in place, and a regular file at the descriptor's own offset,
+    # with no truncation, so it keeps its inode and the bytes past the document.
     s = PermSet((identity(3), reversal(3)))
     want = dumps_permset(s).encode("ascii")
     r, w = os.pipe()
@@ -398,5 +403,22 @@ def test_write_goes_through_an_open_descriptor(tmp_path):
         write_permset(s, f"/dev/fd/{fd}")
     finally:
         os.close(fd)
-    assert (target.stat().st_ino, target.read_bytes()) == (inode, want)
+    assert (target.stat().st_ino, target.read_bytes()) == (inode, want + b"x" * (100 - len(want)))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.permset"]
+
+
+def test_document_on_stdout_is_followed_by_the_report(tmp_path):
+    # `--out /dev/stdout` writes at stdout's own offset, so the report printed
+    # after it follows the document whether stdout is a regular file or a pipe.
+    argv = [sys.executable, "-m", "permlcs.cli", "construct", "algebraic",
+            "--n", "72", "--k", "3", "--out", "/dev/stdout"]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(permlcs.__file__))}
+    out = tmp_path / "out"
+    with open(out, "wb") as f:
+        assert subprocess.run(argv, stdout=f, env=env, timeout=60).returncode == 0
+    piped = subprocess.run(argv, stdout=subprocess.PIPE, env=env, timeout=60)
+    assert piped.returncode == 0
+    assert out.read_bytes() == piped.stdout
+    document = dumps_permset(build_general(72, 3)).encode("ascii")
+    assert piped.stdout.startswith(document)
+    assert json.loads(piped.stdout[len(document):])["command"] == "construct"

@@ -1,3 +1,4 @@
+import ctypes
 import itertools
 import math
 import os
@@ -166,6 +167,19 @@ def test_native_kernel_matches_python_kernel_on_long_words():
         assert subseq._lis_word(word) == subseq._lis_core(word.tolist())
 
 
+def test_native_kernel_refuses_a_word_of_another_layout():
+    # The argument table checks each array's dtype and layout, so a word that
+    # is not a contiguous int32 array never reaches C as the wrong bytes.
+    lib = _native.library()
+    if lib is None:
+        pytest.skip("no native kernel on this machine")
+    tops = np.empty(5, dtype=np.int32)
+    word = np.array([3, 1, 4, 2, 5], dtype=np.int32)
+    assert lib.lis_length(word, 5, tops) == 3
+    for bad in (word.astype(np.int64), word[::-1]):
+        with pytest.raises(ctypes.ArgumentError):
+            lib.lis_length(bad, 5, tops)
+
 def test_lcs_pair_examples(routes):
     for kernel in routes:
         p = Permutation.from_one_line([4, 2, 5, 1, 3])
@@ -328,7 +342,7 @@ def test_compiler_command_keys_the_library(tmp_path, monkeypatch):
     for flag in ("-O2", "-O1", "-O2"):
         monkeypatch.setattr(_native, "_CC", ("cc", flag, "-shared", "-fPIC"))
         lib = _native.library.__wrapped__()  # uncached: build for this command
-        assert lib.lis_length(word.ctypes.data, 5, tops.ctypes.data) == 3
+        assert lib.lis_length(word, 5, tops) == 3
         names.append(os.path.basename(lib._name))
     assert names[0] == names[2] != names[1]
     # each build deletes the other command's library
