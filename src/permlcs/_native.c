@@ -1,6 +1,7 @@
 /* The package's native helpers, built and loaded by `_native.py`: the
-   patience LIS kernel and the PERMSET value-line codec.  Words are int32:
-   every ground set is at most 2^24, so each entry and each rank fits. */
+   patience LIS kernel, the relabel that feeds it each pair of members, and
+   the PERMSET value-line codec.  Words are int32: every ground set is at
+   most 2^24, so each entry and each rank fits. */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -71,6 +72,27 @@ ptrdiff_t lis_length(const int32_t *a, ptrdiff_t n, int32_t *tops)
         }
     }
     return len;
+}
+
+/* Invert the word a[0..n): pos[a[i]] = i, so pos holds each value's index.
+   a must be a rearrangement of 0..n-1, as every member is. */
+void invert(const int32_t *a, ptrdiff_t n, int32_t *pos)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        pos[a[i]] = (int32_t)i;
+}
+
+/* LIS of the word a[0..n) relabeled through pos: word[i] = pos[a[i]], then
+   lis_length(word, n, tops).  With pos the inverse of member b, that is the
+   LCS of members a and b.  a must hold only indices into pos, as a member of
+   the same ground set does.  lis_length is called, not inlined: a relabel
+   fused with an inlined copy made lattice sweeps slower. */
+ptrdiff_t relabel_lis(const int32_t *pos, const int32_t *a, ptrdiff_t n,
+                      int32_t *word, int32_t *tops)
+{
+    for (ptrdiff_t i = 0; i < n; i++)
+        word[i] = pos[a[i]];
+    return lis_length(word, n, tops);
 }
 
 /* 10^0 .. 10^9: a value v below 2^32 is as wide as the count of entries <= v. */

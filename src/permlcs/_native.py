@@ -1,11 +1,14 @@
 """The package's C helpers, `_native.c`, compiled on first use and loaded
-with `ctypes`: `lis_length` (patience LIS, for `subseq`) and `parse_line` /
-`render_line` (the PERMSET value-line codec, for `fileio`).  Each takes the
-package's one word type, a contiguous `int32` array, and callers pass the
-arrays themselves: the argument table `library()` sets declares each array
-argument with `np.ctypeslib.ndpointer`, so a call with the wrong dtype, a
-strided view or a read-only output raises `ctypes.ArgumentError` instead of
-handing C the wrong bytes.
+with `ctypes`: `lis_length` (patience LIS), `invert` and `relabel_lis` (a
+member's position array, then one call per pair that relabels the other
+member through it and measures the LIS), all for `subseq`, and
+`parse_line` / `render_line` (the PERMSET value-line codec, for `fileio`).
+Each takes the package's one word type, a contiguous `int32` array, and
+callers pass the arrays themselves: the argument table `library()` sets,
+`_signatures()`, declares each array argument with
+`np.ctypeslib.ndpointer`, so a call with the wrong dtype, a strided view or
+a read-only output raises `ctypes.ArgumentError` instead of handing C the
+wrong bytes.
 
 `library()` compiles the source with `cc` into this package's
 `__pycache__/` and loads it; importing the module does neither.  The file
@@ -70,20 +73,30 @@ def library():
             return None
         import ctypes
 
-        import numpy as np
-
         lib = ctypes.CDLL(str(path))
-        size = ctypes.c_ssize_t
-        word = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-        out = np.ctypeslib.ndpointer(np.int32, flags=("C_CONTIGUOUS", "WRITEABLE"))
-        line = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
-        for name, restype, argtypes in (
-            ("lis_length", size, (word, size, out)),
-            ("render_line", size, (word, size, line, size)),
-            ("parse_line", ctypes.c_int, (ctypes.c_char_p, size, size, out)),
-        ):
+        for name, (restype, argtypes) in _signatures().items():
             fn = getattr(lib, name)
             fn.restype, fn.argtypes = restype, argtypes
     except (OSError, AttributeError):
         return None
     return lib
+
+
+def _signatures() -> dict:
+    """The argument table: each function `_native.c` exports, by name, to
+    its (`restype`, `argtypes`)."""
+    import ctypes
+
+    import numpy as np
+
+    size = ctypes.c_ssize_t
+    word = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+    out = np.ctypeslib.ndpointer(np.int32, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    line = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    return {
+        "lis_length": (size, (word, size, out)),
+        "invert": (None, (word, size, out)),
+        "relabel_lis": (size, (word, word, size, out, out)),
+        "render_line": (size, (word, size, line, size)),
+        "parse_line": (ctypes.c_int, (ctypes.c_char_p, size, size, out)),
+    }

@@ -154,20 +154,31 @@ class ProbabilisticCheck:
         return min(self.max_lcs_per_trial)
 
 
-def check_probabilistic_bound(n: int, k: int, trials: int, seed: int) -> ProbabilisticCheck:
+def _sample(n: int, k: int, trials: int, seed: int,
+            lis: bool) -> tuple[ProbabilisticCheck, LisSample | None]:
+    """The trial loop: trial t draws its k-set from trial_rng(seed, t) once
+    and measures its max-pair LCS and, if `lis`, the LIS of its first member,
+    which is the permutation `sample_lis` draws for trial t.  Returns the
+    check of the maxima and, if `lis`, the sample of the lengths."""
     if k < 2:
         raise ValueError("need at least two permutations per sampled set")
     if trials < 1:
         raise ValueError("need at least one trial")
-    maxima = []
+    maxima, lengths = [], []
     for t in range(trials):
-        rng = trial_rng(seed, t)
-        sampled = random_perm_set(n, k, rng)
+        sampled = random_perm_set(n, k, trial_rng(seed, t))
         maxima.append(lcs_all_pairs(sampled).max_pair)
-    return ProbabilisticCheck(
+        if lis:
+            lengths.append(_lis_word(sampled.perms[0].array))
+    check = ProbabilisticCheck(
         n=n, k=k, trials=trials, seed=seed,
         threshold=lcs_threshold(n), max_lcs_per_trial=tuple(maxima),
     )
+    return check, LisSample(n=n, trials=trials, seed=seed, lengths=tuple(lengths)) if lis else None
+
+
+def check_probabilistic_bound(n: int, k: int, trials: int, seed: int) -> ProbabilisticCheck:
+    return _sample(n, k, trials, seed, lis=False)[0]
 
 
 def largest_m_with_factorial_below(k: int, n: int) -> int:

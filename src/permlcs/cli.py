@@ -28,11 +28,10 @@ from typing import Callable, Iterator, Optional, Sequence
 from .algebraic import build_exact, build_general
 from .bounds import (
     BOUND_CHOICES,
+    _sample,
     check_bounds,
-    check_probabilistic_bound,
     lcs_threshold,
     random_perm_set,
-    sample_lis,
     theorem2_threshold,
     trial_rng,
 )
@@ -100,16 +99,17 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 @_json_command
 def _cmd_sample(args: argparse.Namespace) -> tuple[dict, dict, bool]:
-    check = check_probabilistic_bound(args.n, args.k, args.trials, args.seed)
+    check, lis_sample = _sample(args.n, args.k, args.trials, args.seed, lis=bool(args.lis_csv))
     results = {
         "threshold": check.threshold,
         "max_lcs_distribution": list(check.max_lcs_per_trial),
         "violations": check.violations,
         "min_max_lcs": check.min_max_lcs,
     }
-    if args.lis_csv:
+    if lis_sample is not None:
+        text = lis_sample.to_csv()  # made in full before the file is opened
         with open(args.lis_csv, "w", encoding="ascii", newline="") as f:
-            f.write(sample_lis(args.n, args.trials, args.seed).to_csv())
+            f.write(text)
         results["lis_csv"] = args.lis_csv
     params = {"n": args.n, "k": args.k, "trials": args.trials, "seed": args.seed}
     return params, results, check.all_below

@@ -8,16 +8,19 @@ enumeration, kept in `tests/oracles.py`.
 Every answer takes one route, over `int32` words.  `lis`/`lds` accept only
 words of distinct integers that fit `int64` (anything else is a ValueError)
 and hand `_lis_word` the word's ranks 0..m-1, which have the same increasing
-subsequences; `lcs_pair` and `lcs_all_pairs` relabel through `_column`,
-which calls `_lis_word` per pair.
+subsequences; `lcs_pair` and `lcs_all_pairs` go through `_column`, which
+builds member j's position array once with `invert` and then makes one C
+call per earlier member, `relabel_lis`, into a word and pile tops it
+allocates once per column: no n-sized array is made per pair.
 
 Patience sorting runs in C, `lis_length` in `_native.c`, over an `int32`
-word and pile-top scratch that `_lis_word` allocates per call; the comment
-there describes its padded pile tops, its neighbour-pile check and the miss
-count that gates it.  The first LIS call builds and loads it through
-`_native.library()`; importing the module does neither.  Where it cannot be
-built or loaded, `_lis_word` runs `_lis_core`, the same algorithm in Python,
-with equal answers and no output; there is no switch between the two.
+word and pile-top scratch (`_lis_word` allocates its own per call); the
+comment there describes its padded pile tops, its neighbour-pile check and
+the miss count that gates it.  The first LIS call builds and loads it
+through `_native.library()`; importing the module does neither.  Where it
+cannot be built or loaded, `_lis_word` runs `_lis_core`, the same algorithm
+in Python, and `_column` relabels with `np.take` before it, with equal
+answers and no output; there is no switch between the two.
 
 Patience sorting needs no tie-breaking policy here: inputs are permutations,
 so pile-top binary search never sees equal values.
@@ -149,14 +152,19 @@ def _column(perms: Sequence[Permutation], j: int) -> list[int]:
     once and relabels each earlier member into one reused word."""
     n = perms[j].n
     pos, word = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
-    pos[perms[j].array] = np.arange(n, dtype=np.int32)
-    values = []
-    for i in range(j):
-        # perms[i] is a validated permutation of 0..n-1, so "clip" never
-        # clips; unlike the default "raise", it lets take write `out` unbuffered.
-        np.take(pos, perms[i].array, out=word, mode="clip")
-        values.append(_lis_word(word))
-    return values
+    lib = _native.library()
+    if lib is None:
+        pos[perms[j].array] = np.arange(n, dtype=np.int32)
+        values = []
+        for i in range(j):
+            # perms[i] is a validated permutation of 0..n-1, so "clip" never
+            # clips; unlike the default "raise", it lets take write `out` unbuffered.
+            np.take(pos, perms[i].array, out=word, mode="clip")
+            values.append(_lis_core(word.tolist()))
+        return values
+    tops = np.empty(n, dtype=np.int32)
+    lib.invert(perms[j].array, n, pos)
+    return [lib.relabel_lis(pos, perms[i].array, n, word, tops) for i in range(j)]
 
 
 def lcs_all_pairs(s: PermSet, *, threads: int = 1) -> LcsMatrix:

@@ -21,6 +21,7 @@ from permlcs import (
     sample_lis,
     trial_rng,
 )
+import permlcs.bounds as bounds
 from permlcs.bounds import BOUND_CHECKS, check_bounds, largest_m_with_factorial_below
 from permlcs.perm import MAX_N
 
@@ -68,6 +69,19 @@ def test_sample_lis_csv():
     assert lines[0] == "trial,length"
     assert len(lines) == 4
     assert lines[1] == f"0,{s.lengths[0]}"
+
+
+def test_sample_draws_each_trial_once_for_both_measures(monkeypatch):
+    # `sample --lis-csv` takes each trial's LIS from the first member of the
+    # set it already drew, which is the permutation sample_lis draws
+    draws = []
+    real = bounds.trial_rng
+    monkeypatch.setattr(bounds, "trial_rng", lambda seed, t=0: draws.append(t) or real(seed, t))
+    check, sample = bounds._sample(300, 3, 7, 5, lis=True)
+    assert draws == list(range(7))
+    assert check == check_probabilistic_bound(300, 3, 7, 5)
+    assert sample == sample_lis(300, 7, 5)
+    assert bounds._sample(300, 3, 7, 5, lis=False) == (check, None)
 
 
 def test_sample_lis_rejects_zero_trials():

@@ -162,6 +162,17 @@ def test_sample_lis_csv(tmp_path, capsys):
     assert report["results"]["lis_csv"] == str(csv_path)
 
 
+def test_sample_lis_csv_is_not_opened_when_sampling_fails(tmp_path, capsys, monkeypatch):
+    def starved(word):
+        raise MemoryError
+    monkeypatch.setattr("permlcs.bounds._lis_word", starved)
+    csv_path = tmp_path / "lis.csv"
+    code, out, err = run(capsys, "sample", "--n", "50", "--k", "2", "--trials", "5",
+                         "--lis-csv", str(csv_path))
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+    assert not csv_path.exists()
+
+
 def test_sample_zero_trials(capsys):
     code, _, _ = run(capsys, "sample", "--n", "10", "--k", "2", "--trials", "0")
     assert code == 2

@@ -3,8 +3,10 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from permlcs import (
     PermSet,
     Permutation,
     build_exact,
+    build_general,
     build_hadamard_set,
     compose,
     dumps_permset,
@@ -151,34 +154,92 @@ def test_monotone_words_cross_every_capacity_doubling(routes):
 
 
 def test_native_kernel_matches_python_kernel_on_long_words():
-    if _native.library() is None:
+    # invert + relabel_lis (and lis_length alone) against the no-compiler
+    # route's np.take + _lis_core on every column of a digit set, whose long
+    # runs land on the previous pile or its neighbour, the case the kernel
+    # checks before searching; of a lattice set; of three random words; and
+    # of identical words whose LIS crosses every capacity doubling
+    lib = _native.library()
+    if lib is None:
         pytest.skip("no native kernel on this machine")
     rng = np.random.default_rng(8)
-    words = [rng.permutation(10**5) for _ in range(3)]
-    # every column of a digit set: long runs that land on the previous pile
-    # or its neighbour, the case the native kernel checks before searching
-    s = build_hadamard_set(8, 4)
-    for j in range(1, s.k):
-        pos = np.empty(s.n, dtype=np.int64)
-        pos[s.perms[j].array] = np.arange(s.n)
-        words += [pos[s.perms[i].array] for i in range(j)]
-    for word in words:
-        word = np.ascontiguousarray(word, dtype=np.int32)
-        assert subseq._lis_word(word) == subseq._lis_core(word.tolist())
+    sets = [build_hadamard_set(8, 4).perms, build_general(100000, 8).perms,
+            [Permutation(rng.permutation(10**5)) for _ in range(3)]]
+    sets += [[identity(n)] * 2 for n in (1, 63, 64, 65, 129, 4097)]
+    for perms in sets:
+        n = perms[0].n
+        pos, word, tops = (np.empty(n, dtype=np.int32) for _ in range(3))
+        for j in range(1, len(perms)):
+            lib.invert(perms[j].array, n, pos)
+            want_pos = np.empty(n, dtype=np.int32)
+            want_pos[perms[j].array] = np.arange(n, dtype=np.int32)
+            assert np.array_equal(pos, want_pos)
+            for i in range(j):
+                got = lib.relabel_lis(pos, perms[i].array, n, word, tops)
+                want = np.take(want_pos, perms[i].array)
+                assert np.array_equal(word, want)
+                assert got == subseq._lis_word(want) == subseq._lis_core(want.tolist())
+
+
+def test_sweep_holds_three_words_not_four():
+    # member j's positions, the relabeled word and the pile tops, each 4n
+    # bytes and made once per column; gathering with numpy through an int32
+    # index made an 8n-byte intp copy of each member as well
+    if _native.library() is None:
+        pytest.skip("no native kernel on this machine")
+    s = build_hadamard_set(8, 5)
+    lcs_all_pairs(s)  # the first call may build the library
+    tracemalloc.start()
+    try:
+        lcs_all_pairs(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 4 * s.n
 
 
 def test_native_kernel_refuses_a_word_of_another_layout():
     # The argument table checks each array's dtype and layout, so a word that
-    # is not a contiguous int32 array never reaches C as the wrong bytes.
+    # is not a contiguous int32 array never reaches C as the wrong bytes, and
+    # C never writes into a read-only array.
     lib = _native.library()
     if lib is None:
         pytest.skip("no native kernel on this machine")
-    tops = np.empty(5, dtype=np.int32)
+    tops, pos, out = (np.empty(5, dtype=np.int32) for _ in range(3))
     word = np.array([3, 1, 4, 2, 5], dtype=np.int32)
     assert lib.lis_length(word, 5, tops) == 3
+    member = word - 1
+    lib.invert(member, 5, pos)
+    assert pos.tolist() == [1, 3, 0, 2, 4]
+    assert lib.relabel_lis(pos, member, 5, out, tops) == 5
+    frozen = np.empty(5, dtype=np.int32)
+    frozen.flags.writeable = False
     for bad in (word.astype(np.int64), word[::-1]):
         with pytest.raises(ctypes.ArgumentError):
             lib.lis_length(bad, 5, tops)
+    for bad in (member.astype(np.int64), member[::-1]):
+        for call in (lambda: lib.invert(bad, 5, pos),
+                     lambda: lib.invert(member, 5, bad),
+                     lambda: lib.relabel_lis(bad, member, 5, out, tops),
+                     lambda: lib.relabel_lis(pos, bad, 5, out, tops),
+                     lambda: lib.relabel_lis(pos, member, 5, bad, tops),
+                     lambda: lib.relabel_lis(pos, member, 5, out, bad)):
+            with pytest.raises(ctypes.ArgumentError):
+                call()
+    for call in (lambda: lib.invert(member, 5, frozen),
+                 lambda: lib.relabel_lis(pos, member, 5, frozen, tops),
+                 lambda: lib.relabel_lis(pos, member, 5, out, frozen)):
+        with pytest.raises(ctypes.ArgumentError):
+            call()
+
+
+def test_argument_table_names_every_c_export():
+    # A function _native.c exports without an argument table entry would be
+    # called with unchecked arguments; an entry with no function fails every
+    # load.  Exported means defined at the start of a line, not `static`.
+    source = _native._SOURCE.read_text()
+    exported = re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(", source, re.MULTILINE)
+    assert sorted(exported) == sorted(_native._signatures())
 
 def test_lcs_pair_examples(routes):
     for kernel in routes:
