@@ -19,8 +19,8 @@ comment there describes its padded pile tops, its neighbour-pile check and
 the miss count that gates it.  The first LIS call builds and loads it
 through `_native.library()`; importing the module does neither.  Where it
 cannot be built or loaded, `_lis_word` runs `_lis_core`, the same algorithm
-in Python, and `_column` relabels with `np.take` before it, with equal
-answers and no output; there is no switch between the two.
+in Python, on every word, those `_column` relabels through `perm.invert` too,
+with equal answers and no output; there is no switch between the two.
 
 Patience sorting needs no tie-breaking policy here: inputs are permutations,
 so pile-top binary search never sees equal values.
@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _native
-from .perm import Permutation, PermSet
+from .perm import Permutation, PermSet, invert
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT32_MAX = np.iinfo(np.int32).max
@@ -149,20 +149,13 @@ class LcsMatrix:
 
 def _column(perms: Sequence[Permutation], j: int) -> list[int]:
     """LCS of member j with each earlier member.  j's position array is built
-    once and relabels each earlier member into one reused word."""
-    n = perms[j].n
-    pos, word = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
+    once; natively it relabels each earlier member into one reused word."""
     lib = _native.library()
     if lib is None:
-        pos[perms[j].array] = np.arange(n, dtype=np.int32)
-        values = []
-        for i in range(j):
-            # perms[i] is a validated permutation of 0..n-1, so "clip" never
-            # clips; unlike the default "raise", it lets take write `out` unbuffered.
-            np.take(pos, perms[i].array, out=word, mode="clip")
-            values.append(_lis_core(word.tolist()))
-        return values
-    tops = np.empty(n, dtype=np.int32)
+        pos = invert(perms[j]).array
+        return [_lis_word(pos[perms[i].array]) for i in range(j)]
+    n = perms[j].n
+    pos, word, tops = (np.empty(n, dtype=np.int32) for _ in range(3))
     lib.invert(perms[j].array, n, pos)
     return [lib.relabel_lis(pos, perms[i].array, n, word, tops) for i in range(j)]
 

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -405,6 +406,68 @@ def test_write_goes_through_an_open_descriptor(tmp_path):
         os.close(fd)
     assert (target.stat().st_ino, target.read_bytes()) == (inode, want + b"x" * (100 - len(want)))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.permset"]
+
+
+def test_write_opens_a_fifo_in_place(tmp_path):
+    # A FIFO is not a regular file: it is opened and written by name, not
+    # replaced by a renamed temporary file.  Its reader is opened first, so
+    # opening the write end does not wait.
+    s = PermSet((identity(3), reversal(3)))
+    fifo = tmp_path / "f.permset"
+    os.mkfifo(fifo)
+    r = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_permset(s, fifo)
+        got = b"".join(iter(lambda: os.read(r, 1 << 16), b""))
+    finally:
+        os.close(r)
+    assert got == dumps_permset(s).encode("ascii")
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.permset"]
+
+
+def test_write_opens_another_process_descriptor_in_place(tmp_path):
+    # /proc/<pid>/fd/1 of a child names a descriptor this process does not
+    # hold: it is opened by name, which truncates the child's stdout file in
+    # place, so the file keeps its inode and holds exactly the document.
+    if not os.path.isdir(f"/proc/{os.getpid()}/fd"):
+        pytest.skip("no /proc on this machine")
+    s = PermSet((identity(3), reversal(3)))
+    target = tmp_path / "t.permset"
+    target.write_bytes(b"x" * 100)
+    inode = target.stat().st_ino
+    with open(target, "ab") as f:
+        child = subprocess.Popen(["sleep", "30"], stdout=f)
+    try:
+        write_permset(s, f"/proc/{child.pid}/fd/1")
+    finally:
+        child.kill()
+        child.wait()
+    assert (target.stat().st_ino, target.read_bytes()) == (inode, dumps_permset(s).encode("ascii"))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.permset"]
+
+
+def test_write_follows_a_link_to_an_open_descriptor(tmp_path):
+    # A link to /dev/fd/N is followed to the descriptor on the walk's second
+    # hop and written at the descriptor's own offset, with no truncation.
+    s = PermSet((identity(3), reversal(3)))
+    want = dumps_permset(s).encode("ascii")
+    target = tmp_path / "t.permset"
+    target.write_bytes(b"x" * 100)
+    inode = target.stat().st_ino
+    link = tmp_path / "link.permset"
+    fd = os.open(target, os.O_WRONLY)
+    try:
+        os.lseek(fd, 10, os.SEEK_SET)
+        link.symlink_to(f"/dev/fd/{fd}")
+        write_permset(s, link)
+        assert os.lseek(fd, 0, os.SEEK_CUR) == 10 + len(want)
+    finally:
+        os.close(fd)
+    assert link.is_symlink()
+    assert (target.stat().st_ino, target.read_bytes()) == (
+        inode, b"x" * 10 + want + b"x" * (90 - len(want)))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.permset", "t.permset"]
 
 
 def test_document_on_stdout_is_followed_by_the_report(tmp_path):

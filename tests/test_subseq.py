@@ -154,8 +154,8 @@ def test_monotone_words_cross_every_capacity_doubling(routes):
 
 
 def test_native_kernel_matches_python_kernel_on_long_words():
-    # invert + relabel_lis (and lis_length alone) against the no-compiler
-    # route's np.take + _lis_core on every column of a digit set, whose long
+    # invert + relabel_lis (and lis_length alone) against an independent
+    # reference, np.take + _lis_core, on every column of a digit set, whose long
     # runs land on the previous pile or its neighbour, the case the kernel
     # checks before searching; of a lattice set; of three random words; and
     # of identical words whose LIS crosses every capacity doubling
