@@ -144,10 +144,11 @@ ptrdiff_t render_line(const int32_t *w, ptrdiff_t n, uint8_t *out, ptrdiff_t cap
 
 /* Parse line[0..len) as the canonical value line of a member on [n]: n
    decimal tokens, each in 1..n with no leading zero, one space between
-   tokens, then '\n' or the end of the line.  Returns 1 with each value
-   minus 1 in word[0..n), or 0 (word partly written) for any other line.
-   Distinctness is left to the caller.  A token is cut off at 9 digits, so
-   its value never overflows an int32; a valid one, at most n <= 2^24, has 8. */
+   tokens, then '\n' or the end of the line, that together are a
+   rearrangement of 1..n.  Returns 1 with each value minus 1 in word[0..n),
+   or 0 (word partly written) for any other line.  A token is cut off at 9
+   digits, so its value never overflows an int32; a valid one, at most
+   n <= 2^24, has 8. */
 int parse_line(const uint8_t *line, ptrdiff_t len, ptrdiff_t n, int32_t *word)
 {
     const uint8_t *p = line, *end = line + len;
@@ -167,5 +168,19 @@ int parse_line(const uint8_t *line, ptrdiff_t len, ptrdiff_t n, int32_t *word)
             return 0;
         word[i] = v - 1;
     }
-    return p == end || (end - p == 1 && *p == '\n');
+    if (p != end && (end - p != 1 || *p != '\n'))
+        return 0;
+    /* Each value marks its own slot with bit 30, free since every value is
+       below 10^9 < 2^30, so one that finds its slot marked is a repeat; n
+       values in 0..n-1 with no repeat are a rearrangement.  Then unmark. */
+    const int32_t mark = INT32_C(1) << 30;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        int32_t v = word[i] & ~mark;
+        if (word[v] & mark)
+            return 0;
+        word[v] |= mark;
+    }
+    for (ptrdiff_t i = 0; i < n; i++)
+        word[i] &= ~mark;
+    return 1;
 }

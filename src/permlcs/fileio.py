@@ -27,11 +27,11 @@ whole text, and `loads_permset` runs it over the text's UTF-8 encoding.
 Lines are numbered as `str.splitlines` splits the whole text.  While value
 lines are still wanted and none has failed, each raw `\\n`-terminated line
 goes first to `parse_line`, with no byte scan or length check before it.
-`parse_line` accepts only the canonical form (tokens in 1..n with no
-leading zero, single spaces, then `\\n` or the end), so no byte that
-`str.splitlines` breaks at but that last `\\n`, and writes a fresh 0-based
-`int32` word, which `perm._adopt` takes as it is after its one range check
-and 1-byte mark: the raw line is one line and one member.  Every other raw
+`parse_line` accepts only the canonical form of a member (a rearrangement
+of 1..n, each token with no leading zero, single spaces, then `\\n` or the
+end), so no byte that `str.splitlines` breaks at but that last `\\n`, and
+writes a fresh 0-based `int32` word, which `perm._adopt` takes as it is,
+unchecked: the raw line is one line and one member.  Every other raw
 line, and every line when the codec is missing, is decoded as ASCII and
 split with `str.splitlines`, and each piece takes the header or the exact
 path: a value line's tokens are converted by one `np.array(...,
@@ -123,17 +123,13 @@ def _parse_document(chunks: Iterable[bytes]) -> PermSet:
         if count < k and error is None and lib is not None:
             word = np.empty(n, dtype=np.int32)
             if lib.parse_line(chunk, len(chunk), n, word):
-                try:
-                    perms.append(_adopt(word))
-                except ValueError:
-                    pass  # a repeated value: the exact path words the error
-                else:
-                    lineno, count = lineno + 1, count + 1
-                    # Freed before the next line is read, which then reuses
-                    # its space; held, it left `verify`'s peak RSS on Hadamard
-                    # k=8 s=6 to heap layout luck, 56 or 59 MB.
-                    del chunk
-                    continue
+                perms.append(_adopt(word))
+                lineno, count = lineno + 1, count + 1
+                # Freed before the next line is read, which then reuses its
+                # space; held, it left `verify`'s peak RSS on Hadamard k=8
+                # s=6 to heap layout luck, 56 or 59 MB.
+                del chunk
+                continue
         for line in chunk.decode("ascii").splitlines(keepends=True):
             lineno += 1
             if lineno == 1:

@@ -6,11 +6,13 @@ capped at `MAX_N` = 2^24 < 2^31, so `int32` holds every entry and no cast
 into it can wrap.  One-line notation and the file formats are 1-based.
 `from_one_line`, `one_line` and iteration convert here; the native PERMSET
 codec converts in C, where `render_line` adds 1 and `parse_line` subtracts 1.
-Values are immutable and validated once, on construction, by the cap, a
-range check and one O(n) pass that marks each value in a 1-byte array; the
-operations below work on the arrays and never box the entries as Python
-ints.  `word`, `one_line` and iteration build Python ints on access, for
-callers that want them.
+Values are immutable.  A word is validated once, where it enters the
+library: `Permutation(word)` and `from_one_line` check the cap, the range
+and one O(n) pass that marks each value in a 1-byte array, and `parse_line`
+checks a PERMSET value line in C.  The builders, `rng.permutation` draws
+and the operations below are rearrangements by construction, so `_adopt`
+checks only their size.  The operations never box entries as Python ints;
+`word`, `one_line` and iteration build them on access.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 # Largest ground set of any member, below 2^31 so an int32 word holds every
 # entry.  Builders and samplers check it before allocating anything, so an
 # oversize request is a ValueError rather than a MemoryError partway through
-# a build; `_checked` checks it for every other member.
+# a build; `_checked` and `_adopt` check it for every other member.
 MAX_N = 1 << 24
 
 
@@ -37,14 +39,11 @@ def _integer_array(word: Iterable[int]) -> np.ndarray:
     return a
 
 
-def _checked(a: np.ndarray, *, copy: bool, first: int = 0) -> np.ndarray:
-    """Integer array `a`, a rearrangement of first..first+n-1, as the
-    read-only, C-contiguous int32 word a - first, copied only if `copy`,
-    `first`, its dtype or its layout needs it; ValueError for any other `a`
-    and for n > MAX_N."""
+def _checked(a: np.ndarray, *, first: int = 0) -> np.ndarray:
+    """Non-empty integer array `a`, a rearrangement of first..first+n-1, as
+    a fresh, read-only, C-contiguous int32 word a - first; ValueError for
+    any other `a` and for n > MAX_N.  The public constructors' one check."""
     n = a.size
-    if n == 0:
-        raise ValueError("ground set must be non-empty")
     if n > MAX_N:
         raise ValueError(f"n = {n} exceeds the ground-set cap {MAX_N}")
     if a.ndim != 1 or a.min() < first or a.max() >= first + n:
@@ -56,20 +55,24 @@ def _checked(a: np.ndarray, *, copy: bool, first: int = 0) -> np.ndarray:
     if not seen[first:].all():
         raise ValueError(f"one-line form is not a rearrangement of 1..{n}")
     # In range, so the word fits int32 and an unsigned 0 cannot wrap below first.
-    if first:
-        a = np.subtract(a, first, dtype=np.int32, casting="unsafe")
-    else:
-        a = a.astype(np.int32, order="C", copy=copy)
+    a = np.subtract(a, first, dtype=np.int32, casting="unsafe")
     a.flags.writeable = False
     return a
 
 
 def _adopt(word: np.ndarray) -> "Permutation":
-    """The member with 0-based word `word`, a fresh array no caller holds:
-    not copied, unless it must be cast to int32 (an argsort order or an
-    `rng.permutation` draw, for instance)."""
+    """The member with 0-based word `word`, a fresh rearrangement of
+    0..n-1 that the library made itself (a builder's order, an operation's
+    result, an `rng.permutation` draw, a line `parse_line` accepted), so it
+    is not checked again: only its size is.  Not copied, unless it must be
+    cast to a C-contiguous int32 array."""
+    if word.size == 0:
+        raise ValueError("ground set must be non-empty")
+    if word.size > MAX_N:
+        raise ValueError(f"n = {word.size} exceeds the ground-set cap {MAX_N}")
     p = Permutation.__new__(Permutation)
-    p._array = _checked(word, copy=False)
+    p._array = np.ascontiguousarray(word, dtype=np.int32)
+    p._array.flags.writeable = False
     return p
 
 
@@ -83,13 +86,13 @@ class Permutation:
     __slots__ = ("_array",)
 
     def __init__(self, word: Iterable[int]):
-        self._array = _checked(_integer_array(word), copy=True)
+        self._array = _checked(_integer_array(word))
 
     @classmethod
     def from_one_line(cls, images: Iterable[int]) -> "Permutation":
         """Build from 1-based one-line notation pi(1) ... pi(n)."""
         p = cls.__new__(cls)
-        p._array = _checked(_integer_array(images), copy=True, first=1)
+        p._array = _checked(_integer_array(images), first=1)
         return p
 
     @property

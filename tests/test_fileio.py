@@ -194,12 +194,12 @@ def test_reader_splits_lines_and_tokens_as_python_does(tmp_path, text, want, rou
 # Lines off the canonical form with, by construction of the data, the
 # canonical length, that of "1 2 ... n\n", so length alone cannot tell them
 # apart; the reader checks no length.  Each row gives what the native parse
-# returns (1 only for a repeated value, which `_adopt` rejects): all take the
-# exact path and get its error text.
+# returns (0 for every one, a repeated value included): all take the exact
+# path and get its error text.
 OFF_CANONICAL = [
     (3, b"0 1 2\n", 0, "line 2: one-line form is not a rearrangement of 1..3"),  # value 0
     (3, b"1 2 4\n", 0, "line 2: one-line form is not a rearrangement of 1..3"),  # value n + 1
-    (3, b"1 2 2\n", 1, "line 2: one-line form is not a rearrangement of 1..3"),  # repeated
+    (3, b"1 2 2\n", 0, "line 2: one-line form is not a rearrangement of 1..3"),  # repeated
     (3, b"012 3\n", 0, "line 2: expected 3 values, got 2"),  # a leading zero makes up the length
     (3, b"1 2  3", 0, ((1, 2, 3),)),  # a double space makes up for the missing newline
     (12, b"1 2 3 4 5 6 7 8 9 10 11  1\n", 0,  # a double space and a repeated value
@@ -230,7 +230,7 @@ def test_native_parse_accepts_only_the_canonical_form():
         assert lib.parse_line(line, len(line), 3, word) == 1
         assert word.tolist() == [2, 0, 1]
     for line in (b"1 2 3 \n", b" 1 2 3", b"1 2 3\n\n", b"1 2\n", b"1 2 3 1\n",
-                 b"1 2 +3", b"1\t2 3\n", b"", b"1 2 3\r"):
+                 b"1 2 +3", b"1\t2 3\n", b"", b"1 2 3\r", b"1 1 2\n", b"3 1 3"):
         assert lib.parse_line(line, len(line), 3, word) == 0
     # 2**64 + 1 would wrap to 1 in 64 bits, and 2**32 + 1 in 32; a token is
     # cut off at 9 digits
@@ -247,6 +247,15 @@ def test_native_parse_accepts_only_the_canonical_form():
             assert lib.parse_line(line, len(line), 3, word) == 0, line
     for line in (b"\n3 1 2\n", b"3\n1 2\n", b"3 1 2\n\n"):
         assert lib.parse_line(line, len(line), 3, word) == 0, line
+    # A value repeated far from its first use is refused too, and an accepted
+    # line leaves no mark in its word: each entry is its value minus 1.
+    line = value_line([*range(1, 1000), 1]).encode("ascii")
+    assert lib.parse_line(line, len(line), 1000, np.empty(1000, dtype=np.int32)) == 0
+    values = np.random.default_rng(25).permutation(1 << 16)
+    line = value_line(values + 1).encode("ascii")
+    word = np.empty(values.size, dtype=np.int32)
+    assert lib.parse_line(line, len(line), values.size, word) == 1
+    assert np.array_equal(word, values)
 
 
 @pytest.mark.parametrize("data", [

@@ -16,12 +16,15 @@ from permlcs import (
     lcs_pair,
     loads_permset,
     random_perm,
+    random_perm_set,
     read_permset,
     restrict,
     reversal,
     trial_rng,
     write_permset,
 )
+import permlcs._native as _native
+import permlcs.perm as perm
 from permlcs.perm import MAX_N, _adopt
 from oracles import compose_word, invert_word, restrict_word
 
@@ -179,11 +182,11 @@ def test_array_is_read_only():
 
 
 WORD_MAKERS = {
-    "identity": lambda tmp: [identity(7)],
-    "reversal": lambda tmp: [reversal(7)],
+    "identity": lambda tmp: [identity(7), identity(1)],
+    "reversal": lambda tmp: [reversal(7), reversal(1)],
     "compose": lambda tmp: [compose(reversal(7), Permutation([3, 0, 6, 1, 5, 2, 4]))],
     "invert": lambda tmp: [invert(Permutation([3, 0, 6, 1, 5, 2, 4]))],
-    "restrict": lambda tmp: [restrict(reversal(7), 4)],
+    "restrict": lambda tmp: [restrict(reversal(7), 4), restrict(reversal(7), 1)],
     "Permutation": lambda tmp: [
         Permutation([2, 0, 1]), Permutation(np.array([2, 0, 1], dtype=np.uint8)),
         Permutation(np.repeat(np.arange(4, -1, -1), 2)[::2])],  # a strided view
@@ -192,9 +195,14 @@ WORD_MAKERS = {
         Permutation.from_one_line(np.array([3, 1, 2], dtype=np.uint64)),
         Permutation.from_one_line(np.repeat(np.arange(5, 0, -1, dtype=np.int16), 2)[::2])],
     "random_perm": lambda tmp: [random_perm(100, trial_rng(2))],
+    "random_perm_set": lambda tmp: [*random_perm_set(50, 3, trial_rng(4))],
     "_adopt": lambda tmp: [_adopt(np.arange(7, dtype=np.int32)[::-1])],  # a reversed view
-    "build_hadamard_set": lambda tmp: [*build_hadamard_set(4, 3), *build_hadamard_set(4, 3, n=10)],
-    "build_general": lambda tmp: [*build_general(40, 3), *build_general(27, 3)],
+    "build_hadamard_set": lambda tmp: [
+        *build_hadamard_set(4, 3), *build_hadamard_set(4, 3, n=10),
+        *build_hadamard_set(12, 2),  # the Paley order
+        *build_hadamard_set(8, 2, n=100)],
+    "build_general": lambda tmp: [
+        *build_general(40, 3), *build_general(27, 3), *build_general(1000, 8)],
     "read_permset": lambda tmp: [*_round_trip(tmp)],
     "loads_permset": lambda tmp: [*loads_permset(dumps_permset(build_general(40, 3)))],
 }
@@ -215,6 +223,31 @@ def test_every_member_is_a_read_only_contiguous_int32_word(maker, tmp_path, rout
             assert a.flags.c_contiguous
             assert not a.flags.writeable
             assert sorted(a.tolist()) == list(range(p.n))
+
+
+def test_checked_runs_only_where_a_word_enters(monkeypatch):
+    """The builders, the sampler, the operations and a line the native
+    parse accepts make rearrangements by construction, so only the public
+    constructors (and the reader's exact path through them) check a word."""
+    checked, calls = perm._checked, []
+
+    def counting(a, **kw):
+        calls.append(a.size)
+        return checked(a, **kw)
+
+    monkeypatch.setattr(perm, "_checked", counting)
+    p = Permutation([3, 0, 6, 1, 5, 2, 4])
+    calls.clear()
+    identity(7), reversal(7), compose(p, p), invert(p), restrict(p, 4)
+    build_hadamard_set(4, 3, n=20), build_hadamard_set(12, 2), build_general(1000, 8)
+    random_perm(100, trial_rng(2))
+    if _native.library() is not None:
+        loads_permset("permset 1 2 3\n3 1 2\n1 2 3")
+    assert calls == []
+    Permutation([1, 0])
+    Permutation.from_one_line([2, 1])
+    loads_permset("permset 1 1 2\r\n2 1\r\n")
+    assert calls == [2, 2, 2]
 
 
 def test_every_member_is_capped_at_max_n():
