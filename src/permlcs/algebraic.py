@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .arith import ceil_cbrt, next_prime_above
-from .perm import MAX_N, PermSet, _adopt
+from .perm import PermSet, _adopt, _ground_set
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,7 @@ def _params(n: int, k: int) -> ConstructionParams:
     if n < k * k:
         raise ValueError(f"need n >= k^2 = {k * k}, got {n}")
     s1 = ceil_cbrt(-(-n // (k * k)))
-    n_prime = k * k * s1**3
-    if n_prime > MAX_N:
-        raise ValueError(f"n' = {k}^2*{s1}^3 exceeds the ground-set cap {MAX_N}")
+    n_prime = _ground_set(k * k * s1**3, f"n' = {k}^2*{s1}^3")
     s3 = s1 * k
     p = next_prime_above(4 * s3)
     if not p < 8 * s3:

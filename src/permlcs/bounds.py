@@ -13,7 +13,7 @@ import numpy as np
 
 from .arith import ceil_cbrt, ceil_root
 from .hadamard import digit_lcs_bound
-from .perm import MAX_N, Permutation, PermSet, _adopt, restrict
+from .perm import Permutation, PermSet, _adopt, _ground_set, restrict
 from .subseq import _lis_word, lcs_all_pairs
 
 
@@ -24,11 +24,7 @@ def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
 
 def random_perm(n: int, rng: np.random.Generator) -> Permutation:
     """Uniform random permutation on [n] (in-place shuffle under the hood)."""
-    if n < 1:
-        raise ValueError("ground set must be non-empty")
-    if n > MAX_N:
-        raise ValueError(f"n = {n} exceeds the ground-set cap {MAX_N}")
-    return _adopt(rng.permutation(n))
+    return _adopt(rng.permutation(_ground_set(n)))
 
 
 def random_perm_set(n: int, k: int, rng: np.random.Generator) -> PermSet:

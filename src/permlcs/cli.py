@@ -77,7 +77,7 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict, dict, bool]:
         params = {"kind": args.kind, "k": args.k, "s": args.s}
         if args.n is not None:
             params["n"] = args.n
-    if args.out:
+    if args.out is not None:
         write_permset(made, args.out)
         results["out"] = args.out
     return params, results, True
@@ -99,7 +99,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 @_json_command
 def _cmd_sample(args: argparse.Namespace) -> tuple[dict, dict, bool]:
-    check, lis_sample = _sample(args.n, args.k, args.trials, args.seed, lis=bool(args.lis_csv))
+    lis = args.lis_csv is not None
+    check, lis_sample = _sample(args.n, args.k, args.trials, args.seed, lis=lis)
     results = {
         "threshold": check.threshold,
         "max_lcs_distribution": list(check.max_lcs_per_trial),

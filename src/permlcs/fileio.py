@@ -48,6 +48,7 @@ value.
 from __future__ import annotations
 
 import contextlib
+import errno
 import io
 import os
 import stat
@@ -194,7 +195,10 @@ def write_permset(s: PermSet, path: Union[str, os.PathLike]) -> None:
     this process holds (`/dev/stdout`, `/dev/fd/N`) is written at that
     descriptor's own offset, so what the process writes to it next follows
     the document; any other path that is not a regular file (a device, a
-    FIFO, a directory, another process's descriptor) is opened in place."""
+    FIFO, a directory, another process's descriptor) is opened in place.
+    An empty path raises FileNotFoundError, as `open("")` does."""
+    if not os.fspath(path):  # realpath would read it as the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     f = _open_in_place(path)
     if f is not None:
         with f:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_prime
-from .perm import MAX_N, PermSet, _adopt
+from .perm import MAX_N, PermSet, _adopt, _ground_set
 
 
 @dataclass(frozen=True)
@@ -111,9 +111,7 @@ def build_hadamard_set(k: int, s: int, *, n: int | None = None) -> PermSet:
     Passing `n` restricts every member to [n] (n <= s**(k-1)); the bound on
     the full set carries over since restriction never grows an LCS.
     """
-    n_prime = digit_ground_set(k, s)
-    if n_prime > MAX_N:
-        raise ValueError(f"s**(k-1) exceeds the ground-set cap {MAX_N}")
+    n_prime = _ground_set(digit_ground_set(k, s), "s**(k-1)")
     if n is None:
         n = n_prime
     elif not 1 <= n <= n_prime:

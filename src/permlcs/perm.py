@@ -6,12 +6,14 @@ capped at `MAX_N` = 2^24 < 2^31, so `int32` holds every entry and no cast
 into it can wrap.  One-line notation and the file formats are 1-based.
 `from_one_line`, `one_line` and iteration convert here; the native PERMSET
 codec converts in C, where `render_line` adds 1 and `parse_line` subtracts 1.
-Values are immutable.  A word is validated once, where it enters the
-library: `Permutation(word)` and `from_one_line` check the cap, the range
-and one O(n) pass that marks each value in a 1-byte array, and `parse_line`
-checks a PERMSET value line in C.  The builders, `rng.permutation` draws
-and the operations below are rearrangements by construction, so `_adopt`
-checks only their size.  The operations never box entries as Python ints;
+Values are immutable.  `_ground_set` alone decides 1 <= n <= MAX_N, and
+every maker of a word asks it before allocating one.  A word is validated
+once, where it enters the library: `Permutation(word)` and `from_one_line`
+check its size, its range and one O(n) pass that marks each value in a
+1-byte array, and `parse_line` checks a PERMSET value line in C, under a
+header whose n the reader has capped.  The builders, `rng.permutation`
+draws and the operations below are rearrangements by construction, so
+`_adopt` checks nothing.  The operations never box entries as Python ints;
 `word`, `one_line` and iteration build them on access.
 """
 
@@ -23,30 +25,30 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 # Largest ground set of any member, below 2^31 so an int32 word holds every
-# entry.  Builders and samplers check it before allocating anything, so an
-# oversize request is a ValueError rather than a MemoryError partway through
-# a build; `_checked` and `_adopt` check it for every other member.
+# entry.  `_ground_set` alone refuses a size outside 1..MAX_N, and every
+# caller asks it before allocating anything, so an oversize request is a
+# ValueError rather than a MemoryError partway through a build.
 MAX_N = 1 << 24
 
 
-def _integer_array(word: Iterable[int]) -> np.ndarray:
-    """`word` as a non-empty integer array, for the public constructors."""
-    a = np.asarray(word if isinstance(word, np.ndarray) else list(word))
-    if a.size == 0:  # tested first: numpy reads [] as float64
+def _ground_set(n: int, label: str = "") -> int:
+    """n, once 1 <= n <= MAX_N; ValueError otherwise, naming the size as
+    `label` (default `n = <n>`)."""
+    if n < 1:
         raise ValueError("ground set must be non-empty")
-    if a.dtype.kind not in "iu":
-        raise ValueError(f"one-line form is not a rearrangement of 1..{a.size}")
-    return a
-
-
-def _checked(a: np.ndarray, *, first: int = 0) -> np.ndarray:
-    """Non-empty integer array `a`, a rearrangement of first..first+n-1, as
-    a fresh, read-only, C-contiguous int32 word a - first; ValueError for
-    any other `a` and for n > MAX_N.  The public constructors' one check."""
-    n = a.size
     if n > MAX_N:
-        raise ValueError(f"n = {n} exceeds the ground-set cap {MAX_N}")
-    if a.ndim != 1 or a.min() < first or a.max() >= first + n:
+        raise ValueError(f"{label or f'n = {n}'} exceeds the ground-set cap {MAX_N}")
+    return n
+
+
+def _checked(word: Iterable[int], *, first: int = 0) -> np.ndarray:
+    """`word`, a rearrangement of first..first+n-1, as a fresh, read-only,
+    C-contiguous int32 word `word` - first; ValueError for any other `word`
+    and for a size `_ground_set` refuses.  The public constructors' one
+    check."""
+    a = np.asarray(word if isinstance(word, np.ndarray) else list(word))
+    n = _ground_set(a.size)  # sized first: numpy reads [] as float64
+    if a.dtype.kind not in "iu" or a.ndim != 1 or a.min() < first or a.max() >= first + n:
         raise ValueError(f"one-line form is not a rearrangement of 1..{n}")
     # Marked in the input's own dtype: numpy indexes with an int64 array
     # faster than with the int32 word cast from it.
@@ -63,13 +65,9 @@ def _checked(a: np.ndarray, *, first: int = 0) -> np.ndarray:
 def _adopt(word: np.ndarray) -> "Permutation":
     """The member with 0-based word `word`, a fresh rearrangement of
     0..n-1 that the library made itself (a builder's order, an operation's
-    result, an `rng.permutation` draw, a line `parse_line` accepted), so it
-    is not checked again: only its size is.  Not copied, unless it must be
-    cast to a C-contiguous int32 array."""
-    if word.size == 0:
-        raise ValueError("ground set must be non-empty")
-    if word.size > MAX_N:
-        raise ValueError(f"n = {word.size} exceeds the ground-set cap {MAX_N}")
+    result, an `rng.permutation` draw, a line `parse_line` accepted), sized
+    by its maker before it was allocated, so it is not checked again.  Not
+    copied, unless it must be cast to a C-contiguous int32 array."""
     p = Permutation.__new__(Permutation)
     p._array = np.ascontiguousarray(word, dtype=np.int32)
     p._array.flags.writeable = False
@@ -86,13 +84,13 @@ class Permutation:
     __slots__ = ("_array",)
 
     def __init__(self, word: Iterable[int]):
-        self._array = _checked(_integer_array(word))
+        self._array = _checked(word)
 
     @classmethod
     def from_one_line(cls, images: Iterable[int]) -> "Permutation":
         """Build from 1-based one-line notation pi(1) ... pi(n)."""
         p = cls.__new__(cls)
-        p._array = _checked(_integer_array(images), first=1)
+        p._array = _checked(images, first=1)
         return p
 
     @property
@@ -134,12 +132,12 @@ class Permutation:
 
 def identity(n: int) -> Permutation:
     """The identity permutation on [n]."""
-    return _adopt(np.arange(n, dtype=np.int32))
+    return _adopt(np.arange(_ground_set(n), dtype=np.int32))
 
 
 def reversal(n: int) -> Permutation:
     """The order-reversing permutation t -> n+1-t."""
-    return _adopt(np.arange(n - 1, -1, -1, dtype=np.int32))
+    return _adopt(np.arange(_ground_set(n) - 1, -1, -1, dtype=np.int32))
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:

@@ -272,6 +272,22 @@ def test_directory_path_is_os_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("construct", "algebraic", "--n", "100", "--k", "3", "--out", ""),
+    ("sample", "--n", "100", "--k", "3", "--trials", "2", "--lis-csv", ""),
+])
+def test_empty_output_path_is_os_error(tmp_path, capsys, monkeypatch, argv):
+    # an empty path is honoured like any other: it names no file, so nothing
+    # is written, here or in the parent directory, and no report is printed
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: [Errno 2] No such file or directory: ''\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["work"]
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
     ("construct", "algebraic", "--n", "1000000000000", "--k", "8"),
     ("construct", "hadamard", "--k", "8", "--s", "11"),
     ("sample", "--n", "1000000000000", "--k", "3", "--trials", "1"),

@@ -373,6 +373,18 @@ def test_failed_write_leaves_the_path_as_it_was(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old.permset"]
 
 
+def test_empty_path_is_not_found_and_creates_no_file(tmp_path, monkeypatch):
+    # realpath reads "" as the working directory, so the temporary file once
+    # went into its parent, and the rename onto a directory failed after it
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with pytest.raises(FileNotFoundError, match=r"^\[Errno 2\] No such file or directory: ''$"):
+        write_permset(PermSet((identity(3), reversal(3))), "")
+    assert [p.name for p in tmp_path.iterdir()] == ["work"]
+    assert list(work.iterdir()) == []
+
+
 def test_write_replaces_a_file_and_writes_through_a_link(tmp_path):
     s = PermSet((identity(3), reversal(3)))
     want = dumps_permset(s).encode("ascii")

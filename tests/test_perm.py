@@ -231,9 +231,9 @@ def test_checked_runs_only_where_a_word_enters(monkeypatch):
     constructors (and the reader's exact path through them) check a word."""
     checked, calls = perm._checked, []
 
-    def counting(a, **kw):
-        calls.append(a.size)
-        return checked(a, **kw)
+    def counting(word, **kw):
+        calls.append(len(word))
+        return checked(word, **kw)
 
     monkeypatch.setattr(perm, "_checked", counting)
     p = Permutation([3, 0, 6, 1, 5, 2, 4])
@@ -258,6 +258,21 @@ def test_every_member_is_capped_at_max_n():
         Permutation(np.broadcast_to(np.int64(0), (over,)))
     with pytest.raises(ValueError, match=cap):
         Permutation.from_one_line(np.broadcast_to(np.int64(1), (over,)))
+    # the makers size a word before allocating it: refused at a small traced
+    # peak, not after a 67 MB arange, nor with a MemoryError at 2**40
+    makers = {"identity": identity, "reversal": reversal,
+              "random_perm": lambda n: random_perm(n, trial_rng(0))}
+    for n in (over, 2**40):
+        cap = f"^n = {n} exceeds the ground-set cap {MAX_N}$"
+        for name, make in makers.items():
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=cap):
+                    make(n)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**16, (name, n, peak)
 
 
 def test_construction_copies_its_input():
