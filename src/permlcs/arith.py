@@ -7,6 +7,7 @@ the form m <= c * (n*k)**(1/3) are decided exactly via m**3 <= c**3 * n * k.
 from __future__ import annotations
 
 import math
+import operator
 
 
 def is_prime(n: int) -> bool:
@@ -34,6 +35,7 @@ def next_prime_above(t: int) -> int:
 
 def floor_root(n: int, r: int) -> int:
     """Largest x with x**r <= n, computed in integer arithmetic for any size of n."""
+    n = operator.index(n)  # a numpy integer has no bit_length; a float raises TypeError
     if n < 0 or r < 1:
         raise ValueError("floor_root requires n >= 0 and r >= 1")
     if n < 2 or r == 1:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_prime
-from .perm import MAX_N, PermSet, _adopt, _ground_set
+from .perm import MAX_N, PermSet, _adopt, _ground_set, restrict
 
 
 @dataclass(frozen=True)
@@ -108,14 +108,11 @@ def digit_ground_set(k: int, s: int) -> int:
 def build_hadamard_set(k: int, s: int, *, n: int | None = None) -> PermSet:
     """k digit-wise permutations on [s**(k-1)] with pairwise LCS <= s**(k/2-1).
 
-    Passing `n` restricts every member to [n] (n <= s**(k-1)); the bound on
-    the full set carries over since restriction never grows an LCS.
+    Passing `n` cuts every member to [n] with `perm.restrict` (1 <= n <=
+    s**(k-1)); the bound carries over since restriction never grows an LCS.
     """
     n_prime = _ground_set(digit_ground_set(k, s), "s**(k-1)")
-    if n is None:
-        n = n_prime
-    elif not 1 <= n <= n_prime:
-        raise ValueError(f"restriction size {n} outside [1, {n_prime}]")
+    n = n_prime if n is None else n
     h = hadamard_matrix(k)
 
     # Axis c-1 is digit column c; n' <= 2**24 keeps k-1 <= 24, under numpy 1.x's 32-dim cap.
@@ -123,9 +120,7 @@ def build_hadamard_set(k: int, s: int, *, n: int | None = None) -> PermSet:
     perms = []
     for row in h.rows:
         out = np.flip(grid, axis=tuple(c - 1 for c in range(1, k) if row[c] == -1)).ravel()
-        if n < n_prime:
-            out = out[out < n]
-        perms.append(_adopt(out))
+        perms.append(restrict(_adopt(out), n))
 
     record = {"k": k, "s": s, "n_prime": n_prime, "n": n, "lcs_bound": digit_lcs_bound(k, s)}
     return PermSet(tuple(perms), provenance="hadamard", params=record)

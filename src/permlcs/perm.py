@@ -2,38 +2,38 @@
 
 Storage is 0-based: a permutation pi is held as one read-only, C-contiguous
 `np.int32` array, the word (pi(1)-1, ..., pi(n)-1).  Every ground set is
-capped at `MAX_N` = 2^24 < 2^31, so `int32` holds every entry and no cast
-into it can wrap.  One-line notation and the file formats are 1-based.
-`from_one_line`, `one_line` and iteration convert here; the native PERMSET
-codec converts in C, where `render_line` adds 1 and `parse_line` subtracts 1.
-Values are immutable.  `_ground_set` alone decides 1 <= n <= MAX_N, and
-every maker of a word asks it before allocating one.  A word is validated
-once, where it enters the library: `Permutation(word)` and `from_one_line`
-check its size, its range and one O(n) pass that marks each value in a
-1-byte array, and `parse_line` checks a PERMSET value line in C, under a
-header whose n the reader has capped.  The builders, `rng.permutation`
-draws and the operations below are rearrangements by construction, so
-`_adopt` checks nothing.  The operations never box entries as Python ints;
-`word`, `one_line` and iteration build them on access.
+capped at `MAX_N` = 2^24 < 2^31, so `int32` holds every entry.  One-line
+notation and the file formats are 1-based: `from_one_line`, `one_line` and
+iteration convert here, and the native PERMSET codec in C, where `render_line`
+adds 1 and `parse_line` subtracts 1.  Values are immutable.  Sizes are
+integers: `_ground_set` and `restrict` apply `operator.index`, so a float
+raises TypeError.  `_ground_set` alone decides 1 <= n <= MAX_N, and every
+maker of a word asks it before allocating one.  A word is validated once,
+where it enters: `Permutation(word)` and `from_one_line` check its size, its
+range and one O(n) pass that marks each value in a 1-byte array, and
+`parse_line` checks a PERMSET value line in C under a capped header.  The
+builders, `rng.permutation` draws and the operations below are rearrangements
+by construction, so `_adopt` checks nothing.  No operation boxes an entry as a
+Python int; `word`, `one_line` and iteration build them on access.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 # Largest ground set of any member, below 2^31 so an int32 word holds every
-# entry.  `_ground_set` alone refuses a size outside 1..MAX_N, and every
-# caller asks it before allocating anything, so an oversize request is a
-# ValueError rather than a MemoryError partway through a build.
+# entry; `_ground_set` refuses a larger n with a ValueError before allocating.
 MAX_N = 1 << 24
 
 
 def _ground_set(n: int, label: str = "") -> int:
-    """n, once 1 <= n <= MAX_N; ValueError otherwise, naming the size as
-    `label` (default `n = <n>`)."""
+    """n as an int, once 1 <= n <= MAX_N; TypeError for a non-integer n,
+    ValueError otherwise, naming the size as `label` (default `n = <n>`)."""
+    n = operator.index(n)  # a float raises TypeError, as range(2.5) does
     if n < 1:
         raise ValueError("ground set must be non-empty")
     if n > MAX_N:
@@ -154,11 +154,13 @@ def invert(a: Permutation) -> Permutation:
 
 
 def restrict(a: Permutation, m: int) -> Permutation:
-    """Delete every value above m from the one-line form; the survivors,
-    in order, are a permutation on [m]."""
-    if not 1 <= m <= a.n:
+    """Delete every value above m, an integer in [1, a.n], from the one-line
+    form: the survivors, in order, are a permutation on [m], and `a` itself at
+    m = a.n.  The library's one cut; the lattice builder slices its keys to
+    [n] before its one argsort instead, so it sorts only the kept points."""
+    if not 1 <= (m := operator.index(m)) <= a.n:
         raise ValueError(f"restriction size {m} outside [1, {a.n}]")
-    return _adopt(a.array[a.array < m])
+    return a if m == a.n else _adopt(a.array[a.array < m])
 
 
 PROVENANCE_TAGS = ("algebraic", "hadamard", "random", "imported")

@@ -209,6 +209,16 @@ def test_build_general_preconditions():
         build_general(100, 2)
 
 
+def test_builds_take_any_integer_and_refuse_a_float():
+    # the integer cube root's Newton seed calls bit_length, which numpy integers lack
+    assert build_general(np.int64(100), 3) == build_general(100, 3)
+    assert build_exact(np.int64(72), 3) == build_exact(72, 3)
+    with pytest.raises(TypeError):
+        build_general(100.0, 3)
+    with pytest.raises(TypeError):
+        build_exact(72.0, 3)
+
+
 def test_build_general_random_cases_theorem_bound():
     rng = random.Random(99)
     for _ in range(6):

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from permlcs import ceil_cbrt, ceil_root, floor_root, is_prime, next_prime_above
@@ -88,3 +89,13 @@ def test_root_rejects_bad_input():
         floor_root(-1, 3)
     with pytest.raises(ValueError):
         floor_root(8, 0)
+
+
+def test_roots_take_any_integer_and_refuse_a_float():
+    # the Newton seed calls bit_length, which numpy integers lack
+    for n in (27, 28, 10**15):
+        assert floor_root(np.int64(n), 3) == floor_root(n, 3)
+        assert ceil_cbrt(np.int64(n)) == ceil_cbrt(n)
+    for f in (floor_root, ceil_root):
+        with pytest.raises(TypeError):
+            f(27.0, 3)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import pytest
 
+import permlcs.hadamard as hadamard
 from permlcs import (
     HadamardMatrix,
     build_hadamard_set,
@@ -189,11 +190,34 @@ def test_build_restricted():
     assert cut.n == 10
     assert cut.perms == tuple(restrict(p, 10) for p in full.perms)
     assert lcs_all_pairs(cut).max_pair <= lcs_all_pairs(full).max_pair
+    # a Paley order, cut from n' = 2**11
+    paley_full = build_hadamard_set(12, 2)
+    paley_cut = build_hadamard_set(12, 2, n=1000)
+    assert paley_cut.n == 1000 and paley_cut.params["n_prime"] == 2048
+    assert paley_cut.perms == tuple(restrict(p, 1000) for p in paley_full.perms)
+    # n = n' is the unrestricted build
+    same = build_hadamard_set(4, 3, n=27)
+    assert same.perms == full.perms and same.params == full.params
+
+
+def test_build_cuts_each_member_with_restrict(monkeypatch):
+    """The digit-set builder has no cut of its own: each member goes through
+    `perm.restrict` once."""
+    calls = []
+
+    def counting(a, m):
+        calls.append(m)
+        return restrict(a, m)
+
+    monkeypatch.setattr(hadamard, "restrict", counting)
+    cut = build_hadamard_set(4, 3, n=10)
+    assert cut.k == 4 and calls == [10] * 4
 
 
 def test_build_holds_each_member_once():
-    """Peak traced memory is the k members, the grid they are flipped from
-    and one 1-byte validation mark; copying every member again took 12.0 times."""
+    """Peak traced memory is the k members and the grid they are flipped
+    from, which the all-+1 row's member shares (8.005 members at k=8, s=6);
+    copying every member again took 12.0 times."""
     k = 8
     tracemalloc.start()
     try:
@@ -201,7 +225,7 @@ def test_build_holds_each_member_once():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= (k + 2) * built.perms[0].array.nbytes
+    assert peak <= (k + 1) * built.perms[0].array.nbytes
 
 
 def test_build_parameter_errors():
@@ -211,7 +235,7 @@ def test_build_parameter_errors():
         build_hadamard_set(4, 0)
     with pytest.raises(ValueError):
         build_hadamard_set(4, 1)  # base 1 puts every member on [1]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^restriction size 9 outside \[1, 8\]$"):
         build_hadamard_set(4, 2, n=9)
     with pytest.raises(ValueError):
         build_hadamard_set(10, 2)  # no order-10 matrix

@@ -103,6 +103,8 @@ def test_restrict_examples():
     assert restrict(identity(8), 5).one_line == (1, 2, 3, 4, 5)
     assert restrict(reversal(8), 3).one_line == (3, 2, 1)
     assert restrict(Permutation.from_one_line([3, 1, 4, 2]), 2).one_line == (1, 2)
+    p = reversal(8)
+    assert restrict(p, p.n) is p  # members are immutable: no copy at m = n
 
 
 def test_restrict_range_errors():
@@ -273,6 +275,25 @@ def test_every_member_is_capped_at_max_n():
             finally:
                 tracemalloc.stop()
             assert peak < 2**16, (name, n, peak)
+
+
+SIZED = {
+    "identity": identity,
+    "reversal": reversal,
+    "random_perm": lambda n: random_perm(n, trial_rng(0)),
+    "restrict": lambda n: restrict(identity(5), n),
+    "build_hadamard_set": lambda n: build_hadamard_set(4, 3, n=n).perms[1],
+}
+
+
+@pytest.mark.parametrize("make", SIZED.values(), ids=SIZED.keys())
+def test_sizes_are_integers(make):
+    # A float size is refused as range(2.5) is, not rounded into a member on
+    # [3] (reversal(2.5) would hold -1) nor passed on to numpy.
+    with pytest.raises(TypeError):
+        make(2.5)
+    # A numpy integer is a size like any other.
+    assert make(np.int64(4)).array.tobytes() == make(4).array.tobytes()
 
 
 def test_construction_copies_its_input():
