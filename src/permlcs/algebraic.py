@@ -23,6 +23,7 @@ orders as the triple.  Each member is one argsort of it over the kept points
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ class ConstructionParams:
 
 def _params(n: int, k: int) -> ConstructionParams:
     """Parameters of the smallest exact n' = k^2 * s1^3 >= n (n' <= 8n)."""
+    k = operator.index(k)  # so the record holds Python ints
     if k < 3:
         raise ValueError(f"need at least k=3 generators, got {k}")
     if n < k * k:
@@ -89,6 +91,7 @@ def _build(params: ConstructionParams, n: int) -> PermSet:
 
     Restriction never grows an LCS, so every result keeps the 2p - 1 bound.
     """
+    n = operator.index(n)  # so the record holds Python ints
     x, y, z = _coordinate_arrays(params)
     width = params.k * params.s1 + params.s2 + 1  # one above the largest middle
     perms = []

@@ -2,11 +2,16 @@
 
 Randomness comes from numpy's PCG64, and every trial draws from a generator
 derived from (seed, trial index), so results are reproducible trial by trial.
+Trials run on every CPU this process may use, up to the number whose words
+fit `_TRIALS_BUDGET`, and their results are kept by trial index, so every
+sample is the same for any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +19,14 @@ import numpy as np
 from .arith import ceil_cbrt, ceil_root
 from .hadamard import digit_lcs_bound
 from .perm import Permutation, PermSet, _adopt, _ground_set, restrict
-from .subseq import _lis_word, lcs_all_pairs
+from .subseq import _lis_word, _map_threads, lcs_all_pairs
+
+# Bytes of trial words held at once.  A trial of k members on [n] peaks at
+# about (k + 3) * 4n traced bytes with the C kernel (its members, then the
+# sweep's three words; the Python kernel's list of a word's ints adds about
+# 36n), so n = 10**4 is never capped, and at n = MAX_N, k = 3 one trial runs
+# alone.
+_TRIALS_BUDGET = 1 << 28
 
 
 def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
@@ -31,8 +43,19 @@ def random_perm_set(n: int, k: int, rng: np.random.Generator) -> PermSet:
     return PermSet(
         tuple(random_perm(n, rng) for _ in range(k)),
         provenance="random",
-        params={"n": n, "k": k},
+        params={"n": operator.index(n), "k": operator.index(k)},
     )
+
+
+def _workers(n: int, k: int) -> int:
+    """How many trials of k members on [n] run at once: the CPUs this
+    process may use, capped by `_TRIALS_BUDGET`, and never below one.
+    Raises ValueError for an n that `_ground_set` refuses."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _TRIALS_BUDGET // ((k + 3) * 4 * _ground_set(n))))
 
 
 @dataclass(frozen=True)
@@ -51,10 +74,13 @@ class LisSample:
 
 
 def sample_lis(n: int, trials: int, seed: int) -> LisSample:
+    """LIS of the permutation trial t draws from trial_rng(seed, t), for
+    each t; trials run on `_workers(n, 1)` threads."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    lengths = tuple(_lis_word(random_perm(n, trial_rng(seed, t)).array) for t in range(trials))
-    return LisSample(n=n, trials=trials, seed=seed, lengths=lengths)
+    lengths = _map_threads(lambda t: _lis_word(random_perm(n, trial_rng(seed, t)).array),
+                           trials, _workers(n, 1))
+    return LisSample(n=n, trials=trials, seed=seed, lengths=tuple(lengths))
 
 
 def lcs_threshold(n: int) -> float:
@@ -154,23 +180,25 @@ def _sample(n: int, k: int, trials: int, seed: int,
             lis: bool) -> tuple[ProbabilisticCheck, LisSample | None]:
     """The trial loop: trial t draws its k-set from trial_rng(seed, t) once
     and measures its max-pair LCS and, if `lis`, the LIS of its first member,
-    which is the permutation `sample_lis` draws for trial t.  Returns the
-    check of the maxima and, if `lis`, the sample of the lengths."""
+    which is the permutation `sample_lis` draws for trial t.  Trials run on
+    `_workers(n, k)` threads, which hold that many sets at once; results are
+    kept by trial index.  Returns the check of the maxima and, if `lis`, the
+    sample of the lengths."""
     if k < 2:
         raise ValueError("need at least two permutations per sampled set")
     if trials < 1:
         raise ValueError("need at least one trial")
-    maxima, lengths = [], []
-    for t in range(trials):
+
+    def trial(t: int) -> tuple[int, int | None]:
         sampled = random_perm_set(n, k, trial_rng(seed, t))
-        maxima.append(lcs_all_pairs(sampled).max_pair)
-        if lis:
-            lengths.append(_lis_word(sampled.perms[0].array))
+        return lcs_all_pairs(sampled).max_pair, _lis_word(sampled.perms[0].array) if lis else None
+
+    maxima, lengths = zip(*_map_threads(trial, trials, _workers(n, k)))
     check = ProbabilisticCheck(
         n=n, k=k, trials=trials, seed=seed,
-        threshold=lcs_threshold(n), max_lcs_per_trial=tuple(maxima),
+        threshold=lcs_threshold(n), max_lcs_per_trial=maxima,
     )
-    return check, LisSample(n=n, trials=trials, seed=seed, lengths=tuple(lengths)) if lis else None
+    return check, LisSample(n=n, trials=trials, seed=seed, lengths=lengths) if lis else None
 
 
 def check_probabilistic_bound(n: int, k: int, trials: int, seed: int) -> ProbabilisticCheck:

@@ -14,6 +14,7 @@ primes q = 3 (mod 4) (quadratic-residue construction).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +112,9 @@ def build_hadamard_set(k: int, s: int, *, n: int | None = None) -> PermSet:
     Passing `n` cuts every member to [n] with `perm.restrict` (1 <= n <=
     s**(k-1)); the bound carries over since restriction never grows an LCS.
     """
+    k, s = operator.index(k), operator.index(s)  # so the record holds Python ints
     n_prime = _ground_set(digit_ground_set(k, s), "s**(k-1)")
-    n = n_prime if n is None else n
+    n = n_prime if n is None else operator.index(n)
     h = hadamard_matrix(k)
 
     # Axis c-1 is digit column c; n' <= 2**24 keeps k-1 <= 24, under numpy 1.x's 32-dim cap.

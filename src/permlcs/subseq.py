@@ -12,6 +12,8 @@ subsequences; `lcs_pair` and `lcs_all_pairs` go through `_column`, which
 builds member j's position array once with `invert` and then makes one C
 call per earlier member, `relabel_lis`, into a word and pile tops it
 allocates once per column: no n-sized array is made per pair.
+`_map_threads` is the library's one way to spread independent calls (a
+sweep's columns, `bounds`' trials) over threads; it keeps results by index.
 
 Patience sorting runs in C, `lis_length` in `_native.c`, over an `int32`
 word and pile-top scratch (`_lis_word` allocates its own per call); the
@@ -28,10 +30,10 @@ so pile-top binary search never sees equal values.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -40,6 +42,59 @@ from .perm import Permutation, PermSet, invert
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT32_MAX = np.iinfo(np.int32).max
+
+_T = TypeVar("_T")
+
+
+def _map_threads(fn: Callable[[int], _T], count: int, workers: int) -> list[_T]:
+    """[fn(i) for i in range(count)], computed on `workers` threads.
+
+    The caller's thread is one of the workers, and each worker takes the
+    next index from one shared counter.  Results are kept by index, so the
+    list is the same for any `workers`.  The first exception a call raises
+    stops every worker before its next index and is raised here; no thread
+    outlives the call.  With one worker it runs inline and starts no thread.
+    The parallel part is the native code that releases the GIL: the C
+    kernel through ctypes and numpy's shuffle.
+    """
+    workers = min(workers, count)
+    if workers <= 1:
+        return [fn(i) for i in range(count)]
+    results: list = [None] * count
+    pending = iter(range(count))
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+
+    def take() -> int | None:
+        with lock:
+            return next(pending, None)
+
+    def work() -> None:
+        nonlocal pending
+        for i in iter(take, None):
+            try:
+                results[i] = fn(i)
+            except BaseException as exc:  # raised again by the caller
+                with lock:
+                    errors.append(exc)
+                    pending = iter(())
+                return
+
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        with lock:  # stops the others at once if starting one failed
+            pending = iter(())
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def _lis_core(seq: Sequence[int]) -> int:
@@ -163,22 +218,16 @@ def _column(perms: Sequence[Permutation], j: int) -> list[int]:
 def lcs_all_pairs(s: PermSet, *, threads: int = 1) -> LcsMatrix:
     """Fill the pairwise LCS table of a set; requires k >= 2.
 
-    With threads > 1 the columns (one per member, against every earlier
-    member) are evaluated by a thread pool; results are assembled in column
-    order, so the matrix is identical either way.
+    The columns (one per member, against every earlier member) run through
+    `_map_threads` on `threads` workers, serially by default: each worker
+    holds three n-sized words, and a second one gained nothing on the
+    Hadamard k=8 s=6 sweep.  Columns are assembled in order, so the matrix
+    is identical for any `threads`.
     """
     k = s.k
     if k < 2:
         raise ValueError("pairwise LCS needs at least two permutations")
-    column = partial(_column, s.perms)
-    if threads > 1:
-        # Imported here: it pulls in logging, which no CLI start-up needs.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = list(pool.map(column, range(1, k)))
-    else:
-        columns = map(column, range(1, k))
+    columns = _map_threads(lambda c: _column(s.perms, c + 1), k - 1, threads)
     grid = [[s.n] * k for _ in range(k)]
     for j, values in enumerate(columns, start=1):
         for i, v in enumerate(values):

@@ -1,10 +1,21 @@
+import json
 import random
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from permlcs import build_exact, build_general, ceil_cbrt, lcs_all_pairs, params_from, restrict
+from permlcs import (
+    build_exact,
+    build_general,
+    build_hadamard_set,
+    ceil_cbrt,
+    lcs_all_pairs,
+    params_from,
+    random_perm_set,
+    restrict,
+    trial_rng,
+)
 from permlcs.algebraic import _coordinate_arrays, _key_arrays
 from permlcs.perm import MAX_N
 
@@ -217,6 +228,19 @@ def test_builds_take_any_integer_and_refuse_a_float():
         build_general(100.0, 3)
     with pytest.raises(TypeError):
         build_exact(72.0, 3)
+
+
+@pytest.mark.parametrize("build, args, kwargs", [
+    (build_general, (100, 3), {}),
+    (build_exact, (72, 3), {}),
+    (build_hadamard_set, (4, 3), {}),
+    (build_hadamard_set, (4, 3), {"n": 10}),
+    (lambda n, k: random_perm_set(n, k, trial_rng(0)), (5, 3), {}),
+])
+def test_records_of_numpy_integer_sizes_are_plain_json(build, args, kwargs):
+    record = dict(build(*args, **kwargs).params)
+    as_numpy = dict(build(*map(np.int64, args), **{k: np.int64(v) for k, v in kwargs.items()}).params)
+    assert json.dumps(as_numpy) == json.dumps(record)
 
 
 def test_build_general_random_cases_theorem_bound():

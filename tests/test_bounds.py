@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import pytest
@@ -21,6 +23,7 @@ from permlcs import (
     sample_lis,
     trial_rng,
 )
+import permlcs._native as _native
 import permlcs.bounds as bounds
 from permlcs.bounds import BOUND_CHECKS, check_bounds, largest_m_with_factorial_below
 from permlcs.perm import MAX_N
@@ -78,10 +81,90 @@ def test_sample_draws_each_trial_once_for_both_measures(monkeypatch):
     real = bounds.trial_rng
     monkeypatch.setattr(bounds, "trial_rng", lambda seed, t=0: draws.append(t) or real(seed, t))
     check, sample = bounds._sample(300, 3, 7, 5, lis=True)
-    assert draws == list(range(7))
+    assert sorted(draws) == list(range(7))  # in any order when trials run on threads
     assert check == check_probabilistic_bound(300, 3, 7, 5)
     assert sample == sample_lis(300, 7, 5)
     assert bounds._sample(300, 3, 7, 5, lis=False) == (check, None)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_sample_equals_serial_trials_for_any_worker_count(monkeypatch, workers):
+    n, k, trials, seed = 200, 3, 13, 21  # 13 trials: no worker count above 1 divides it
+    expected_max = tuple(lcs_all_pairs(random_perm_set(n, k, trial_rng(seed, t))).max_pair
+                         for t in range(trials))
+    expected_lis = tuple(lis(random_perm_set(n, k, trial_rng(seed, t)).perms[0].word)
+                         for t in range(trials))
+    monkeypatch.setattr(bounds, "_workers", lambda n, k: workers)
+    check, sample = bounds._sample(n, k, trials, seed, lis=True)
+    assert check.max_lcs_per_trial == expected_max
+    assert sample.lengths == expected_lis
+    assert sample_lis(n, trials, seed).lengths == expected_lis
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_a_failing_trial_stops_the_sample_and_leaves_no_thread(monkeypatch, workers):
+    class Boom(Exception):
+        pass
+
+    drawn = []
+    boom = Boom("trial 3")
+    real = bounds.trial_rng
+
+    def failing_rng(seed, t=0):
+        drawn.append(t)
+        if t == 3:
+            raise boom
+        return real(seed, t)
+
+    monkeypatch.setattr(bounds, "_workers", lambda n, k: workers)
+    monkeypatch.setattr(bounds, "trial_rng", failing_rng)
+    before = threading.active_count()
+    with pytest.raises(Boom) as raised:
+        bounds._sample(2000, 3, 50, 0, lis=True)
+    assert raised.value is boom
+    assert 3 in drawn and len(drawn) < 50
+    assert threading.active_count() == before
+
+
+def test_one_worker_starts_no_thread(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    expected = bounds._sample(100, 3, 5, 2, lis=True)
+    monkeypatch.setattr(bounds, "_workers", lambda n, k: 1)
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    assert bounds._sample(100, 3, 5, 2, lis=True) == expected
+    assert sample_lis(100, 5, 2) == expected[1]
+
+
+def test_worker_count_is_the_cpus_unless_the_words_do_not_fit():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert bounds._workers(10**4, 3) == cpus
+    assert bounds._workers(MAX_N, 3) == 1
+    with pytest.raises(ValueError, match="ground set must be non-empty"):
+        bounds._workers(0, 3)
+
+
+def test_sample_on_two_workers_holds_at_most_two_trials(monkeypatch):
+    """One worker holds one trial's words, the (k + 3) * 4n bytes that
+    `_TRIALS_BUDGET` is counted in, so two workers peak at no more than
+    twice what one does."""
+    n, k = 2**16, 3
+
+    def peak(workers):
+        monkeypatch.setattr(bounds, "_workers", lambda n, k: workers)
+        tracemalloc.start()
+        try:
+            bounds._sample(n, k, 6, 9, lis=True)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    bounds._sample(n, k, 1, 9, lis=True)  # loads the native library untraced
+    serial = peak(1)
+    if _native.library() is not None:  # the Python kernel also lists a word's ints
+        assert serial <= (k + 3) * 4 * n + 2**17
+    assert peak(2) <= 2 * serial + 2**17
 
 
 def test_sample_lis_rejects_zero_trials():

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
@@ -336,6 +337,35 @@ def test_all_pairs_threaded_matches_serial(routes):
     s = PermSet(tuple(rand_perm(rng, 40) for _ in range(5)))
     for kernel in routes:
         assert lcs_all_pairs(s, threads=4) == lcs_all_pairs(s)
+
+
+def test_sweep_starts_no_thread_by_default(monkeypatch):
+    s = build_hadamard_set(4, 3)
+    expected = lcs_all_pairs(s)
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    assert lcs_all_pairs(s) == expected
+
+
+def test_map_threads_takes_each_index_once_under_contention():
+    # More workers than cores and a short switch interval, so a lost update
+    # of the shared counter would repeat or skip an index.
+    count, taken, out = 3000, [], []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: out.append(
+            subseq._map_threads(lambda i: taken.append(i) or i * i, count, 8)))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not runner.is_alive()
+    assert out == [[i * i for i in range(count)]]
+    assert sorted(taken) == list(range(count))
 
 
 def test_erdos_szekeres_floor():
