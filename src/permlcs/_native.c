@@ -1,11 +1,40 @@
 /* The package's native helpers, built and loaded by `_native.py`: the
-   patience LIS kernel, the relabel that feeds it each pair of members, and
-   the PERMSET value-line codec.  Words are int32: every ground set is at
-   most 2^24, so each entry and each rank fits. */
+   patience LIS kernel, over one word (`lis_length`) or over up to four
+   relabeled members of one sweep column at once (`lis_lanes`), the
+   inversion that gives a column its position array, and the PERMSET
+   value-line codec.  Words are int32: every ground set is at most 2^24, so
+   each entry and each rank fits. */
 
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+
+/* lis_lanes measures up to LANES words per call and gathers BLOCK values of
+   each into a stack buffer at a time.  A word whose miss count is below GATE
+   tries the neighbour piles before it searches. */
+#define LANES 4
+#define BLOCK 512
+#define GATE 128u
+
+/* One word's patience piles.  tops[0..len) holds the smallest top of each
+   pile, and each value replaces the first top that is not below it; p is
+   the pile the last value landed on, and miss a decaying count of values
+   that landed on neither p nor p + 1 of the value before.
+
+   tops[0..cap) stays sorted: its tail past len is padded with INT32_MAX, so
+   starting a new pile is an overwrite like any other, and the search always
+   takes log2(cap) steps with no data-dependent branch.  cap starts at 64 (n
+   when smaller) and doubles, up to n, whenever the piles of a word fill it;
+   the kernel allocates the tops, grows them with realloc and frees them
+   before it returns.  len is counted, not read off the sentinels, so a word
+   holding INT32_MAX itself would still be measured right; the package's
+   words, relabeled members and ranks, lie in 0..n-1 and never do. */
+typedef struct {
+    int32_t *tops;
+    ptrdiff_t len, p;
+    unsigned miss;
+} Piles;
 
 /* Fill tops[from..to) with the sentinel INT32_MAX. */
 static void pad(int32_t *tops, ptrdiff_t from, ptrdiff_t to)
@@ -14,35 +43,69 @@ static void pad(int32_t *tops, ptrdiff_t from, ptrdiff_t to)
         tops[i] = INT32_MAX;
 }
 
-/* Length of the longest strictly increasing subsequence of a[0..n), by
-   patience sorting: tops[0..len) holds the smallest top of each pile, and
-   each value replaces the first top that is not below it.  tops is the
-   caller's scratch, with room for n entries.
-
-   tops[0..cap) stays sorted: its tail past len is padded with INT32_MAX, so
-   starting a new pile is an overwrite like any other, and the search always
-   takes log2(cap) steps with no data-dependent branch.  cap starts at 64 and
-   doubles, up to n, whenever the piles fill it.  Before that search, the
-   pile p the previous value landed on and its right neighbour p + 1 are
-   tried: most values of a digit-set word land there, and these branches
-   predict well.  On random words few do and the check only mispredicts, so
-   it is skipped while `miss`, a decaying count of values that landed
-   elsewhere, is high; it settles near 256 times their share, so the check
-   runs while about half the values or more land on p or p + 1.  len is
-   counted, not read off the sentinels, so a word holding INT32_MAX itself
-   would still be measured right; the package's words, relabeled members and
-   ranks, lie in 0..n-1 and never do. */
-ptrdiff_t lis_length(const int32_t *a, ptrdiff_t n, int32_t *tops)
+/* Give each of w[0..count) cap padded tops (room for one when cap is 0, as
+   malloc(0) may return NULL) and no pile.  Returns 0, or -1 when an
+   allocation fails; every tops can be freed either way. */
+static int start(Piles *w, ptrdiff_t count, ptrdiff_t cap)
 {
-    ptrdiff_t cap = n < 64 ? n : 64, len = 0, p = 0;
-    unsigned miss = 0;
-    pad(tops, 0, cap);
-    for (ptrdiff_t i = 0; i < n; i++) {
+    int status = 0;
+    for (ptrdiff_t l = 0; l < count; l++) {
+        w[l] = (Piles){malloc((size_t)(cap > 0 ? cap : 1) * sizeof(int32_t)), 0, 0, 0};
+        if (w[l].tops == NULL)
+            status = -1;
+        else
+            pad(w[l].tops, 0, cap);
+    }
+    return status;
+}
+
+/* Double *cap, up to n, on every one of w[0..count).  Returns 0, or -1 when
+   realloc fails; every tops can be freed either way. */
+static int grow(Piles *w, ptrdiff_t count, ptrdiff_t *cap, ptrdiff_t n)
+{
+    ptrdiff_t grown = 2 * *cap < n ? 2 * *cap : n;
+    for (ptrdiff_t l = 0; l < count; l++) {
+        int32_t *tops = realloc(w[l].tops, (size_t)grown * sizeof *tops);
+        if (tops == NULL)
+            return -1;
+        pad(tops, *cap, grown);
+        w[l].tops = tops;
+    }
+    *cap = grown;
+    return 0;
+}
+
+/* The miss count after a value landed on pile p, the one before it on prev:
+   it decays by an eighth and counts 32 for a pile other than prev, prev + 1. */
+static unsigned decay(unsigned miss, ptrdiff_t p, ptrdiff_t prev)
+{
+    return miss - miss / 8 + ((size_t)(p - prev) > 1) * 32u;
+}
+
+/* Place a[0..m) on the piles of w[l], and whenever they fill cap below n,
+   grow the tops of every one of w[0..count).  Returns 0, or -1 when realloc
+   fails.  While miss is below GATE, the pile p the previous value landed on
+   and its right neighbour p + 1 are tried before the search: most values of
+   a digit-set word land there, and these branches predict well.  On random
+   words few do and the check only mispredicts, so it is skipped while miss
+   is high; miss settles near 256 times their share, so the check runs while
+   about half the values or more land on p or p + 1.  lis_length runs this
+   loop over its whole word, and lis_lanes over each block of a lane whose
+   miss count is low. */
+static int near(Piles *w, ptrdiff_t l, ptrdiff_t count, const int32_t *a,
+                ptrdiff_t m, ptrdiff_t *cap, ptrdiff_t n)
+{
+    Piles *x = &w[l];
+    int32_t *tops = x->tops;
+    ptrdiff_t len = x->len, p = x->p, top = *cap;
+    unsigned miss = x->miss;
+    int status = 0;
+    for (ptrdiff_t i = 0; i < m; i++) {
         int32_t v = a[i];
         ptrdiff_t prev = p;
         /* len < cap here, so tops[len] is a sentinel and the pile is at most
            len; p <= len, and p + 1 is read only once p < len. */
-        if (miss < 128) {
+        if (miss < GATE) {
             if (tops[p] < v) {
                 if (v <= tops[p + 1]) {
                     p++;
@@ -54,24 +117,39 @@ ptrdiff_t lis_length(const int32_t *a, ptrdiff_t n, int32_t *tops)
         }
         {
             const int32_t *base = tops;
-            ptrdiff_t m = cap;
-            while (m > 1) {
-                ptrdiff_t half = m / 2;
+            for (ptrdiff_t span = top; span > 1; span -= span / 2) {
+                ptrdiff_t half = span / 2;
                 base += (base[half] < v) * half;
-                m -= half;
             }
             p = base - tops + (*base < v);
         }
     place:
-        miss = miss - miss / 8 + ((size_t)(p - prev) > 1) * 32u;
+        miss = decay(miss, p, prev);
         tops[p] = v;
-        if (p == len && ++len == cap && cap < n) {
-            ptrdiff_t grown = 2 * cap < n ? 2 * cap : n;
-            pad(tops, cap, grown);
-            cap = grown;
+        if (p == len && ++len == top && top < n) {
+            if ((status = grow(w, count, cap, n)) != 0)
+                break;
+            tops = x->tops;
+            top = *cap;
         }
     }
-    return len;
+    x->len = len;
+    x->p = p;
+    x->miss = miss;
+    return status;
+}
+
+/* Length of the longest strictly increasing subsequence of a[0..n), by
+   patience sorting, or -1 when the pile tops cannot be allocated. */
+ptrdiff_t lis_length(const int32_t *a, ptrdiff_t n)
+{
+    Piles w;
+    ptrdiff_t cap = n < 64 ? n : 64;
+    int status = start(&w, 1, cap);
+    if (status == 0)
+        status = near(&w, 0, 1, a, n, &cap, n);
+    free(w.tops);
+    return status == 0 ? w.len : -1;
 }
 
 /* Invert the word a[0..n): pos[a[i]] = i, so pos holds each value's index.
@@ -82,17 +160,100 @@ void invert(const int32_t *a, ptrdiff_t n, int32_t *pos)
         pos[a[i]] = (int32_t)i;
 }
 
-/* LIS of the word a[0..n) relabeled through pos: word[i] = pos[a[i]], then
-   lis_length(word, n, tops).  With pos the inverse of member b, that is the
-   LCS of members a and b.  a must hold only indices into pos, as a member of
-   the same ground set does.  lis_length is called, not inlined: a relabel
-   fused with an inlined copy made lattice sweeps slower. */
-ptrdiff_t relabel_lis(const int32_t *pos, const int32_t *a, ptrdiff_t n,
-                      int32_t *word, int32_t *tops)
+/* The search of near() for LANES = 4 values at once: each base[f] starts at
+   the tops of its word and ends on the last one below v[f], or on the first.
+   The four chains are locals, so each step's four loads issue together. */
+static void search4(const int32_t **base, const int32_t *v, ptrdiff_t cap)
 {
-    for (ptrdiff_t i = 0; i < n; i++)
-        word[i] = pos[a[i]];
-    return lis_length(word, n, tops);
+    _Static_assert(LANES == 4, "search4 runs one chain per lane");
+    const int32_t *b0 = base[0], *b1 = base[1], *b2 = base[2], *b3 = base[3];
+    int32_t v0 = v[0], v1 = v[1], v2 = v[2], v3 = v[3];
+    for (ptrdiff_t span = cap; span > 1; span -= span / 2) {
+        ptrdiff_t half = span / 2;
+        b0 += b0[half] < v0 ? half : 0;
+        b1 += b1[half] < v1 ? half : 0;
+        b2 += b2[half] < v2 ? half : 0;
+        b3 += b3[half] < v3 ? half : 0;
+    }
+    base[0] = b0;
+    base[1] = b1;
+    base[2] = b2;
+    base[3] = b3;
+}
+
+/* The LIS of up to LANES relabeled words at once: for each lane l below
+   count, which is 1 to LANES, out[l] is the LIS of pos[a_l[0]], ...,
+   pos[a_l[n-1]]; slots from count on are not read.  With pos the inverse of
+   member j, that is the LCS of member j and member a_l.  Each a_l must hold
+   only indices into pos[0..n), as a member of the same ground set does.
+   Returns 0, or -1 (out unwritten) when the pile tops cannot be allocated.
+
+   The lanes share one cap.  Each block of BLOCK values is gathered for
+   every lane first, so the gather streams.  Then a lane whose miss count is
+   below GATE runs near() over its block alone, and so does a lane that is
+   the only one at or above it; two or more such lanes run their searches in
+   one lockstep loop: each step of one lane's search waits on its last load,
+   but the lanes' chains are independent, so their loads overlap. */
+int lis_lanes(const int32_t *pos, const int32_t *a0, const int32_t *a1,
+              const int32_t *a2, const int32_t *a3, ptrdiff_t count,
+              ptrdiff_t n, ptrdiff_t *out)
+{
+    const int32_t *const words[LANES] = {a0, a1, a2, a3};
+    int32_t buf[LANES][BLOCK];
+    Piles w[LANES];
+    ptrdiff_t cap = n < 64 ? n : 64;
+    int status = start(w, count, cap);
+    for (ptrdiff_t b = 0; status == 0 && b < n; b += BLOCK) {
+        ptrdiff_t m = n - b < BLOCK ? n - b : BLOCK, far[LANES], nfar = 0;
+        for (ptrdiff_t l = 0; l < count; l++) {
+            const int32_t *a = words[l] + b;
+            for (ptrdiff_t i = 0; i < m; i++)
+                buf[l][i] = pos[a[i]];
+        }
+        for (ptrdiff_t l = 0; l < count; l++) {
+            if (w[l].miss >= GATE) {
+                far[nfar++] = l;
+                continue;
+            }
+            if (status == 0)
+                status = near(w, l, count, buf[l], m, &cap, n);
+        }
+        /* a lone far lane has no chain to overlap with: near() searches */
+        if (nfar == 1 && status == 0) {
+            status = near(w, far[0], count, buf[far[0]], m, &cap, n);
+            nfar = 0;
+        }
+        for (ptrdiff_t i = 0; status == 0 && nfar > 0 && i < m; i++) {
+            const int32_t *base[LANES];
+            int32_t v[LANES];
+            ptrdiff_t at[LANES];
+            for (ptrdiff_t f = 0; f < LANES; f++) {
+                /* slots past nfar redo the first far lane's search */
+                ptrdiff_t g = far[f < nfar ? f : 0];
+                base[f] = w[g].tops;
+                v[f] = buf[g][i];
+            }
+            search4(base, v, cap);
+            /* every pile first: a growth below moves the tops */
+            for (ptrdiff_t f = 0; f < nfar; f++)
+                at[f] = base[f] - w[far[f]].tops + (*base[f] < v[f]);
+            for (ptrdiff_t f = 0; f < nfar; f++) {
+                Piles *x = &w[far[f]];
+                ptrdiff_t p = at[f];
+                x->miss = decay(x->miss, p, x->p);
+                x->p = p;
+                x->tops[p] = v[f];
+                if (p == x->len && ++x->len == cap && cap < n && status == 0)
+                    status = grow(w, count, &cap, n);
+            }
+        }
+    }
+    for (ptrdiff_t l = 0; l < count; l++) {
+        if (status == 0)
+            out[l] = w[l].len;
+        free(w[l].tops);
+    }
+    return status;
 }
 
 /* 10^0 .. 10^9: a value v below 2^32 is as wide as the count of entries <= v. */

@@ -1,14 +1,16 @@
 """The package's C helpers, `_native.c`, compiled on first use and loaded
-with `ctypes`: `lis_length` (patience LIS), `invert` and `relabel_lis` (a
-member's position array, then one call per pair that relabels the other
-member through it and measures the LIS), all for `subseq`, and
-`parse_line` / `render_line` (the PERMSET value-line codec, for `fileio`).
-Each takes the package's one word type, a contiguous `int32` array, and
-callers pass the arrays themselves: the argument table `library()` sets,
-`_signatures()`, declares each array argument with
-`np.ctypeslib.ndpointer`, so a call with the wrong dtype, a strided view or
-a read-only output raises `ctypes.ArgumentError` instead of handing C the
-wrong bytes.
+with `ctypes`: `lis_length` (patience LIS of one word), `invert` and
+`lis_lanes` (a member's position array, then one call per `LANES` = 4
+other members that relabels each through it and measures their LIS
+together), all for `subseq`, and `parse_line` / `render_line` (the PERMSET
+value-line codec, for `fileio`).  Each takes the package's one word type, a
+contiguous `int32` array, and callers pass the arrays themselves: the
+argument table `library()` sets, `_signatures()`, declares each array
+argument with `np.ctypeslib.ndpointer`, so a call with the wrong dtype, a
+strided view or a read-only output (for `lis_lanes`' lengths, anything but a
+writeable `intp[LANES]`) raises `ctypes.ArgumentError` instead of handing C
+the wrong bytes.  The LIS kernels allocate their own pile tops and return
+-1 when they cannot.
 
 `library()` compiles the source with `cc` into this package's
 `__pycache__/` and loads it; importing the module does neither.  The file
@@ -32,6 +34,7 @@ from pathlib import Path
 _SOURCE = Path(__file__).with_name("_native.c")
 _CC = ("cc", "-O2", "-shared", "-fPIC")
 _BUILD_TIMEOUT_S = 60
+LANES = 4  # the words one `lis_lanes` call measures: LANES in `_native.c`
 
 
 def _build(lib: Path) -> bool:
@@ -92,11 +95,12 @@ def _signatures() -> dict:
     size = ctypes.c_ssize_t
     word = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
     out = np.ctypeslib.ndpointer(np.int32, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    lengths = np.ctypeslib.ndpointer(np.intp, shape=(LANES,), flags=("C_CONTIGUOUS", "WRITEABLE"))
     line = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
     return {
-        "lis_length": (size, (word, size, out)),
+        "lis_length": (size, (word, size)),
         "invert": (None, (word, size, out)),
-        "relabel_lis": (size, (word, word, size, out, out)),
+        "lis_lanes": (ctypes.c_int, (word, *(word,) * LANES, size, size, lengths)),
         "render_line": (size, (word, size, line, size)),
         "parse_line": (ctypes.c_int, (ctypes.c_char_p, size, size, out)),
     }

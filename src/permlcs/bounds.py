@@ -21,12 +21,15 @@ from .hadamard import digit_lcs_bound
 from .perm import Permutation, PermSet, _adopt, _ground_set, restrict
 from .subseq import _lis_word, _map_threads, lcs_all_pairs
 
-# Bytes of trial words held at once.  A trial of k members on [n] peaks at
-# about (k + 3) * 4n traced bytes with the C kernel (its members, then the
-# sweep's three words; the Python kernel's list of a word's ints adds about
-# 36n), so n = 10**4 is never capped, and at n = MAX_N, k = 3 one trial runs
-# alone.
+# Bytes of trial words held at once, each trial of k members on [n] counted
+# as _TRIAL_WORDS + k words of 4n bytes.  Its traced peak is (k + 2) * 4n
+# with the C kernel, at its last draw: the members drawn so far, numpy's
+# int64 draw and its int32 cast.  Without one it is (k + 12) * 4n, in the
+# sweep: the members, the position array, a relabeled word and its list of
+# Python ints.  So n = 10**4 is never capped, and at n = MAX_N, k = 3 one
+# trial runs alone.
 _TRIALS_BUDGET = 1 << 28
+_TRIAL_WORDS = 12
 
 
 def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
@@ -55,7 +58,7 @@ def _workers(n: int, k: int) -> int:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _TRIALS_BUDGET // ((k + 3) * 4 * _ground_set(n))))
+    return max(1, min(cpus, _TRIALS_BUDGET // ((k + _TRIAL_WORDS) * 4 * _ground_set(n))))
 
 
 @dataclass(frozen=True)

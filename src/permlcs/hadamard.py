@@ -86,17 +86,20 @@ def hadamard_matrix(order: int) -> HadamardMatrix:
 
 
 def digit_lcs_bound(k: int, s: int) -> int:
-    """s**(k/2 - 1): the pairwise LCS guarantee of the digit construction."""
-    return s ** (k // 2 - 1)
+    """s**(k/2 - 1): the pairwise LCS guarantee of the digit construction,
+    computed in Python ints so that a numpy integer cannot wrap."""
+    return operator.index(s) ** (operator.index(k) // 2 - 1)
 
 
 def digit_ground_set(k: int, s: int) -> int:
     """n' = s**(k-1), or MAX_N + 1 for any n' above the ground-set cap.
 
-    Raises ValueError unless k >= 2 and s >= 2.  The power is not computed
-    once k - 1 exceeds 24 (it would be unbounded), and the sentinel sorts an
-    above-cap `bench` cell after every valid one, so their rows print first.
+    Raises ValueError unless k >= 2 and s >= 2.  The power is computed in
+    Python ints, so a numpy integer cannot wrap, and not at all once k - 1
+    exceeds 24 (it would be unbounded); the sentinel sorts an above-cap
+    `bench` cell after every valid one, so their rows print first.
     """
+    k, s = operator.index(k), operator.index(s)
     if k < 2:
         raise ValueError(f"need at least k=2 rows, got {k}")
     if s < 2:

@@ -10,16 +10,18 @@ words of distinct integers that fit `int64` (anything else is a ValueError)
 and hand `_lis_word` the word's ranks 0..m-1, which have the same increasing
 subsequences; `lcs_pair` and `lcs_all_pairs` go through `_column`, which
 builds member j's position array once with `invert` and then makes one C
-call per earlier member, `relabel_lis`, into a word and pile tops it
-allocates once per column: no n-sized array is made per pair.
+call per four earlier members, `lis_lanes`, which relabels each through it
+and measures the four in lockstep: the position array is the one n-sized
+array a column makes.
 `_map_threads` is the library's one way to spread independent calls (a
 sweep's columns, `bounds`' trials) over threads; it keeps results by index.
 
-Patience sorting runs in C, `lis_length` in `_native.c`, over an `int32`
-word and pile-top scratch (`_lis_word` allocates its own per call); the
-comment there describes its padded pile tops, its neighbour-pile check and
-the miss count that gates it.  The first LIS call builds and loads it
-through `_native.library()`; importing the module does neither.  Where it
+Patience sorting runs in C, `lis_length` and `lis_lanes` in `_native.c`,
+over `int32` words, with pile tops the kernel allocates and grows itself (a
+failed allocation is a MemoryError); the comments there describe the padded
+pile tops, the neighbour-pile check, the miss count that gates it and the
+lockstep search.  The first LIS call builds and loads the library through
+`_native.library()`; importing the module does neither.  Where it
 cannot be built or loaded, `_lis_word` runs `_lis_core`, the same algorithm
 in Python, on every word, those `_column` relabels through `perm.invert` too,
 with equal answers and no output; there is no switch between the two.
@@ -115,8 +117,10 @@ def _lis_word(word: np.ndarray) -> int:
     lib = _native.library()
     if lib is None:
         return _lis_core(word.tolist())
-    tops = np.empty(len(word), dtype=np.int32)
-    return lib.lis_length(word, len(word), tops)
+    length = lib.lis_length(word, len(word))
+    if length < 0:
+        raise MemoryError("no room for the pile tops")
+    return length
 
 
 def _distinct_word(seq: Sequence[int]) -> np.ndarray:
@@ -204,15 +208,26 @@ class LcsMatrix:
 
 def _column(perms: Sequence[Permutation], j: int) -> list[int]:
     """LCS of member j with each earlier member.  j's position array is built
-    once; natively it relabels each earlier member into one reused word."""
+    once, the one n-sized word the column makes; natively each `lis_lanes`
+    call then relabels up to four earlier members through it and measures
+    them together, with pile tops the kernel allocates itself.  Raises
+    MemoryError when it cannot."""
     lib = _native.library()
     if lib is None:
         pos = invert(perms[j]).array
         return [_lis_word(pos[perms[i].array]) for i in range(j)]
-    n = perms[j].n
-    pos, word, tops = (np.empty(n, dtype=np.int32) for _ in range(3))
+    n, lanes = perms[j].n, _native.LANES
+    pos, lengths = np.empty(n, dtype=np.int32), np.empty(lanes, dtype=np.intp)
     lib.invert(perms[j].array, n, pos)
-    return [lib.relabel_lis(pos, perms[i].array, n, word, tops) for i in range(j)]
+    column: list[int] = []
+    for first in range(0, j, lanes):
+        words = [p.array for p in perms[first:min(first + lanes, j)]]
+        count = len(words)
+        words += words[:1] * (lanes - count)  # slots past count are not read
+        if lib.lis_lanes(pos, *words, count, n, lengths):
+            raise MemoryError("no room for the pile tops")
+        column += lengths[:count].tolist()
+    return column
 
 
 def lcs_all_pairs(s: PermSet, *, threads: int = 1) -> LcsMatrix:
@@ -220,9 +235,9 @@ def lcs_all_pairs(s: PermSet, *, threads: int = 1) -> LcsMatrix:
 
     The columns (one per member, against every earlier member) run through
     `_map_threads` on `threads` workers, serially by default: each worker
-    holds three n-sized words, and a second one gained nothing on the
-    Hadamard k=8 s=6 sweep.  Columns are assembled in order, so the matrix
-    is identical for any `threads`.
+    holds one n-sized word, member j's positions, and a second worker
+    gained nothing on the Hadamard k=8 s=6 sweep.  Columns are assembled in
+    order, so the matrix is identical for any `threads`.
     """
     k = s.k
     if k < 2:

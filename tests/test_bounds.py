@@ -23,7 +23,6 @@ from permlcs import (
     sample_lis,
     trial_rng,
 )
-import permlcs._native as _native
 import permlcs.bounds as bounds
 from permlcs.bounds import BOUND_CHECKS, check_bounds, largest_m_with_factorial_below
 from permlcs.perm import MAX_N
@@ -145,10 +144,11 @@ def test_worker_count_is_the_cpus_unless_the_words_do_not_fit():
         bounds._workers(0, 3)
 
 
-def test_sample_on_two_workers_holds_at_most_two_trials(monkeypatch):
-    """One worker holds one trial's words, the (k + 3) * 4n bytes that
-    `_TRIALS_BUDGET` is counted in, so two workers peak at no more than
-    twice what one does."""
+def test_sample_on_two_workers_holds_at_most_two_trials(monkeypatch, routes):
+    """One worker holds one trial's words, at most the
+    (k + `_TRIAL_WORDS`) * 4n bytes that `_TRIALS_BUDGET` is counted in on
+    either route, and (k + 2) * 4n with the C kernel, so two workers peak at
+    no more than twice what one does."""
     n, k = 2**16, 3
 
     def peak(workers):
@@ -160,11 +160,11 @@ def test_sample_on_two_workers_holds_at_most_two_trials(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    bounds._sample(n, k, 1, 9, lis=True)  # loads the native library untraced
-    serial = peak(1)
-    if _native.library() is not None:  # the Python kernel also lists a word's ints
-        assert serial <= (k + 3) * 4 * n + 2**17
-    assert peak(2) <= 2 * serial + 2**17
+    for kernel in routes:
+        bounds._sample(n, k, 1, 9, lis=True)  # loads the native library untraced
+        serial = peak(1)
+        assert serial <= (k + (2 if kernel == "native" else bounds._TRIAL_WORDS)) * 4 * n + 2**17
+        assert peak(2) <= 2 * serial + 2**17
 
 
 def test_sample_lis_rejects_zero_trials():

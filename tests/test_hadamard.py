@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import permlcs.hadamard as hadamard
@@ -242,3 +243,18 @@ def test_build_parameter_errors():
     with pytest.raises(ValueError):
         build_hadamard_set(8, 300)
 
+
+
+@pytest.mark.parametrize("k, s", [(3, 2**63 - 1), (8, 6), (4, 2**32), (2, 7), (24, 2), (26, 3)])
+def test_digit_sizes_take_numpy_integers_as_python_ints(k, s):
+    # s ** (k - 1) in int64 would wrap: (2**63 - 1)**2 is 1 mod 2**64, a
+    # ground set under the cap
+    for kk, ss in ((np.int64(k), np.int64(s)), (np.int32(k), s), (k, np.uint64(s))):
+        assert hadamard.digit_ground_set(kk, ss) == hadamard.digit_ground_set(k, s)
+        assert hadamard.digit_lcs_bound(kk, ss) == hadamard.digit_lcs_bound(k, s)
+        assert type(hadamard.digit_lcs_bound(kk, ss)) is int
+    assert hadamard.digit_ground_set(3, np.int64(2**63 - 1)) == hadamard.MAX_N + 1
+    with pytest.raises(TypeError):
+        hadamard.digit_ground_set(4.0, 2)
+    with pytest.raises(TypeError):
+        hadamard.digit_lcs_bound(4, 2.5)

@@ -1,5 +1,6 @@
 import ctypes
 import itertools
+import json
 import math
 import os
 import random
@@ -155,7 +156,7 @@ def test_monotone_words_cross_every_capacity_doubling(routes):
 
 
 def test_native_kernel_matches_python_kernel_on_long_words():
-    # invert + relabel_lis (and lis_length alone) against an independent
+    # invert + lis_lanes (and lis_length alone) against an independent
     # reference, np.take + _lis_core, on every column of a digit set, whose long
     # runs land on the previous pile or its neighbour, the case the kernel
     # checks before searching; of a lattice set; of three random words; and
@@ -167,25 +168,178 @@ def test_native_kernel_matches_python_kernel_on_long_words():
     sets = [build_hadamard_set(8, 4).perms, build_general(100000, 8).perms,
             [Permutation(rng.permutation(10**5)) for _ in range(3)]]
     sets += [[identity(n)] * 2 for n in (1, 63, 64, 65, 129, 4097)]
+    lengths = np.empty(_native.LANES, dtype=np.intp)
     for perms in sets:
         n = perms[0].n
-        pos, word, tops = (np.empty(n, dtype=np.int32) for _ in range(3))
+        pos = np.empty(n, dtype=np.int32)
         for j in range(1, len(perms)):
             lib.invert(perms[j].array, n, pos)
             want_pos = np.empty(n, dtype=np.int32)
             want_pos[perms[j].array] = np.arange(n, dtype=np.int32)
             assert np.array_equal(pos, want_pos)
             for i in range(j):
-                got = lib.relabel_lis(pos, perms[i].array, n, word, tops)
-                want = np.take(want_pos, perms[i].array)
-                assert np.array_equal(word, want)
-                assert got == subseq._lis_word(want) == subseq._lis_core(want.tolist())
+                word = perms[i].array
+                assert lib.lis_lanes(pos, word, word, word, word, 1, n, lengths) == 0
+                want = np.take(want_pos, word)
+                assert lengths[0] == lib.lis_length(want, n) == subseq._lis_core(want.tolist())
 
 
-def test_sweep_holds_three_words_not_four():
-    # member j's positions, the relabeled word and the pile tops, each 4n
-    # bytes and made once per column; gathering with numpy through an int32
-    # index made an 8n-byte intp copy of each member as well
+# Word classes for `lis_lanes`, each a rearrangement of the ranks 0..n-1 as
+# a lane sees them after the relabel:
+LANE_CLASSES = {
+    # every value starts a pile, so the piles pass each cap doubling
+    "up": lambda rng, n: np.arange(n),
+    "down": lambda rng, n: np.arange(n)[::-1],
+    "random": lambda rng, n: rng.permutation(n),
+    # the largest rank last, where it starts the last pile
+    "random, top last": lambda rng, n: np.append(rng.permutation(n - 1), n - 1),
+    # near the last pile, then far, then near again
+    "sorted, random, sorted": lambda rng, n: np.concatenate(
+        [np.arange(n // 3), n // 3 + rng.permutation(n - 2 * (n // 3)),
+         np.arange(n - n // 3, n)]),
+    # random, then sorted: its piles fill cap late
+    "random, sorted": lambda rng, n: np.concatenate(
+        [rng.permutation(n // 2), np.arange(n // 2, n)]),
+    # runs of 8 rising ranks, the runs falling: a digit-set-like word
+    "rising runs, falling": lambda rng, n: np.concatenate(
+        [np.arange(start, min(start + 8, n)) for start in range(0, n, 8)][::-1]),
+}
+LANE_SIZES = (1, 2, 63, 64, 65, 511, 512, 513, 4097)
+
+
+def lane_cases():
+    """(pos, words) arguments of `lis_lanes` calls.  Counts 1 to 4 at each n
+    of LANE_SIZES, each call's lanes of different classes; then lanes that
+    fill cap in lockstep, whichever first; a lane that fills it early beside
+    one that fills it late; and a lane that searches in lockstep up to its
+    last value.  pos is a shuffle of the ranks, so the relabel gathers from all
+    over it, with the largest rank replaced by INT32_MAX in every other call,
+    and a lane's word is the indices in pos of its class's ranks."""
+    rng = np.random.default_rng(29)
+    names = list(LANE_CLASSES)
+    specs = [(n, [names[(i + lane) % len(names)] for lane in range(count)])
+             for i, (n, count) in enumerate(itertools.product(
+                 LANE_SIZES, range(1, _native.LANES + 1)))]
+    specs += [(4097, ["random", "random", "random, top last"]),
+              (4097, ["random, sorted", "sorted, random, sorted"]),
+              (4097, ["random, top last", "random"])]
+    cases = []
+    for i, (n, lanes) in enumerate(specs, start=1):
+        values = np.arange(n, dtype=np.int32)
+        if i % 2:
+            values[-1] = 2**31 - 1
+        pos = rng.permutation(values)
+        where = np.argsort(pos)  # the index in pos of each rank
+        cases.append((pos, [where[LANE_CLASSES[name](rng, n)].astype(np.int32) for name in lanes]))
+    return cases
+
+
+def test_lis_lanes_matches_python_kernel():
+    # Each lane's length is _lis_core's LIS of pos[a], whatever the other
+    # lanes hold, as they search in lockstep and as cap grows.
+    lib = _native.library()
+    if lib is None:
+        pytest.skip("no native kernel on this machine")
+    lanes = _native.LANES
+    lengths = np.empty(lanes, dtype=np.intp)
+    for pos, words in lane_cases():
+        lengths[:] = -1
+        count = len(words)
+        slots = words + words[:1] * (lanes - count)  # unused slots repeat the first
+        assert lib.lis_lanes(pos, *slots, count, len(pos), lengths) == 0
+        assert lengths[:count].tolist() == [subseq._lis_core(pos[a].tolist()) for a in words]
+
+
+# Mutants of `lis_lanes` and the loop it shares with `lis_length`, each a
+# (find, replace, reason) edit of `_native.c`; the lane equivalence oracle
+# must reject each.
+LANE_MUTANTS = [
+    ("b0[half] < v0", "b0[half] <= v0",
+     "a lockstep search that passes a top equal to its value: INT32_MAX lands past cap"),
+    ("status = grow(w, count, &cap, n);", "status = grow(x, 1, &cap, n);",
+     "a lockstep lane that fills cap grows only its own tops: the others search past theirs"),
+    ("for (ptrdiff_t span = cap; span > 1;", "for (ptrdiff_t span = cap / 2; span > 1;",
+     "the lockstep search skips the upper half of the tops"),
+    ("b < n; b += BLOCK", "b + BLOCK <= n; b += BLOCK",
+     "the last partial block is never measured"),
+    ("words[LANES] = {a0, a1, a2, a3}", "words[LANES] = {a1, a0, a2, a3}",
+     "lanes 0 and 1 measure each other's word"),
+    ("} else if (p == 0 || tops[p - 1] < v) {", "} else {",
+     "a value below the last pile's top stays on it without the left-neighbour test"),
+]
+# Mutants that change no answer, kept with the reason the oracle accepts them.
+EQUIVALENT_LANE_MUTANTS = [
+    ("#define GATE 128u", "#define GATE 0u",
+     "every lane searches in lockstep and no value tries the neighbour piles: only speed changes"),
+]
+# A child that loads one build (argv[1]), reads lane_cases() from a file
+# (argv[2]: each call's count, n, pos and words as int32) and prints each
+# call's lengths; argv[3] is LANES.  It imports no numpy, so it starts fast.
+_LANES_CHILD = """
+import ctypes, json, sys
+from array import array
+lanes = int(sys.argv[3])
+fn = ctypes.CDLL(sys.argv[1]).lis_lanes
+fn.restype = ctypes.c_int
+fn.argtypes = [ctypes.c_void_p] * (1 + lanes) + [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p]
+data = array("i")
+with open(sys.argv[2], "rb") as f:
+    data.frombytes(f.read())
+base = ctypes.addressof((ctypes.c_int32 * len(data)).from_buffer(data))
+out, at, got = (ctypes.c_ssize_t * lanes)(), 0, []
+while at < len(data):
+    count, n = data[at], data[at + 1]
+    arrays = [base + 4 * (at + 2 + n * slot) for slot in range(count + 1)]
+    at += 2 + n * (count + 1)
+    if fn(*arrays, *arrays[1:2] * (lanes - count), count, n, out):
+        sys.exit("lis_lanes returned -1")
+    got.append(list(out)[:count])
+print(json.dumps(got))
+"""
+
+
+def test_lane_kernel_mutants_fail_the_equivalence_oracle(tmp_path):
+    # Each mutant is built with the package's own compiler command and run in
+    # a child, since a mutant may write past its tops; a child that crashes
+    # or prints a wrong length rejects it.  The source as it is and each
+    # equivalent mutant must print every length right.
+    if _native.library() is None:
+        pytest.skip("no native kernel on this machine")
+    cases = lane_cases()
+    want = [[subseq._lis_core(pos[a].tolist()) for a in words] for pos, words in cases]
+    (tmp_path / "cases").write_bytes(b"".join(
+        np.concatenate([[len(words), len(pos)], pos, *words]).astype(np.int32).tobytes()
+        for pos, words in cases))
+    source = _native._SOURCE.read_text()
+    variants = [("as it is", source, True)]
+    for find, replace, reason in LANE_MUTANTS + EQUIVALENT_LANE_MUTANTS:
+        assert source.count(find) == 1, find
+        variants.append((reason, source.replace(find, replace),
+                         (find, replace, reason) in EQUIVALENT_LANE_MUTANTS))
+    builds = []
+    for i, (_, text, _) in enumerate(variants):
+        (tmp_path / f"m{i}.c").write_text(text)
+        builds.append(subprocess.Popen(
+            [*_native._CC, "-o", str(tmp_path / f"m{i}.so"), str(tmp_path / f"m{i}.c")],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL))
+    assert [b.wait(timeout=120) for b in builds] == [0] * len(variants)
+    runs = [subprocess.Popen([sys.executable, "-c", _LANES_CHILD, str(tmp_path / f"m{i}.so"),
+                              str(tmp_path / "cases"), str(_native.LANES)], stdin=subprocess.DEVNULL,
+                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+            for i in range(len(variants))]
+    outcomes = []
+    for run in runs:
+        stdout, _ = run.communicate(timeout=120)
+        outcomes.append(run.returncode == 0 and json.loads(stdout) == want)
+    assert outcomes == [accepted for _, _, accepted in variants], [
+        reason for (reason, _, accepted), ok in zip(variants, outcomes) if ok != accepted]
+
+
+def test_sweep_holds_one_word():
+    # member j's positions, 4n bytes made once per column; the kernel makes
+    # its own pile tops, so no relabeled word or n-sized pile-top array is
+    # made (they were two more words, and gathering with numpy through an
+    # int32 index made an 8n-byte intp copy of each member as well)
     if _native.library() is None:
         pytest.skip("no native kernel on this machine")
     s = build_hadamard_set(8, 5)
@@ -196,42 +350,98 @@ def test_sweep_holds_three_words_not_four():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 4 * s.n
+    assert peak <= 1.5 * 4 * s.n
 
 
 def test_native_kernel_refuses_a_word_of_another_layout():
     # The argument table checks each array's dtype and layout, so a word that
     # is not a contiguous int32 array never reaches C as the wrong bytes, and
-    # C never writes into a read-only array.
+    # C never writes into a read-only array or past `lis_lanes`' lengths.
     lib = _native.library()
     if lib is None:
         pytest.skip("no native kernel on this machine")
-    tops, pos, out = (np.empty(5, dtype=np.int32) for _ in range(3))
+    pos = np.empty(5, dtype=np.int32)
+    lengths = np.empty(_native.LANES, dtype=np.intp)
     word = np.array([3, 1, 4, 2, 5], dtype=np.int32)
-    assert lib.lis_length(word, 5, tops) == 3
+    assert lib.lis_length(word, 5) == 3
     member = word - 1
     lib.invert(member, 5, pos)
     assert pos.tolist() == [1, 3, 0, 2, 4]
-    assert lib.relabel_lis(pos, member, 5, out, tops) == 5
+    words = [member, member[::-1].copy(), word - 1, np.arange(5, dtype=np.int32)]
+    assert lib.lis_lanes(pos, *words, 4, 5, lengths) == 0
+    assert lengths.tolist() == [5, 1, 5, 3]
+
+    def lanes_with(slot, bad):
+        args = [pos, *words, 4, 5, lengths]
+        args[slot] = bad
+        return lambda: lib.lis_lanes(*args)
+
     frozen = np.empty(5, dtype=np.int32)
     frozen.flags.writeable = False
     for bad in (word.astype(np.int64), word[::-1]):
         with pytest.raises(ctypes.ArgumentError):
-            lib.lis_length(bad, 5, tops)
+            lib.lis_length(bad, 5)
     for bad in (member.astype(np.int64), member[::-1]):
-        for call in (lambda: lib.invert(bad, 5, pos),
-                     lambda: lib.invert(member, 5, bad),
-                     lambda: lib.relabel_lis(bad, member, 5, out, tops),
-                     lambda: lib.relabel_lis(pos, bad, 5, out, tops),
-                     lambda: lib.relabel_lis(pos, member, 5, bad, tops),
-                     lambda: lib.relabel_lis(pos, member, 5, out, bad)):
+        calls = [lambda: lib.invert(bad, 5, pos), lambda: lib.invert(member, 5, bad)]
+        calls += [lanes_with(slot, bad) for slot in range(1 + _native.LANES)]
+        for call in calls:
             with pytest.raises(ctypes.ArgumentError):
                 call()
+    frozen_lengths = np.empty(_native.LANES, dtype=np.intp)
+    frozen_lengths.flags.writeable = False
+    out = 1 + _native.LANES + 2
     for call in (lambda: lib.invert(member, 5, frozen),
-                 lambda: lib.relabel_lis(pos, member, 5, frozen, tops),
-                 lambda: lib.relabel_lis(pos, member, 5, out, frozen)):
+                 lanes_with(out, frozen_lengths),
+                 lanes_with(out, lengths.astype(np.int32)),
+                 lanes_with(out, np.empty(2 * _native.LANES, dtype=np.intp)[::2]),
+                 lanes_with(out, np.empty(_native.LANES - 1, dtype=np.intp))):
         with pytest.raises(ctypes.ArgumentError):
             call()
+
+
+def test_lanes_constant_is_the_c_one():
+    assert re.search(r"^#define LANES (\d+)$", _native._SOURCE.read_text(),
+                     re.MULTILINE).group(1) == str(_native.LANES)
+
+
+def test_a_failed_pile_top_allocation_is_a_memory_error():
+    # A child lowers its own address-space limit just above what it holds, so
+    # the kernel's realloc of the pile tops fails while the piles of an
+    # increasing word grow toward n; both entries must say so as MemoryError.
+    if _native.library() is None:
+        pytest.skip("no native kernel on this machine")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("reads the address space in use from Linux's /proc")
+    code = (
+        "import resource\n"
+        "from permlcs import _native, identity, lcs_pair\n"
+        "from permlcs.subseq import _lis_word\n"
+        "assert _native.library() is not None\n"
+        "n = 2**22\n"
+        "a = identity(n)\n"
+        "def limited(extra, call):\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, (resource.RLIM_INFINITY,) * 2)\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        vm = next(int(l.split()[1]) for l in f if l.startswith('VmSize:')) * 1024\n"
+        "    resource.setrlimit(resource.RLIMIT_AS, (vm + extra, resource.RLIM_INFINITY))\n"
+        "    try:\n"
+        "        return call()\n"
+        "    except MemoryError as exc:\n"
+        "        return str(exc)\n"
+        "    finally:\n"
+        "        resource.setrlimit(resource.RLIMIT_AS, (resource.RLIM_INFINITY,) * 2)\n"
+        "print(limited(8 << 20, lambda: _lis_word(a.array)))\n"
+        "print(limited(24 << 20, lambda: lcs_pair(a, a)))\n"
+        "print(_lis_word(a.array), lcs_pair(a, a))\n"
+    )
+    src = os.path.dirname(os.path.dirname(subseq.__file__))
+    env = {**os.environ, "PYTHONPATH": src,
+           "ASAN_OPTIONS": os.environ.get("ASAN_OPTIONS", "") + ":allocator_may_return_null=1"}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    n = 2**22
+    assert (res.returncode, res.stdout) == (
+        0, f"no room for the pile tops\nno room for the pile tops\n{n} {n}\n"), res.stderr
 
 
 def test_argument_table_names_every_c_export():
@@ -428,12 +638,12 @@ def test_compiler_command_keys_the_library(tmp_path, monkeypatch):
     source = tmp_path / "_native.c"
     source.write_bytes(_native._SOURCE.read_bytes())
     monkeypatch.setattr(_native, "_SOURCE", source)
-    word, tops = np.array([3, 1, 4, 2, 5], dtype=np.int32), np.empty(5, dtype=np.int32)
+    word = np.array([3, 1, 4, 2, 5], dtype=np.int32)
     names = []
     for flag in ("-O2", "-O1", "-O2"):
         monkeypatch.setattr(_native, "_CC", ("cc", flag, "-shared", "-fPIC"))
         lib = _native.library.__wrapped__()  # uncached: build for this command
-        assert lib.lis_length(word, 5, tops) == 3
+        assert lib.lis_length(word, 5) == 3
         names.append(os.path.basename(lib._name))
     assert names[0] == names[2] != names[1]
     # each build deletes the other command's library
