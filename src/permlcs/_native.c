@@ -1,9 +1,10 @@
 /* The package's native helpers, built and loaded by `_native.py`: the
-   patience LIS kernel, over one word (`lis_length`) or over up to four
-   relabeled members of one sweep column at once (`lis_lanes`), the
-   inversion that gives a column its position array, and the PERMSET
-   value-line codec.  Words are int32: every ground set is at most 2^24, so
-   each entry and each rank fits. */
+   patience LIS kernel, over up to four relabeled members of one sweep
+   column at once (`lis_lanes`, the one entry: an LIS is the LCS with the
+   identity), the inversion that gives a column its position array, and the
+   PERMSET value-line codec.  Words are int32: every ground set is at most
+   2^24 and every word `lis` ranks is below 2^31 long, so each entry and
+   each rank fits. */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -89,9 +90,9 @@ static unsigned decay(unsigned miss, ptrdiff_t p, ptrdiff_t prev)
    a digit-set word land there, and these branches predict well.  On random
    words few do and the check only mispredicts, so it is skipped while miss
    is high; miss settles near 256 times their share, so the check runs while
-   about half the values or more land on p or p + 1.  lis_length runs this
-   loop over its whole word, and lis_lanes over each block of a lane whose
-   miss count is low. */
+   about half the values or more land on p or p + 1.  lis_lanes runs this
+   loop over each block of a lane whose miss count is low, and of a lane
+   that is the only one whose count is high. */
 static int near(Piles *w, ptrdiff_t l, ptrdiff_t count, const int32_t *a,
                 ptrdiff_t m, ptrdiff_t *cap, ptrdiff_t n)
 {
@@ -137,19 +138,6 @@ static int near(Piles *w, ptrdiff_t l, ptrdiff_t count, const int32_t *a,
     x->p = p;
     x->miss = miss;
     return status;
-}
-
-/* Length of the longest strictly increasing subsequence of a[0..n), by
-   patience sorting, or -1 when the pile tops cannot be allocated. */
-ptrdiff_t lis_length(const int32_t *a, ptrdiff_t n)
-{
-    Piles w;
-    ptrdiff_t cap = n < 64 ? n : 64;
-    int status = start(&w, 1, cap);
-    if (status == 0)
-        status = near(&w, 0, 1, a, n, &cap, n);
-    free(w.tops);
-    return status == 0 ? w.len : -1;
 }
 
 /* Invert the word a[0..n): pos[a[i]] = i, so pos holds each value's index.

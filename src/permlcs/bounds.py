@@ -18,18 +18,16 @@ import numpy as np
 
 from .arith import ceil_cbrt, ceil_root
 from .hadamard import digit_lcs_bound
-from .perm import Permutation, PermSet, _adopt, _ground_set, restrict
-from .subseq import _lis_word, _map_threads, lcs_all_pairs
+from .perm import Permutation, PermSet, _adopt, _ground_set, identity, restrict
+from .subseq import _map_threads, lcs_all_pairs, lcs_pair
 
 # Bytes of trial words held at once, each trial of k members on [n] counted
-# as _TRIAL_WORDS + k words of 4n bytes.  Its traced peak is (k + 2) * 4n
-# with the C kernel, at its last draw: the members drawn so far, numpy's
-# int64 draw and its int32 cast.  Without one it is (k + 12) * 4n, in the
-# sweep: the members, the position array, a relabeled word and its list of
-# Python ints.  So n = 10**4 is never capped, and at n = MAX_N, k = 3 one
-# trial runs alone.
+# as _TRIAL_WORDS + k words of 4n bytes: at n = 2**16 and 2**18, k = 3 and
+# 8, a trial's traced peak is (k + 2.0 to 2.2) * 4n with the C kernel, at
+# its last draw, and (k + 3.1 to 3.3) * 4n without one, in the sweep.  So
+# n = 10**4 is never capped, and at n = MAX_N, k = 3 one trial runs alone.
 _TRIALS_BUDGET = 1 << 28
-_TRIAL_WORDS = 12
+_TRIAL_WORDS = 4
 
 
 def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
@@ -81,7 +79,7 @@ def sample_lis(n: int, trials: int, seed: int) -> LisSample:
     each t; trials run on `_workers(n, 1)` threads."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    lengths = _map_threads(lambda t: _lis_word(random_perm(n, trial_rng(seed, t)).array),
+    lengths = _map_threads(lambda t: lcs_pair(random_perm(n, trial_rng(seed, t)), identity(n)),
                            trials, _workers(n, 1))
     return LisSample(n=n, trials=trials, seed=seed, lengths=tuple(lengths))
 
@@ -194,7 +192,8 @@ def _sample(n: int, k: int, trials: int, seed: int,
 
     def trial(t: int) -> tuple[int, int | None]:
         sampled = random_perm_set(n, k, trial_rng(seed, t))
-        return lcs_all_pairs(sampled).max_pair, _lis_word(sampled.perms[0].array) if lis else None
+        return (lcs_all_pairs(sampled).max_pair,
+                lcs_pair(sampled.perms[0], identity(n)) if lis else None)
 
     maxima, lengths = zip(*_map_threads(trial, trials, _workers(n, k)))
     check = ProbabilisticCheck(

@@ -5,26 +5,27 @@ permutation by positions in the other, then run patience sorting.  The test
 suite cross-checks it against an independent quadratic DP and brute-force
 enumeration, kept in `tests/oracles.py`.
 
-Every answer takes one route, over `int32` words.  `lis`/`lds` accept only
-words of distinct integers that fit `int64` (anything else is a ValueError)
-and hand `_lis_word` the word's ranks 0..m-1, which have the same increasing
-subsequences; `lcs_pair` and `lcs_all_pairs` go through `_column`, which
-builds member j's position array once with `invert` and then makes one C
-call per four earlier members, `lis_lanes`, which relabels each through it
-and measures the four in lockstep: the position array is the one n-sized
-array a column makes.
+Every answer is an LCS of two permutations and takes one route, `_column`,
+over `int32` words.  An LIS is the LCS with the identity and an LDS the LCS
+with the reversal: `lis`/`lds` accept only words of distinct integers that
+fit `int64` (anything else is a ValueError) and measure the word's ranks
+0..m-1, which have the same increasing subsequences, against the identity
+or the reversal of [m].  `_column` builds member j's position array once
+with `invert` and then makes one C call per four earlier members,
+`lis_lanes`, which relabels each through it and measures the four in
+lockstep: the position array is the one n-sized array a column makes.
 `_map_threads` is the library's one way to spread independent calls (a
 sweep's columns, `bounds`' trials) over threads; it keeps results by index.
 
-Patience sorting runs in C, `lis_length` and `lis_lanes` in `_native.c`,
-over `int32` words, with pile tops the kernel allocates and grows itself (a
-failed allocation is a MemoryError); the comments there describe the padded
-pile tops, the neighbour-pile check, the miss count that gates it and the
-lockstep search.  The first LIS call builds and loads the library through
-`_native.library()`; importing the module does neither.  Where it
-cannot be built or loaded, `_lis_word` runs `_lis_core`, the same algorithm
-in Python, on every word, those `_column` relabels through `perm.invert` too,
-with equal answers and no output; there is no switch between the two.
+Patience sorting runs in C, `lis_lanes` in `_native.c`, with pile tops the
+kernel allocates and grows itself (a failed allocation is a MemoryError);
+the comments there describe the padded pile tops, the neighbour-pile check,
+the miss count that gates it and the lockstep search.  The first LCS call
+builds and loads the library through `_native.library()`; importing the
+module does neither.  Where it cannot be built or loaded, `_column` takes
+member j's positions from `perm.invert` and runs `_lis_core`, the same
+algorithm in Python, over a view of each relabeled member, with equal
+answers and no output; there is no switch between the two.
 
 Patience sorting needs no tie-breaking policy here: inputs are permutations,
 so pile-top binary search never sees equal values.
@@ -35,12 +36,12 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from . import _native
-from .perm import Permutation, PermSet, invert
+from .perm import Permutation, PermSet, _adopt, invert
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT32_MAX = np.iinfo(np.int32).max
@@ -99,7 +100,7 @@ def _map_threads(fn: Callable[[int], _T], count: int, workers: int) -> list[_T]:
     return results
 
 
-def _lis_core(seq: Sequence[int]) -> int:
+def _lis_core(seq: Iterable[int]) -> int:
     """Patience sorting over distinct values; length of the pile-top list."""
     tops: list[int] = []
     append = tops.append
@@ -110,17 +111,6 @@ def _lis_core(seq: Sequence[int]) -> int:
         else:
             tops[i] = v
     return len(tops)
-
-
-def _lis_word(word: np.ndarray) -> int:
-    """LIS of a contiguous int32 word."""
-    lib = _native.library()
-    if lib is None:
-        return _lis_core(word.tolist())
-    length = lib.lis_length(word, len(word))
-    if length < 0:
-        raise MemoryError("no room for the pile tops")
-    return length
 
 
 def _distinct_word(seq: Sequence[int]) -> np.ndarray:
@@ -152,14 +142,18 @@ def lis(seq: Sequence[int]) -> int:
     """Length of the longest strictly increasing subsequence of a word of
     distinct integers that fit int64.
 
-    The empty sequence has LIS 0.
+    The empty sequence has LIS 0.  It is the LCS of the word's ranks with
+    the identity.
     """
-    return _lis_word(_distinct_word(seq))
+    ranks = _distinct_word(seq)
+    return lcs_pair(_adopt(ranks), _adopt(np.arange(ranks.size, dtype=np.int32)))
 
 
 def lds(seq: Sequence[int]) -> int:
-    """Length of the longest strictly decreasing subsequence."""
-    return _lis_word(np.ascontiguousarray(_distinct_word(seq)[::-1]))
+    """Length of the longest strictly decreasing subsequence: the LCS of the
+    word's ranks with the reversal."""
+    ranks = _distinct_word(seq)
+    return lcs_pair(_adopt(ranks), _adopt(np.arange(ranks.size - 1, -1, -1, dtype=np.int32)))
 
 
 def lcs_pair(a: Permutation, b: Permutation) -> int:
@@ -207,15 +201,17 @@ class LcsMatrix:
 
 
 def _column(perms: Sequence[Permutation], j: int) -> list[int]:
-    """LCS of member j with each earlier member.  j's position array is built
-    once, the one n-sized word the column makes; natively each `lis_lanes`
-    call then relabels up to four earlier members through it and measures
-    them together, with pile tops the kernel allocates itself.  Raises
-    MemoryError when it cannot."""
+    """LCS of member j with each earlier member: the library's one door to
+    the patience kernel.  j's position array is built once, the one n-sized
+    word the column makes; natively each `lis_lanes` call then relabels up to
+    four earlier members through it and measures them together, with pile
+    tops the kernel allocates itself, and raises MemoryError when it cannot.
+    Without the library, `_lis_core` reads each relabeled member through a
+    memoryview, so no list of Python ints is made."""
     lib = _native.library()
     if lib is None:
         pos = invert(perms[j]).array
-        return [_lis_word(pos[perms[i].array]) for i in range(j)]
+        return [_lis_core(memoryview(pos[perms[i].array])) for i in range(j)]
     n, lanes = perms[j].n, _native.LANES
     pos, lengths = np.empty(n, dtype=np.int32), np.empty(lanes, dtype=np.intp)
     lib.invert(perms[j].array, n, pos)
