@@ -1,10 +1,10 @@
 /* The package's native helpers, built and loaded by `_native.py`: the
-   patience LIS kernel, over up to four relabeled members of one sweep
-   column at once (`lis_lanes`, the one entry: an LIS is the LCS with the
-   identity), the inversion that gives a column its position array, and the
+   patience LIS kernel, over up to four words at once, each relabeled
+   through its own position array or read as it is (`lis_lanes`, the one
+   entry), the inversion that gives a member its position array, and the
    PERMSET value-line codec.  Words are int32: every ground set is at most
-   2^24 and every word `lis` ranks is below 2^31 long, so each entry and
-   each rank fits. */
+   2^24 and every word `lis` sorts is below 2^31 long, so each entry and
+   each index of its order fits. */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -30,7 +30,7 @@
    the kernel allocates the tops, grows them with realloc and frees them
    before it returns.  len is counted, not read off the sentinels, so a word
    holding INT32_MAX itself would still be measured right; the package's
-   words, relabeled members and ranks, lie in 0..n-1 and never do. */
+   words, relabeled members and orders, lie in 0..n-1 and never do. */
 typedef struct {
     int32_t *tops;
     ptrdiff_t len, p;
@@ -169,12 +169,13 @@ static void search4(const int32_t **base, const int32_t *v, ptrdiff_t cap)
     base[3] = b3;
 }
 
-/* The LIS of up to LANES relabeled words at once: for each lane l below
-   count, which is 1 to LANES, out[l] is the LIS of pos[a_l[0]], ...,
-   pos[a_l[n-1]]; slots from count on are not read.  With pos the inverse of
-   member j, that is the LCS of member j and member a_l.  Each a_l must hold
-   only indices into pos[0..n), as a member of the same ground set does.
-   Returns 0, or -1 (out unwritten) when the pile tops cannot be allocated.
+/* The LIS of up to LANES words at once: for each lane l below count, which
+   is 1 to LANES, out[l] is the LIS of q_l[a_l[0]], ..., q_l[a_l[n-1]], or of
+   a_l itself where q_l is NULL; slots from count on are not read.  With q_l
+   the inverse of member j and a_l member i, that is the LCS of the two, and
+   lanes may share a q or each bring their own.  Each a_l must hold only
+   indices into q_l[0..n), as a member of the same ground set does.  Returns
+   0, or -1 (out unwritten) when the pile tops cannot be allocated.
 
    The lanes share one cap.  Each block of BLOCK values is gathered for
    every lane first, so the gather streams.  Then a lane whose miss count is
@@ -182,10 +183,12 @@ static void search4(const int32_t **base, const int32_t *v, ptrdiff_t cap)
    the only one at or above it; two or more such lanes run their searches in
    one lockstep loop: each step of one lane's search waits on its last load,
    but the lanes' chains are independent, so their loads overlap. */
-int lis_lanes(const int32_t *pos, const int32_t *a0, const int32_t *a1,
+int lis_lanes(const int32_t *q0, const int32_t *q1, const int32_t *q2,
+              const int32_t *q3, const int32_t *a0, const int32_t *a1,
               const int32_t *a2, const int32_t *a3, ptrdiff_t count,
               ptrdiff_t n, ptrdiff_t *out)
 {
+    const int32_t *const positions[LANES] = {q0, q1, q2, q3};
     const int32_t *const words[LANES] = {a0, a1, a2, a3};
     int32_t buf[LANES][BLOCK];
     Piles w[LANES];
@@ -194,9 +197,12 @@ int lis_lanes(const int32_t *pos, const int32_t *a0, const int32_t *a1,
     for (ptrdiff_t b = 0; status == 0 && b < n; b += BLOCK) {
         ptrdiff_t m = n - b < BLOCK ? n - b : BLOCK, far[LANES], nfar = 0;
         for (ptrdiff_t l = 0; l < count; l++) {
-            const int32_t *a = words[l] + b;
-            for (ptrdiff_t i = 0; i < m; i++)
-                buf[l][i] = pos[a[i]];
+            const int32_t *q = positions[l], *a = words[l] + b;
+            if (q == NULL)
+                memcpy(buf[l], a, (size_t)m * sizeof *a);
+            else
+                for (ptrdiff_t i = 0; i < m; i++)
+                    buf[l][i] = q[a[i]];
         }
         for (ptrdiff_t l = 0; l < count; l++) {
             if (w[l].miss >= GATE) {

@@ -1,16 +1,16 @@
 """The package's C helpers, `_native.c`, compiled on first use and loaded
-with `ctypes`: `invert` and `lis_lanes` (a member's position array, then one
-call per `LANES` = 4 other members that relabels each through it and
-measures their LIS together), the one patience entry, for `subseq._column`,
-and `parse_line` / `render_line` (the PERMSET value-line codec, for
-`fileio`).  Each takes the package's one word type, a
-contiguous `int32` array, and callers pass the arrays themselves: the
-argument table `library()` sets, `_signatures()`, declares each array
-argument with `np.ctypeslib.ndpointer`, so a call with the wrong dtype, a
-strided view or a read-only output (for `lis_lanes`' lengths, anything but a
-writeable `intp[LANES]`) raises `ctypes.ArgumentError` instead of handing C
-the wrong bytes.  The LIS kernel allocates its own pile tops and returns
--1 when it cannot.
+with `ctypes`: `invert` (a member's position array) and `lis_lanes`, the one
+patience entry, for `subseq`: one call measures `LANES` = 4 (position
+array, word) pairs together, each word relabeled through its own position
+array, or read as it is where that is None; and `parse_line` /
+`render_line` (the PERMSET value-line codec, for `fileio`).  Each takes the
+package's one word type, a contiguous `int32` array, and callers pass the
+arrays themselves: the argument table `library()` sets, `_signatures()`,
+declares each array argument with `np.ctypeslib.ndpointer`, so a call with
+the wrong dtype, a strided view or a read-only output (for `lis_lanes`'
+lengths, anything but a writeable `intp[LANES]`) raises
+`ctypes.ArgumentError` instead of handing C the wrong bytes.  The LIS
+kernel allocates its own pile tops and returns -1 when it cannot.
 
 `library()` compiles the source with `cc` into this package's
 `__pycache__/` and loads it; importing the module does neither.  The file
@@ -97,9 +97,18 @@ def _signatures() -> dict:
     out = np.ctypeslib.ndpointer(np.int32, flags=("C_CONTIGUOUS", "WRITEABLE"))
     lengths = np.ctypeslib.ndpointer(np.intp, shape=(LANES,), flags=("C_CONTIGUOUS", "WRITEABLE"))
     line = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
+
+    class positions(word):
+        """A lane's position array, or None (NULL): the lane reads its word as it is."""
+
+        @classmethod
+        def from_param(cls, obj):
+            return None if obj is None else super().from_param(obj)
+
     return {
         "invert": (None, (word, size, out)),
-        "lis_lanes": (ctypes.c_int, (word, *(word,) * LANES, size, size, lengths)),
+        "lis_lanes": (ctypes.c_int,
+                      (*(positions,) * LANES, *(word,) * LANES, size, size, lengths)),
         "render_line": (size, (word, size, line, size)),
         "parse_line": (ctypes.c_int, (ctypes.c_char_p, size, size, out)),
     }

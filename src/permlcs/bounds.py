@@ -9,6 +9,7 @@ sample is the same for any number of CPUs.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -18,14 +19,16 @@ import numpy as np
 
 from .arith import ceil_cbrt, ceil_root
 from .hadamard import digit_lcs_bound
-from .perm import Permutation, PermSet, _adopt, _ground_set, identity, restrict
-from .subseq import _map_threads, lcs_all_pairs, lcs_pair
+from .perm import Permutation, PermSet, _adopt, _ground_set, restrict
+from .subseq import _column, _lanes, _map_threads
 
 # Bytes of trial words held at once, each trial of k members on [n] counted
-# as _TRIAL_WORDS + k words of 4n bytes: at n = 2**16 and 2**18, k = 3 and
-# 8, a trial's traced peak is (k + 2.0 to 2.2) * 4n with the C kernel, at
-# its last draw, and (k + 3.1 to 3.3) * 4n without one, in the sweep.  So
-# n = 10**4 is never capped, and at n = MAX_N, k = 3 one trial runs alone.
+# as _TRIAL_WORDS + k words of 4n bytes: at n = 2**16 and 2**18, a trial's
+# traced peak is (k + 2.0 to 2.1) * 4n with the C kernel at k = 3, at its
+# last draw, and (k + 3.0 to 3.1) at k = 8, whose first call holds the
+# positions of columns 1 to 3; without one it is (k + 3.1 to 3.3) * 4n at
+# either k, in the relabel.  So n = 10**4 is never capped, and at n = MAX_N,
+# k = 3 one trial runs alone.
 _TRIALS_BUDGET = 1 << 28
 _TRIAL_WORDS = 4
 
@@ -79,7 +82,7 @@ def sample_lis(n: int, trials: int, seed: int) -> LisSample:
     each t; trials run on `_workers(n, 1)` threads."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    lengths = _map_threads(lambda t: lcs_pair(random_perm(n, trial_rng(seed, t)), identity(n)),
+    lengths = _map_threads(lambda t: _lanes([(None, random_perm(n, trial_rng(seed, t)).array)])[0],
                            trials, _workers(n, 1))
     return LisSample(n=n, trials=trials, seed=seed, lengths=tuple(lengths))
 
@@ -181,7 +184,10 @@ def _sample(n: int, k: int, trials: int, seed: int,
             lis: bool) -> tuple[ProbabilisticCheck, LisSample | None]:
     """The trial loop: trial t draws its k-set from trial_rng(seed, t) once
     and measures its max-pair LCS and, if `lis`, the LIS of its first member,
-    which is the permutation `sample_lis` draws for trial t.  Trials run on
+    which is the permutation `sample_lis` draws for trial t.  A trial hands
+    `_lanes` one stream of jobs, column by column and then the LIS, so four
+    share each kernel call (one call at k = 3), and a column's position
+    array lives only while a pending call refers to it.  Trials run on
     `_workers(n, k)` threads, which hold that many sets at once; results are
     kept by trial index.  Returns the check of the maxima and, if `lis`, the
     sample of the lengths."""
@@ -190,10 +196,14 @@ def _sample(n: int, k: int, trials: int, seed: int,
     if trials < 1:
         raise ValueError("need at least one trial")
 
+    pairs = k * (k - 1) // 2
+
     def trial(t: int) -> tuple[int, int | None]:
-        sampled = random_perm_set(n, k, trial_rng(seed, t))
-        return (lcs_all_pairs(sampled).max_pair,
-                lcs_pair(sampled.perms[0], identity(n)) if lis else None)
+        rng = trial_rng(seed, t)
+        perms = [random_perm(n, rng) for _ in range(k)]  # random_perm_set's draws
+        jobs = itertools.chain.from_iterable(_column(perms, j) for j in range(1, k))
+        lengths = _lanes(itertools.chain(jobs, [(None, perms[0].array)] if lis else ()))
+        return max(lengths[:pairs]), lengths[pairs] if lis else None
 
     maxima, lengths = zip(*_map_threads(trial, trials, _workers(n, k)))
     check = ProbabilisticCheck(

@@ -5,17 +5,20 @@ permutation by positions in the other, then run patience sorting.  The test
 suite cross-checks it against an independent quadratic DP and brute-force
 enumeration, kept in `tests/oracles.py`.
 
-Every answer is an LCS of two permutations and takes one route, `_column`,
-over `int32` words.  An LIS is the LCS with the identity and an LDS the LCS
-with the reversal: `lis`/`lds` accept only words of distinct integers that
-fit `int64` (anything else is a ValueError) and measure the word's ranks
-0..m-1, which have the same increasing subsequences, against the identity
-or the reversal of [m].  `_column` builds member j's position array once
-with `invert` and then makes one C call per four earlier members,
-`lis_lanes`, which relabels each through it and measures the four in
-lockstep: the position array is the one n-sized array a column makes.
-`_map_threads` is the library's one way to spread independent calls (a
-sweep's columns, `bounds`' trials) over threads; it keeps results by index.
+Every answer is the LIS of a word relabeled through a position array, and
+takes one route, `_lanes`, over `int32` words: it measures a stream of
+(position array, word) jobs, four to a C call, `lis_lanes`, whose lanes
+each relabel through their own position array.  An LCS of two members is
+one job, the earlier member relabeled through the later one's positions;
+`_column` yields the jobs of member j against each earlier member, making
+j's position array once with `invert`, the one n-sized word a column makes.
+An LIS is a job with no position array, whose word is read as it is, and an
+LDS a job relabeled through the reversal: `lis`/`lds` accept only words of
+distinct integers that fit `int64` (anything else is a ValueError) and
+measure the order that sorts the word, whose LIS and LDS are the word's,
+since it is the inverse of the word's ranks.  `_map_threads` is the
+library's one way to spread independent calls (a sweep's columns,
+`bounds`' trials) over threads; it keeps results by index.
 
 Patience sorting runs in C, `lis_lanes` in `_native.c`, with pile tops the
 kernel allocates and grows itself (a failed allocation is a MemoryError);
@@ -23,8 +26,8 @@ the comments there describe the padded pile tops, the neighbour-pile check,
 the miss count that gates it and the lockstep search.  The first LCS call
 builds and loads the library through `_native.library()`; importing the
 module does neither.  Where it cannot be built or loaded, `_column` takes
-member j's positions from `perm.invert` and runs `_lis_core`, the same
-algorithm in Python, over a view of each relabeled member, with equal
+member j's positions from `perm.invert` and `_lanes` runs `_lis_core`, the
+same algorithm in Python, over a view of each relabeled word, with equal
 answers and no output; there is no switch between the two.
 
 Patience sorting needs no tie-breaking policy here: inputs are permutations,
@@ -33,15 +36,16 @@ so pile-top binary search never sees equal values.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from . import _native
-from .perm import Permutation, PermSet, _adopt, invert
+from .perm import Permutation, PermSet, invert
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT32_MAX = np.iinfo(np.int32).max
@@ -114,8 +118,9 @@ def _lis_core(seq: Iterable[int]) -> int:
 
 
 def _distinct_word(seq: Sequence[int]) -> np.ndarray:
-    """The ranks 0..m-1 of `seq`, a word of distinct integers that fit int64,
-    as a contiguous int32 word.
+    """The order that sorts `seq`, a word of distinct integers that fit
+    int64, as a contiguous int32 word: the inverse of its ranks, so it has
+    the word's LIS and LDS.
 
     Raises ValueError for anything else: floats, integers outside int64,
     strings, nesting, generators, or a repeated value.
@@ -130,30 +135,31 @@ def _distinct_word(seq: Sequence[int]) -> np.ndarray:
             arr.dtype.kind == "u" and arr.max() > _INT64_MAX):
         raise ValueError(f"sequence must be a 1-D word of int64 integers, "
                          f"not {arr.ndim}-D {arr.dtype}")
-    if arr.size > _INT32_MAX:  # its ranks would not fit the kernel's word
+    if arr.size > _INT32_MAX:  # its order would not fit the kernel's word
         raise ValueError(f"sequence longer than {_INT32_MAX} elements")
-    uniq, ranks = np.unique(arr, return_inverse=True)  # ranks, once distinct
-    if uniq.size != arr.size:
+    order = np.argsort(arr)
+    ordered = arr[order]
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("sequence elements must be distinct")
-    return ranks.astype(np.int32)
+    del ordered  # so the peak is the order and its int32 copy
+    return order.astype(np.int32)
 
 
 def lis(seq: Sequence[int]) -> int:
     """Length of the longest strictly increasing subsequence of a word of
     distinct integers that fit int64.
 
-    The empty sequence has LIS 0.  It is the LCS of the word's ranks with
-    the identity.
+    The empty sequence has LIS 0.  It is the LIS of the order that sorts the
+    word, read as it is.
     """
-    ranks = _distinct_word(seq)
-    return lcs_pair(_adopt(ranks), _adopt(np.arange(ranks.size, dtype=np.int32)))
+    return _lanes([(None, _distinct_word(seq))])[0]
 
 
 def lds(seq: Sequence[int]) -> int:
-    """Length of the longest strictly decreasing subsequence: the LCS of the
-    word's ranks with the reversal."""
-    ranks = _distinct_word(seq)
-    return lcs_pair(_adopt(ranks), _adopt(np.arange(ranks.size - 1, -1, -1, dtype=np.int32)))
+    """Length of the longest strictly decreasing subsequence: the LIS of the
+    order that sorts the word, relabeled through the reversal."""
+    order = _distinct_word(seq)
+    return _lanes([(np.arange(order.size - 1, -1, -1, dtype=np.int32), order)])[0]
 
 
 def lcs_pair(a: Permutation, b: Permutation) -> int:
@@ -164,7 +170,7 @@ def lcs_pair(a: Permutation, b: Permutation) -> int:
     """
     if a.n != b.n:
         raise ValueError(f"cannot compare permutations on [{a.n}] and [{b.n}]")
-    return _column((a, b), 1)[0]
+    return _lanes(_column((a, b), 1))[0]
 
 
 @dataclass(frozen=True)
@@ -200,30 +206,48 @@ class LcsMatrix:
         return min(v for _, _, v in self.off_diagonal())
 
 
-def _column(perms: Sequence[Permutation], j: int) -> list[int]:
-    """LCS of member j with each earlier member: the library's one door to
-    the patience kernel.  j's position array is built once, the one n-sized
-    word the column makes; natively each `lis_lanes` call then relabels up to
-    four earlier members through it and measures them together, with pile
-    tops the kernel allocates itself, and raises MemoryError when it cannot.
-    Without the library, `_lis_core` reads each relabeled member through a
-    memoryview, so no list of Python ints is made."""
+def _lanes(jobs: Iterable[tuple[np.ndarray | None, np.ndarray]]) -> list[int]:
+    """The LIS of pos[word] for each (pos, word) job, or of the word itself
+    where pos is None, in order: the library's one door to the patience
+    kernel.  The words of one call to it share their length.
+
+    Natively each `lis_lanes` call measures the next four jobs, with pile
+    tops the kernel allocates itself, and this raises MemoryError when it
+    cannot.  A group of jobs is dropped before the next is taken, so a
+    stream of jobs holds a position array only while a pending group, or
+    the stream itself, refers to it.  Without the library, `_lis_core` reads
+    each relabeled word through a memoryview, so no list of Python ints is
+    made."""
+    lib = _native.library()
+    if lib is None:
+        return [_lis_core(memoryview(word if pos is None else pos[word])) for pos, word in jobs]
+    lanes = _native.LANES
+    lengths, result, pending = np.empty(lanes, dtype=np.intp), [], iter(jobs)
+    while group := list(itertools.islice(pending, lanes)):
+        count = len(group)
+        group += group[:1] * (lanes - count)  # slots past count are not read
+        if lib.lis_lanes(*(pos for pos, _ in group), *(word for _, word in group),
+                         count, group[0][1].size, lengths):
+            raise MemoryError("no room for the pile tops")
+        result += lengths[:count].tolist()
+        del group  # its position arrays go before the next group's are made
+    return result
+
+
+def _column(perms: Sequence[Permutation], j: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The jobs of column j for `_lanes`: member j's position array, built
+    once when the first job is taken and the one n-sized word the column
+    makes, with each earlier member in turn; their LIS is the LCS of member j
+    with each earlier member.  Natively `invert` fills one fresh buffer;
+    without the library the positions come from `perm.invert`."""
     lib = _native.library()
     if lib is None:
         pos = invert(perms[j]).array
-        return [_lis_core(memoryview(pos[perms[i].array])) for i in range(j)]
-    n, lanes = perms[j].n, _native.LANES
-    pos, lengths = np.empty(n, dtype=np.int32), np.empty(lanes, dtype=np.intp)
-    lib.invert(perms[j].array, n, pos)
-    column: list[int] = []
-    for first in range(0, j, lanes):
-        words = [p.array for p in perms[first:min(first + lanes, j)]]
-        count = len(words)
-        words += words[:1] * (lanes - count)  # slots past count are not read
-        if lib.lis_lanes(pos, *words, count, n, lengths):
-            raise MemoryError("no room for the pile tops")
-        column += lengths[:count].tolist()
-    return column
+    else:
+        pos = np.empty(perms[j].n, dtype=np.int32)
+        lib.invert(perms[j].array, perms[j].n, pos)
+    for i in range(j):
+        yield pos, perms[i].array
 
 
 def lcs_all_pairs(s: PermSet, *, threads: int = 1) -> LcsMatrix:
@@ -238,7 +262,7 @@ def lcs_all_pairs(s: PermSet, *, threads: int = 1) -> LcsMatrix:
     k = s.k
     if k < 2:
         raise ValueError("pairwise LCS needs at least two permutations")
-    columns = _map_threads(lambda c: _column(s.perms, c + 1), k - 1, threads)
+    columns = _map_threads(lambda c: _lanes(_column(s.perms, c + 1)), k - 1, threads)
     grid = [[s.n] * k for _ in range(k)]
     for j, values in enumerate(columns, start=1):
         for i, v in enumerate(values):

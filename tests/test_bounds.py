@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import permlcs._native as _native
 from permlcs import (
     PermSet,
     build_exact,
@@ -12,6 +13,7 @@ from permlcs import (
     check_probabilistic_bound,
     identity,
     lcs_all_pairs,
+    lcs_pair,
     lds,
     lis,
     lcs_threshold,
@@ -25,6 +27,7 @@ from permlcs import (
 )
 import permlcs.bounds as bounds
 from permlcs.bounds import BOUND_CHECKS, check_bounds, largest_m_with_factorial_below
+from permlcs.cli import main
 from permlcs.perm import MAX_N
 
 
@@ -98,6 +101,47 @@ def test_sample_equals_serial_trials_for_any_worker_count(monkeypatch, workers):
     assert check.max_lcs_per_trial == expected_max
     assert sample.lengths == expected_lis
     assert sample_lis(n, trials, seed).lengths == expected_lis
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_packed_trial_equals_the_sweep_and_the_lis_measured_apart(routes, k):
+    # A trial hands every pair of its set and its LIS to the kernel in one
+    # stream of jobs; each answer is what the sweep and lcs_pair give alone.
+    for kernel in routes:
+        for n in (1, 2, 63, 64, 65, 1000, 4097):
+            for seed in (0, 5):
+                check, sample = bounds._sample(n, k, 2, seed, lis=True)
+                for t in range(2):
+                    s = random_perm_set(n, k, trial_rng(seed, t))
+                    assert check.max_lcs_per_trial[t] == lcs_all_pairs(s).max_pair, (n, seed, t)
+                    assert sample.lengths[t] == lcs_pair(s.perms[0], identity(n)), (n, seed, t)
+
+
+def test_a_sampled_trial_fills_every_kernel_call(monkeypatch, capsys, tmp_path):
+    # Four jobs to a `lis_lanes` call, whatever column each comes from: a
+    # k = 3 trial's three pairs and LIS take one call, and a k = 8 trial's
+    # 28 pairs and LIS take ceil(29 / 4) = 8, the last holding one lane.
+    lib = _native.library()
+    if lib is None:
+        pytest.skip("no native kernel on this machine")
+    real, counts = lib.lis_lanes, []
+
+    def counting(*args):
+        counts.append(args[2 * _native.LANES])  # the call's count of lanes
+        return real(*args)
+
+    monkeypatch.setattr(lib, "lis_lanes", counting)
+    assert main(["sample", "--n", "10000", "--k", "3", "--trials", "200",
+                 "--lis-csv", str(tmp_path / "lis.csv")]) == 0
+    capsys.readouterr()
+    assert counts == [4] * 200
+    counts.clear()
+    monkeypatch.setattr(bounds, "_workers", lambda n, k: 1)  # the trials' calls in order
+    bounds._sample(1000, 8, 3, 0, lis=True)
+    assert counts == ([4] * 7 + [1]) * 3
+    counts.clear()
+    bounds._sample(1000, 8, 3, 0, lis=False)
+    assert counts == [4] * 7 * 3
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])

@@ -163,9 +163,9 @@ def test_sample_lis_csv(tmp_path, capsys):
 
 
 def test_sample_lis_csv_is_not_opened_when_sampling_fails(tmp_path, capsys, monkeypatch):
-    def starved(a, b):
+    def starved(jobs):
         raise MemoryError
-    monkeypatch.setattr("permlcs.bounds.lcs_pair", starved)
+    monkeypatch.setattr("permlcs.bounds._lanes", starved)
     csv_path = tmp_path / "lis.csv"
     code, out, err = run(capsys, "sample", "--n", "50", "--k", "2", "--trials", "5",
                          "--lis-csv", str(csv_path))

@@ -118,6 +118,37 @@ def test_lis_matches_quadratic_oracle(routes):
             assert lds(seq) == lis_quadratic([-v for v in seq])
 
 
+def test_lis_of_wide_int64_words_matches_quadratic_oracle(routes):
+    # lis/lds measure the order that sorts the word, whose LIS and LDS are
+    # the word's, since it is the inverse of the word's ranks
+    for kernel in routes:
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            values = np.unique(rng.integers(-10**12, 10**12, size=rng.integers(0, 300)))
+            word = rng.permutation(values)
+            assert lis(word) == lis_quadratic(word.tolist())
+            assert lds(word) == lis_quadratic((-word).tolist())
+
+
+def test_ranking_a_word_takes_one_argsort_of_memory(routes):
+    # The order (an intp argsort), the word in that order and its neighbour
+    # comparison: about 3.3 words of 4n bytes for an int32 word and 4.3 for
+    # an int64 one.  Ranking through np.unique took 9.3 and 12.3.
+    n = 2**16
+    member = random_perm(n, trial_rng(6)).array
+    for kernel in routes:
+        for word, words in ((member, 4), (member.astype(np.int64) * 10**6 - 10**12, 5)):
+            for f in (lis, lds):
+                f(word[:10])  # loads the native library untraced
+                tracemalloc.start()
+                try:
+                    f(word)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak < words * 4 * n, (f.__name__, word.dtype)
+
+
 def test_lis_exhaustive_tiny(routes):
     # every permutation of [5]: patience == quadratic DP == definition
     for kernel in routes:
@@ -128,8 +159,9 @@ def test_lis_exhaustive_tiny(routes):
 def test_int64_max_ends_an_increasing_run(routes):
     # The native kernel pads unused pile tops with INT32_MAX; a word holding
     # that value itself must still start a pile of its own.  `lis`/`lds` pass
-    # ranks, which never reach it, so `lis_lanes` gets these words directly,
-    # as the position array through which its lane relabels the identity.
+    # orders, which never reach it, so `lis_lanes` gets these words directly:
+    # as the position array through which a lane relabels the identity, and
+    # as a lane read as it is.
     top = 2**31 - 1
     shuffled = random.Random(3).sample(range(500), 500)
     words = [[5, top, 6, 7], [top], [top, 0], [-(2**31), top],
@@ -141,9 +173,11 @@ def test_int64_max_ends_an_increasing_run(routes):
             for word in words + [[0, top], list(range(70)) + [top]]:
                 for w in (word, word[::-1]):
                     pos, lane = np.array(w, dtype=np.int32), np.arange(len(w), dtype=np.int32)
-                    assert _native.library().lis_lanes(
-                        pos, *(lane,) * _native.LANES, 1, len(w), lengths) == 0
-                    assert lengths[0] == subseq._lis_core(w)
+                    for args in ((pos, lane), (None, pos)):
+                        assert _native.library().lis_lanes(
+                            *(args[0],) * _native.LANES, *(args[1],) * _native.LANES,
+                            1, len(w), lengths) == 0
+                        assert lengths[0] == subseq._lis_core(w)
         # and the public route, whose raw values reach the int64 maximum
         big = 2**63 - 1
         assert lis([0, big]) == 2
@@ -190,7 +224,7 @@ def test_native_kernel_matches_python_kernel_on_long_words():
             assert np.array_equal(pos, want_pos)
             for i in range(j):
                 word = perms[i].array
-                assert lib.lis_lanes(pos, word, word, word, word, 1, n, lengths) == 0
+                assert lib.lis_lanes(*(pos,) * 4, *(word,) * 4, 1, n, lengths) == 0
                 want = np.take(want_pos, word)
                 assert lengths[0] == subseq._lis_core(want.tolist())
 
@@ -219,13 +253,17 @@ LANE_SIZES = (1, 2, 63, 64, 65, 511, 512, 513, 4097)
 
 
 def lane_cases():
-    """(pos, words) arguments of `lis_lanes` calls.  Counts 1 to 4 at each n
-    of LANE_SIZES, each call's lanes of different classes; then lanes that
-    fill cap in lockstep, whichever first; a lane that fills it early beside
-    one that fills it late; and a lane that searches in lockstep up to its
-    last value.  pos is a shuffle of the ranks, so the relabel gathers from all
-    over it, with the largest rank replaced by INT32_MAX in every other call,
-    and a lane's word is the indices in pos of its class's ranks."""
+    """(positions, words) arguments of `lis_lanes` calls, a position array or
+    None for each lane.  Counts 1 to 4 at each n of LANE_SIZES, each call's
+    lanes of different classes; then lanes that fill cap in lockstep,
+    whichever first; a lane that fills it early beside one that fills it
+    late; and a lane that searches in lockstep up to its last value.  Every
+    third call's lanes share one position array; in the others each lane has
+    its own, but in half of them the last lane has None and holds its values
+    themselves.  A position array is a shuffle of the ranks,
+    so the relabel gathers from all over it, and a lane's word is the
+    indices in it of its class's ranks; the largest rank is INT32_MAX in
+    every other call."""
     rng = np.random.default_rng(29)
     names = list(LANE_CLASSES)
     specs = [(n, [names[(i + lane) % len(names)] for lane in range(count)])
@@ -239,26 +277,42 @@ def lane_cases():
         values = np.arange(n, dtype=np.int32)
         if i % 2:
             values[-1] = 2**31 - 1
-        pos = rng.permutation(values)
-        where = np.argsort(pos)  # the index in pos of each rank
-        cases.append((pos, [where[LANE_CLASSES[name](rng, n)].astype(np.int32) for name in lanes]))
+        shared = rng.permutation(values)
+        positions, words = [], []
+        for lane, name in enumerate(lanes):
+            ranks = LANE_CLASSES[name](rng, n)
+            if i % 3 == 2 and lane == len(lanes) - 1:
+                positions.append(None)
+                words.append(values[ranks])
+                continue
+            pos = shared if i % 3 == 0 else rng.permutation(values)
+            positions.append(pos)
+            words.append(np.argsort(pos)[ranks].astype(np.int32))
+        cases.append((positions, words))
     return cases
 
 
+def lane_lengths(positions, words):
+    """_lis_core's LIS of each lane: pos[a], or a itself where pos is None."""
+    return [subseq._lis_core((a if q is None else q[a]).tolist())
+            for q, a in zip(positions, words)]
+
+
 def test_lis_lanes_matches_python_kernel():
-    # Each lane's length is _lis_core's LIS of pos[a], whatever the other
-    # lanes hold, as they search in lockstep and as cap grows.
+    # Each lane's length is _lis_core's LIS of its relabeled word, whatever
+    # the other lanes hold, as they search in lockstep and as cap grows.
     lib = _native.library()
     if lib is None:
         pytest.skip("no native kernel on this machine")
     lanes = _native.LANES
     lengths = np.empty(lanes, dtype=np.intp)
-    for pos, words in lane_cases():
+    for positions, words in lane_cases():
         lengths[:] = -1
         count = len(words)
-        slots = words + words[:1] * (lanes - count)  # unused slots repeat the first
-        assert lib.lis_lanes(pos, *slots, count, len(pos), lengths) == 0
-        assert lengths[:count].tolist() == [subseq._lis_core(pos[a].tolist()) for a in words]
+        pad = lanes - count  # unused slots repeat the first
+        assert lib.lis_lanes(*positions, *positions[:1] * pad, *words, *words[:1] * pad,
+                             count, len(words[0]), lengths) == 0
+        assert lengths[:count].tolist() == lane_lengths(positions, words)
 
 
 # Mutants of `lis_lanes` and its neighbour-check loop `near`, each a
@@ -275,6 +329,8 @@ LANE_MUTANTS = [
      "the last partial block is never measured"),
     ("words[LANES] = {a0, a1, a2, a3}", "words[LANES] = {a1, a0, a2, a3}",
      "lanes 0 and 1 measure each other's word"),
+    ("*q = positions[l], *a", "*q = positions[0], *a",
+     "every lane relabels through lane 0's position array"),
     ("} else if (p == 0 || tops[p - 1] < v) {", "} else {",
      "a value below the last pile's top stays on it without the left-neighbour test"),
 ]
@@ -284,25 +340,30 @@ EQUIVALENT_LANE_MUTANTS = [
      "every lane searches in lockstep and no value tries the neighbour piles: only speed changes"),
 ]
 # A child that loads one build (argv[1]), reads lane_cases() from a file
-# (argv[2]: each call's count, n, pos and words as int32) and prints each
-# call's lengths; argv[3] is LANES.  It imports no numpy, so it starts fast.
+# (argv[2]: per call, as int32, its count, n and number of position arrays,
+# each lane's index among them or -1 for None, the arrays, then the words)
+# and prints each call's lengths; argv[3] is LANES.  It imports no numpy, so
+# it starts fast.
 _LANES_CHILD = """
 import ctypes, json, sys
 from array import array
 lanes = int(sys.argv[3])
 fn = ctypes.CDLL(sys.argv[1]).lis_lanes
 fn.restype = ctypes.c_int
-fn.argtypes = [ctypes.c_void_p] * (1 + lanes) + [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p]
+fn.argtypes = [ctypes.c_void_p] * (2 * lanes) + [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p]
 data = array("i")
 with open(sys.argv[2], "rb") as f:
     data.frombytes(f.read())
 base = ctypes.addressof((ctypes.c_int32 * len(data)).from_buffer(data))
 out, at, got = (ctypes.c_ssize_t * lanes)(), 0, []
 while at < len(data):
-    count, n = data[at], data[at + 1]
-    arrays = [base + 4 * (at + 2 + n * slot) for slot in range(count + 1)]
-    at += 2 + n * (count + 1)
-    if fn(*arrays, *arrays[1:2] * (lanes - count), count, n, out):
+    count, n, arrays = data[at:at + 3]
+    table, at = data[at + 3:at + 3 + count], at + 3 + count
+    starts = [base + 4 * (at + n * slot) for slot in range(arrays + count)]
+    at += n * (arrays + count)
+    qs, words = [starts[t] if t >= 0 else None for t in table], starts[arrays:]
+    pad = lanes - count
+    if fn(*qs, *qs[:1] * pad, *words, *words[:1] * pad, count, n, out):
         sys.exit("lis_lanes returned -1")
     got.append(list(out)[:count])
 print(json.dumps(got))
@@ -347,10 +408,13 @@ def test_lane_kernel_mutants_fail_the_equivalence_oracle(tmp_path):
     if _native.library() is None:
         pytest.skip("no native kernel on this machine")
     cases = lane_cases()
-    want = [[subseq._lis_core(pos[a].tolist()) for a in words] for pos, words in cases]
-    (tmp_path / "cases").write_bytes(b"".join(
-        np.concatenate([[len(words), len(pos)], pos, *words]).astype(np.int32).tobytes()
-        for pos, words in cases))
+    want = [lane_lengths(positions, words) for positions, words in cases]
+    with open(tmp_path / "cases", "wb") as f:
+        for positions, words in cases:
+            arrays = list({id(q): q for q in positions if q is not None}.values())
+            table = [-1 if q is None else [id(a) for a in arrays].index(id(q)) for q in positions]
+            head = [len(words), len(words[0]), len(arrays), *table]
+            f.write(np.concatenate([head, *arrays, *words]).astype(np.int32).tobytes())
     assert misjudged(tmp_path, _LANES_CHILD, [str(tmp_path / "cases"), str(_native.LANES)],
                      want, LANE_MUTANTS, EQUIVALENT_LANE_MUTANTS) == []
 
@@ -360,8 +424,7 @@ def test_lane_kernel_mutants_fail_the_equivalence_oracle(tmp_path):
 # `lcs_pair_dp`, `oracles.value_line` and the exact read path.
 HELPER_MUTANTS = [
     ("pos[a[i]] = (int32_t)i;", "pos[i] = a[i];",
-     "invert copies its word: right only for an involution, such as the identity and "
-     "the reversal that lis and lds measure against"),
+     "invert copies its word: right only for an involution, such as the reversal"),
     ("        if (word[v] & mark)\n            return 0;\n", "",
      "parse_line takes a line with a repeated value"),
     ("    for (ptrdiff_t i = 0; i < n; i++)\n        word[i] &= ~mark;\n", "",
@@ -434,52 +497,54 @@ def test_invert_and_codec_mutants_fail_their_oracles(tmp_path, monkeypatch):
                      HELPER_MUTANTS) == []
 
 
-def test_every_answer_goes_through_column(monkeypatch, routes, tmp_path, capsys):
-    """`_column` is the one door to the patience kernel on both routes: an LIS
-    is the LCS with the identity and an LDS the LCS with the reversal, so
-    every length the library reports, and each sampled trial's LIS, takes
-    one `_column` call per column."""
-    column, calls = subseq._column, []
+def test_every_answer_goes_through_lanes(monkeypatch, routes, tmp_path, capsys):
+    """`_lanes` is the one door to the patience kernel on both routes: every
+    length the library reports, and each sampled trial's LIS, is one of its
+    jobs.  A sweep hands it one column per call, a sampled trial every pair
+    of its set and then its LIS in one call."""
+    lanes, calls = subseq._lanes, []
 
-    def counting(perms, j):
-        calls.append(j)
-        return column(perms, j)
+    def counting(jobs):
+        jobs = list(jobs)
+        calls.append(len(jobs))
+        return lanes(jobs)
 
-    monkeypatch.setattr(subseq, "_column", counting)
+    monkeypatch.setattr(subseq, "_lanes", counting)
+    monkeypatch.setattr(bounds, "_lanes", counting)
     s = build_hadamard_set(4, 3)
     csv = tmp_path / "lis.csv"
-    entries = {
-        "lis": (lambda: lis([3, 1, 2]), 1),
-        "lds": (lambda: lds([3, 1, 2]), 1),
-        "lcs_pair": (lambda: lcs_pair(identity(5), reversal(5)), 1),
-        "lcs_all_pairs": (lambda: lcs_all_pairs(s), s.k - 1),
-        "sample_lis": (lambda: sample_lis(20, 3, 1), 3),
-        # two trials of three members: two columns each, and one LIS
-        "check_probabilistic_bound": (lambda: check_probabilistic_bound(20, 3, 2, 1), 2 * 2),
-        "_sample(lis=True)": (lambda: bounds._sample(20, 3, 2, 1, lis=True), 2 * 3),
+    entries = {  # the jobs of each `_lanes` call
+        "lis": (lambda: lis([3, 1, 2]), [1]),
+        "lds": (lambda: lds([3, 1, 2]), [1]),
+        "lcs_pair": (lambda: lcs_pair(identity(5), reversal(5)), [1]),
+        "lcs_all_pairs": (lambda: lcs_all_pairs(s), list(range(1, s.k))),
+        "sample_lis": (lambda: sample_lis(20, 3, 1), [1] * 3),
+        # two trials of three members: three pairs each, and one LIS
+        "check_probabilistic_bound": (lambda: check_probabilistic_bound(20, 3, 2, 1), [3] * 2),
+        "_sample(lis=True)": (lambda: bounds._sample(20, 3, 2, 1, lis=True), [4] * 2),
         "sample --lis-csv": (lambda: main(["sample", "--n", "20", "--k", "3", "--trials", "2",
-                                           "--lis-csv", str(csv)]), 2 * 3),
+                                           "--lis-csv", str(csv)]), [4] * 2),
     }
     for kernel in routes:
-        for name, (call, count) in entries.items():
+        for name, (call, jobs) in entries.items():
             calls.clear()
             call()
-            assert len(calls) == count, name
+            assert sorted(calls) == jobs, name
     capsys.readouterr()
 
 
 def test_python_route_holds_no_list_of_ints(monkeypatch):
-    """Without the library, `_column` reads each relabeled member through a
+    """Without the library, `_lanes` reads each relabeled member through a
     memoryview, so a pair holds the position array and one relabeled word
     beside its members, not a list of n Python ints as well (about 9 more
     words of 4n bytes)."""
     monkeypatch.setattr(_native, "library", lambda: None)
     n = 2**16
     a, b = (random_perm(n, trial_rng(seed)) for seed in (1, 2))
-    # lis ranks its word with np.unique first; the word is handed its ranks
-    # here, so the peak is the LCS against the identity alone
-    ranks = subseq._distinct_word(a.array)
-    monkeypatch.setattr(subseq, "_distinct_word", lambda seq: ranks)
+    # lis sorts its word first; the word is handed its order here, so the
+    # peak is the kernel's alone
+    order = subseq._distinct_word(a.array)
+    monkeypatch.setattr(subseq, "_distinct_word", lambda seq: order)
     for call in (lambda: lcs_pair(a, b), lambda: lis(a.array), lambda: lds(a.array)):
         tracemalloc.start()
         try:
@@ -521,11 +586,12 @@ def test_native_kernel_refuses_a_word_of_another_layout():
     lib.invert(member, 5, pos)
     assert pos.tolist() == [1, 3, 0, 2, 4]
     words = [member, member[::-1].copy(), member.copy(), np.arange(5, dtype=np.int32)]
-    assert lib.lis_lanes(pos, *words, 4, 5, lengths) == 0
-    assert lengths.tolist() == [5, 1, 5, 3]
+    positions = [pos, pos, None, pos]  # None: the lane reads its word as it is
+    assert lib.lis_lanes(*positions, *words, 4, 5, lengths) == 0
+    assert lengths.tolist() == [5, 1, 3, 3]
 
     def lanes_with(slot, bad):
-        args = [pos, *words, 4, 5, lengths]
+        args = [*positions, *words, 4, 5, lengths]
         args[slot] = bad
         return lambda: lib.lis_lanes(*args)
 
@@ -533,13 +599,16 @@ def test_native_kernel_refuses_a_word_of_another_layout():
     frozen.flags.writeable = False
     for bad in (member.astype(np.int64), member[::-1]):
         calls = [lambda: lib.invert(bad, 5, pos), lambda: lib.invert(member, 5, bad)]
-        calls += [lanes_with(slot, bad) for slot in range(1 + _native.LANES)]
+        calls += [lanes_with(slot, bad) for slot in range(2 * _native.LANES)]
         for call in calls:
             with pytest.raises(ctypes.ArgumentError):
                 call()
+    for slot in range(_native.LANES, 2 * _native.LANES):  # a word is never None
+        with pytest.raises(ctypes.ArgumentError):
+            lanes_with(slot, None)()
     frozen_lengths = np.empty(_native.LANES, dtype=np.intp)
     frozen_lengths.flags.writeable = False
-    out = 1 + _native.LANES + 2
+    out = 2 * _native.LANES + 2
     for call in (lambda: lib.invert(member, 5, frozen),
                  lanes_with(out, frozen_lengths),
                  lanes_with(out, lengths.astype(np.int32)),
@@ -597,9 +666,15 @@ def test_argument_table_names_every_c_export():
     # A function _native.c exports without an argument table entry would be
     # called with unchecked arguments; an entry with no function fails every
     # load.  Exported means defined at the start of a line, not `static`.
+    # ctypes does not compare argtypes with the prototype, so an entry that
+    # misses a parameter would hand C garbage for it: the counts must match.
     source = _native._SOURCE.read_text()
-    exported = re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(", source, re.MULTILINE)
+    exported = dict(re.findall(r"^(?!static\b)[A-Za-z_][\w \t*]*?\b(\w+)\(([^)]*)\)",
+                               source, re.MULTILINE))
     assert sorted(exported) == sorted(_native._signatures())
+    for name, (_, argtypes) in _native._signatures().items():
+        params = exported[name].strip()
+        assert (0 if params in ("", "void") else params.count(",") + 1) == len(argtypes), name
 
 def test_lcs_pair_examples(routes):
     for kernel in routes:
@@ -794,7 +869,7 @@ def test_compiler_command_keys_the_library(tmp_path, monkeypatch):
     for flag in ("-O2", "-O1", "-O2"):
         monkeypatch.setattr(_native, "_CC", ("cc", flag, "-shared", "-fPIC"))
         lib = _native.library.__wrapped__()  # uncached: build for this command
-        assert lib.lis_lanes(pos, *(lane,) * _native.LANES, 1, 5, lengths) == 0
+        assert lib.lis_lanes(*(pos,) * _native.LANES, *(lane,) * _native.LANES, 1, 5, lengths) == 0
         assert lengths[0] == 3
         names.append(os.path.basename(lib._name))
     assert names[0] == names[2] != names[1]
