@@ -18,6 +18,7 @@ written as 0 unless --timing is given.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import itertools
 import json
@@ -25,7 +26,7 @@ import sys
 import time
 from typing import Callable, Iterator, Optional, Sequence
 
-from .algebraic import build_exact, build_general
+from .algebraic import _general_stream, build_exact
 from .bounds import (
     BOUND_CHOICES,
     _sample,
@@ -36,8 +37,8 @@ from .bounds import (
     trial_rng,
 )
 from .codes import code_report
-from .fileio import read_permset, write_permset
-from .hadamard import build_hadamard_set, digit_ground_set
+from .fileio import _write_members, read_permset
+from .hadamard import _digit_stream, build_hadamard_set, digit_ground_set
 from .subseq import lcs_all_pairs
 
 
@@ -60,25 +61,29 @@ def _json_command(body: Callable[..., tuple[dict, dict, bool]]) -> Callable[...,
 
 @_json_command
 def _cmd_construct(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    # Every usage error is raised before --out is opened; the members are
+    # then built one at a time, each written as it is made, or dropped.
     if args.kind == "algebraic":
         if args.n is None:
             raise ValueError("construct algebraic requires --n")
         if args.s is not None:
             raise ValueError("--s does not apply to the algebraic construction")
-        made = build_general(args.n, args.k)
-        results = dict(made.params)
+        record, members = _general_stream(args.n, args.k)
+        results = dict(record)
         results["theorem2_threshold"] = theorem2_threshold(args.n, args.k)
         params = {"kind": args.kind, "n": args.n, "k": args.k}
     else:
         if args.s is None:
             raise ValueError("construct hadamard requires --s")
-        made = build_hadamard_set(args.k, args.s, n=args.n)
-        results = dict(made.params)
+        record, members = _digit_stream(args.k, args.s, args.n)
+        results = dict(record)
         params = {"kind": args.kind, "k": args.k, "s": args.s}
         if args.n is not None:
             params["n"] = args.n
-    if args.out is not None:
-        write_permset(made, args.out)
+    if args.out is None:
+        collections.deque(members, maxlen=0)  # built for the build's own checks
+    else:
+        _write_members(record["k"], record["n"], members, args.out)
         results["out"] = args.out
     return params, results, True
 

@@ -11,15 +11,20 @@ Value lines go through the native codec, `render_line` and `parse_line` in
 `_native.c`, when `_native.library()` loads it, and through plain Python
 when it does not; the two give the same bytes and the same members.
 
-Writing has one route: `_write_document` writes the header and then each
-line into a binary file as it is rendered, and `dumps_permset` runs it into
-a `BytesIO`.  Each member's 0-based `int32` word is rendered, adding one in
-C, into one reused `uint8` buffer with room for n values as wide as n, and
-the prefix whose length `render_line` returns is written: the codec's count
-is the line, and a refused render raises RuntimeError.  Without the codec a
-line is `" ".join(map(str, one_line))`.  `write_permset` writes to a
-temporary file that is renamed onto the path once all lines are written, so
-a failed write leaves no partial document.
+Writing has one route: `_write_document` takes (k, n, a stream of
+members), writes the header from k and n, and then each member's line into
+a binary file as the member arrives, so it holds one member at a time;
+`dumps_permset` runs it over a set's members into a `BytesIO`, and
+`write_permset` and `construct --out` run it into a file.  The header is
+written before any member exists, so the writer checks its promise: a
+member not on [n], or more or fewer than k members, raises RuntimeError.
+Each member's 0-based `int32` word is rendered, adding one in C, into one
+reused `uint8` buffer with room for n values as wide as n, and the prefix
+whose length `render_line` returns is written: the codec's count is the
+line, and a refused render raises RuntimeError.  Without the codec a line
+is `" ".join(map(str, one_line))`.  A file is written to a temporary file
+that is renamed onto the path once all lines are written, so a failed
+write, a broken promise included, leaves no partial document.
 
 Reading has one route: `read_permset` takes a binary file one line at a
 time, so it holds the current line and the members parsed so far, never the
@@ -64,25 +69,36 @@ class FormatError(ValueError):
     """Raised when a PERMSET document is malformed."""
 
 
-def _write_document(s: PermSet, f: BinaryIO) -> None:
-    """Write the document to the binary file `f`, one line at a time."""
-    f.write(f"permset 1 {s.k} {s.n}\n".encode("ascii"))
+def _write_document(k: int, n: int, members: Iterable[Permutation], f: BinaryIO) -> None:
+    """Write the header of k members on [n] to the binary file `f`, then each
+    member's line as the stream yields it.  The header is out before any
+    member exists, so a member off [n], or more or fewer than k of them, is
+    a RuntimeError."""
+    f.write(f"permset 1 {k} {n}\n".encode("ascii"))
     lib = _native.library()
-    if lib is None:
-        for p in s.perms:
+    buf = None if lib is None else np.empty(n * (len(str(n)) + 1), dtype=np.uint8)
+    count = 0
+    for p in members:
+        count += 1
+        if count > k:
+            raise RuntimeError(f"more members than the {k} the PERMSET header promised")
+        if p.n != n:
+            raise RuntimeError(f"member {count} is on [{p.n}], not the header's [{n}]")
+        if lib is None:
             f.write((" ".join(map(str, p.one_line)) + "\n").encode("ascii"))
-        return
-    buf = np.empty(s.n * (len(str(s.n)) + 1), dtype=np.uint8)
-    for p in s.perms:
-        end = lib.render_line(p.array, p.n, buf, buf.size)
-        if end < 0:
-            raise RuntimeError(f"render_line refused a member on [{p.n}]")
-        f.write(buf[:end])
+        else:
+            end = lib.render_line(p.array, n, buf, buf.size)
+            if end < 0:
+                raise RuntimeError(f"render_line refused a member on [{n}]")
+            f.write(buf[:end])
+        del p  # so the stream builds the next member with this one freed
+    if count != k:
+        raise RuntimeError(f"{count} members, not the {k} the PERMSET header promised")
 
 
 def dumps_permset(s: PermSet) -> str:
     f = io.BytesIO()
-    _write_document(s, f)
+    _write_document(s.k, s.n, s.perms, f)
     return f.getvalue().decode("ascii")
 
 
@@ -197,12 +213,19 @@ def write_permset(s: PermSet, path: Union[str, os.PathLike]) -> None:
     the document; any other path that is not a regular file (a device, a
     FIFO, a directory, another process's descriptor) is opened in place.
     An empty path raises FileNotFoundError, as `open("")` does."""
+    _write_members(s.k, s.n, s.perms, path)
+
+
+def _write_members(k: int, n: int, members: Iterable[Permutation],
+                   path: Union[str, os.PathLike]) -> None:
+    """`write_permset` of the k members on [n] that `members` yields, each
+    written as it arrives, so only the one being written need be held."""
     if not os.fspath(path):  # realpath would read it as the working directory
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     f = _open_in_place(path)
     if f is not None:
         with f:
-            _write_document(s, f)
+            _write_document(k, n, members, f)
         return
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
@@ -210,7 +233,7 @@ def write_permset(s: PermSet, path: Union[str, os.PathLike]) -> None:
     f = open(tmp, "xb")  # outside the try: a name that exists is not ours to delete
     try:
         with f:
-            _write_document(s, f)
+            _write_document(k, n, members, f)
         if os.path.exists(target):
             os.chmod(tmp, stat.S_IMODE(os.stat(target).st_mode))
         os.replace(tmp, target)

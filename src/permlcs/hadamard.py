@@ -10,17 +10,24 @@ common subsequence down to length at most s**(k/2 - 1).
 
 Supported orders: powers of two (doubling construction) and q + 1 for
 primes q = 3 (mod 4) (quadratic-residue construction).
+
+The builder makes its members one row at a time: `_digit_stream` checks
+every parameter and returns the set's record with a stream of members, and
+`build_hadamard_set` gathers the stream into a `PermSet`.  `construct` hands
+the same stream to the PERMSET writer, so it holds the grid and one member,
+whatever k is.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .arith import is_prime
-from .perm import MAX_N, PermSet, _adopt, _ground_set, restrict
+from .perm import MAX_N, Permutation, PermSet, _adopt, _ground_set, _restriction_size, restrict
 
 
 @dataclass(frozen=True)
@@ -109,23 +116,31 @@ def digit_ground_set(k: int, s: int) -> int:
     return min(s ** (k - 1), MAX_N + 1)
 
 
+def _flips(rows, k: int, s: int, n_prime: int, n: int) -> Iterator[Permutation]:
+    # Axis c-1 is digit column c; n' <= 2**24 keeps k-1 <= 24, under numpy 1.x's 32-dim cap.
+    grid = np.arange(n_prime, dtype=np.int32).reshape((s,) * (k - 1))
+    for row in rows:
+        out = np.flip(grid, axis=tuple(c - 1 for c in range(1, k) if row[c] == -1)).ravel()
+        yield restrict(_adopt(out), n)
+
+
+def _digit_stream(k: int, s: int, n: int | None = None) -> tuple[dict, Iterator[Permutation]]:
+    """`build_hadamard_set`'s record and member stream; every usage error,
+    an `n` outside [1, s**(k-1)] included, is raised here, before the first
+    member is built."""
+    k, s = operator.index(k), operator.index(s)  # so the record holds Python ints
+    n_prime = _ground_set(digit_ground_set(k, s), "s**(k-1)")
+    h = hadamard_matrix(k)
+    n = n_prime if n is None else _restriction_size(n, n_prime)
+    record = {"k": k, "s": s, "n_prime": n_prime, "n": n, "lcs_bound": digit_lcs_bound(k, s)}
+    return record, _flips(h.rows, k, s, n_prime, n)
+
+
 def build_hadamard_set(k: int, s: int, *, n: int | None = None) -> PermSet:
     """k digit-wise permutations on [s**(k-1)] with pairwise LCS <= s**(k/2-1).
 
     Passing `n` cuts every member to [n] with `perm.restrict` (1 <= n <=
     s**(k-1)); the bound carries over since restriction never grows an LCS.
     """
-    k, s = operator.index(k), operator.index(s)  # so the record holds Python ints
-    n_prime = _ground_set(digit_ground_set(k, s), "s**(k-1)")
-    n = n_prime if n is None else operator.index(n)
-    h = hadamard_matrix(k)
-
-    # Axis c-1 is digit column c; n' <= 2**24 keeps k-1 <= 24, under numpy 1.x's 32-dim cap.
-    grid = np.arange(n_prime, dtype=np.int32).reshape((s,) * (k - 1))
-    perms = []
-    for row in h.rows:
-        out = np.flip(grid, axis=tuple(c - 1 for c in range(1, k) if row[c] == -1)).ravel()
-        perms.append(restrict(_adopt(out), n))
-
-    record = {"k": k, "s": s, "n_prime": n_prime, "n": n, "lcs_bound": digit_lcs_bound(k, s)}
-    return PermSet(tuple(perms), provenance="hadamard", params=record)
+    record, members = _digit_stream(k, s, n)
+    return PermSet(tuple(members), provenance="hadamard", params=record)

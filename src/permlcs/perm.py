@@ -155,13 +155,20 @@ def invert(a: Permutation) -> Permutation:
     return _adopt(inv)
 
 
+def _restriction_size(m: int, n: int) -> int:
+    """m as an int, once 1 <= m <= n: the one check of a cut to [m] of a
+    member on [n], which a builder can make before it builds any member."""
+    if not 1 <= (m := operator.index(m)) <= n:
+        raise ValueError(f"restriction size {m} outside [1, {n}]")
+    return m
+
+
 def restrict(a: Permutation, m: int) -> Permutation:
     """Delete every value above m, an integer in [1, a.n], from the one-line
     form: the survivors, in order, are a permutation on [m], and `a` itself at
     m = a.n.  The library's one cut; the lattice builder slices its keys to
     [n] before its one argsort instead, so it sorts only the kept points."""
-    if not 1 <= (m := operator.index(m)) <= a.n:
-        raise ValueError(f"restriction size {m} outside [1, {a.n}]")
+    m = _restriction_size(m, a.n)
     return a if m == a.n else _adopt(a.array[a.array < m])
 
 

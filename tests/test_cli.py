@@ -3,6 +3,7 @@ import itertools
 import json
 import sys
 import time
+import tracemalloc
 import types
 
 import pytest
@@ -12,6 +13,7 @@ from permlcs import (
     write_permset,
 )
 import permlcs.algebraic as algebraic
+import permlcs.hadamard as hadamard
 from permlcs.cli import main
 
 
@@ -75,6 +77,83 @@ def test_construct_parameter_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "construct", "badkind", "--k", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("hadamard", "--k", "4", "--s", "3", "--n", "100"), "restriction size 100 outside [1, 27]"),
+    (("hadamard", "--k", "4", "--s", "3", "--n", "0"), "restriction size 0 outside [1, 27]"),
+    (("hadamard", "--k", "10", "--s", "2", "--n", "5"),
+     "no supported Hadamard construction for order 10"),
+    (("hadamard", "--k", "4", "--s", "1"), "digit base must be at least 2, got 1"),
+    (("algebraic", "--n", "5", "--k", "8"), "need n >= k^2 = 64, got 5"),
+    (("algebraic", "--n", "100", "--k", "2"), "need at least k=3 generators, got 2"),
+])
+def test_usage_errors_come_before_the_file(tmp_path, capsys, monkeypatch, argv, err):
+    # Each builder checks every parameter before it makes its first member,
+    # so a usage error is raised before --out is opened and leaves no file.
+    def opened(*args):
+        raise AssertionError("--out was opened")
+
+    monkeypatch.setattr("permlcs.cli._write_members", opened)
+    path = tmp_path / "s.permset"
+    assert run(capsys, "construct", *argv, "--out", str(path)) == (2, "", f"error: {err}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, build", [
+    (("algebraic", "--n", "72", "--k", "3"), lambda: build_general(72, 3)),
+    (("algebraic", "--n", "100", "--k", "4"), lambda: build_general(100, 4)),
+    (("hadamard", "--k", "4", "--s", "3"), lambda: build_hadamard_set(4, 3)),
+    (("hadamard", "--k", "4", "--s", "3", "--n", "20"), lambda: build_hadamard_set(4, 3, n=20)),
+])
+def test_streamed_file_is_the_built_set(tmp_path, capsys, routes, argv, build):
+    # construct writes each member as it is built; the library gathers the
+    # same stream into a PermSet, and the two give the same bytes.
+    for route in routes:
+        path = tmp_path / f"{route}.permset"
+        assert run(capsys, "construct", *argv, "--out", str(path))[0] == 0
+        assert path.read_bytes() == dumps_permset(build()).encode("ascii")
+
+
+@pytest.mark.parametrize("small, large", [
+    (("algebraic", "--n", "32768", "--k", "8"), ("algebraic", "--n", "32768", "--k", "64")),
+    (("hadamard", "--k", "4", "--s", "32"), ("hadamard", "--k", "16", "--s", "2")),
+])
+def test_construct_memory_does_not_grow_with_k(tmp_path, capsys, small, large):
+    # Each member is written as it is built and then dropped, so the traced
+    # peak of `construct --out` is one member's build and line, whatever k is.
+    # Both sets of a pair are on n = n' = 2^15, and their peaks differ by less
+    # than one member (4n bytes) + 64 KiB; holding all k members, the lattice
+    # pair differed by 56 members and the digit pair by 12.
+    path = tmp_path / "s.permset"
+    run(capsys, "construct", *small, "--out", str(path))  # loads the codec untraced
+    peaks = []
+    for argv in (small, large):
+        tracemalloc.start()
+        try:
+            code = main(["construct", *argv, "--out", str(path)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    capsys.readouterr()
+    assert abs(peaks[1] - peaks[0]) < 4 * 32768 + 64 * 1024, peaks
+
+
+def test_broken_member_stream_exits_3_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # The header is written before any member exists; a stream that then
+    # falls short of it is an internal error, and the file is never made.
+    def short(k, s, n):
+        record, members = hadamard._digit_stream(k, s, n)
+        return record, itertools.islice(members, k - 1)
+
+    monkeypatch.setattr("permlcs.cli._digit_stream", short)
+    path = tmp_path / "h.permset"
+    code, out, err = run(capsys, "construct", "hadamard", "--k", "4", "--s", "3",
+                         "--out", str(path))
+    assert (code, out) == (3, "")
+    assert err == "internal error: 3 members, not the 4 the PERMSET header promised\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_theorem2_pass(tmp_path, capsys):
@@ -368,11 +447,34 @@ def test_tied_lattice_keys_stop_the_build(tmp_path, capsys, monkeypatch):
     assert not path.exists()
 
 
+def test_tie_at_a_later_member_stops_the_write(tmp_path, capsys, monkeypatch):
+    # Members are written as they are built, so when generator j=2 ties the
+    # header and member 1 are already in the temporary file, which goes.
+    key_arrays = algebraic._key_arrays
+    during = []
+
+    def tied_at_2(j, *args):
+        major, middle, minor = key_arrays(j, *args)
+        if j == 2:
+            during.extend(p.name for p in tmp_path.iterdir())
+            major = major * 0
+        return major, middle, minor
+
+    monkeypatch.setattr(algebraic, "_key_arrays", tied_at_2)
+    path = tmp_path / "s.permset"
+    code, out, err = run(capsys, "construct", "algebraic", "--n", "72", "--k", "3",
+                         "--out", str(path))
+    assert (code, out) == (3, "")
+    assert err == "internal error: duplicate sort key for j=2; keys must be 1-1 on [n]\n"
+    assert len(during) == 1 and during[0].startswith(".s.permset.") and during[0].endswith(".tmp")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_out_of_memory_is_usage_error(capsys, monkeypatch):
     def starved(n, k):
         raise MemoryError("Unable to allocate 1.91 GiB for an array")
 
-    monkeypatch.setattr("permlcs.cli.build_general", starved)
+    monkeypatch.setattr("permlcs.cli._general_stream", starved)
     code, out, err = run(capsys, "construct", "algebraic", "--n", "16000000", "--k", "16")
     assert code == 2
     assert out == ""

@@ -25,6 +25,7 @@ from permlcs import (
 )
 import permlcs
 import permlcs._native as _native
+from permlcs import fileio
 from permlcs.cli import main
 from permlcs.perm import MAX_N
 from oracles import value_line
@@ -354,6 +355,22 @@ def test_refused_render_is_an_internal_error(tmp_path, monkeypatch, capsys):
     argv = ["construct", "algebraic", "--n", "72", "--k", "3", "--out", str(path)]
     assert main(argv) == 3
     assert capsys.readouterr().err == "internal error: render_line refused a member on [72]\n"
+
+
+@pytest.mark.parametrize("k, members, err", [
+    (3, (identity(4), reversal(4)), r"^2 members, not the 3 the PERMSET header promised$"),
+    (2, (identity(4), reversal(4), identity(4)),
+     r"^more members than the 2 the PERMSET header promised$"),
+    (2, (identity(4), reversal(3)), r"^member 2 is on \[3\], not the header's \[4\]$"),
+])
+def test_writer_keeps_the_header_promise(tmp_path, routes, k, members, err):
+    # The header of k members on [n] is written before any member exists, so
+    # a stream that yields fewer or more, or one off [n], is an internal
+    # error, and neither the file nor its temporary file is left.
+    for route in routes:
+        with pytest.raises(RuntimeError, match=err):
+            fileio._write_members(k, 4, (p for p in members), tmp_path / "s.permset")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_leaves_the_path_as_it_was(tmp_path, monkeypatch, capsys):
