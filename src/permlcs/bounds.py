@@ -5,6 +5,11 @@ derived from (seed, trial index), so results are reproducible trial by trial.
 Trials run on every CPU this process may use, up to the number whose words
 fit `_TRIALS_BUDGET`, and their results are kept by trial index, so every
 sample is the same for any number of CPUs.
+
+Every CLI command's parser reads `BOUND_CHOICES`, so this module imports
+only `arith` and the standard library at load time; numpy, `perm`, the
+sampler's `subseq` and theorem1's `hadamard` are imported where they are
+called, the sampler's before any of its threads starts.
 """
 
 from __future__ import annotations
@@ -14,13 +19,14 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import ceil_cbrt, ceil_root
-from .hadamard import digit_lcs_bound
-from .perm import Permutation, PermSet, _adopt, _ground_set, restrict
-from .subseq import _column, _lanes, _map_threads
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .perm import Permutation, PermSet
 
 # Bytes of trial words held at once, each trial of k members on [n] counted
 # as _TRIAL_WORDS + k words of 4n bytes: at n = 2**16 and 2**18, a trial's
@@ -35,15 +41,21 @@ _TRIAL_WORDS = 4
 
 def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
     """The PCG64 stream for one (seed, trial) pair."""
+    import numpy as np
+
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial))))
 
 
 def random_perm(n: int, rng: np.random.Generator) -> Permutation:
     """Uniform random permutation on [n] (in-place shuffle under the hood)."""
+    from .perm import _adopt, _ground_set
+
     return _adopt(rng.permutation(_ground_set(n)))
 
 
 def random_perm_set(n: int, k: int, rng: np.random.Generator) -> PermSet:
+    from .perm import PermSet
+
     return PermSet(
         tuple(random_perm(n, rng) for _ in range(k)),
         provenance="random",
@@ -55,6 +67,8 @@ def _workers(n: int, k: int) -> int:
     """How many trials of k members on [n] run at once: the CPUs this
     process may use, capped by `_TRIALS_BUDGET`, and never below one.
     Raises ValueError for an n that `_ground_set` refuses."""
+    from .perm import _ground_set
+
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -82,6 +96,8 @@ def sample_lis(n: int, trials: int, seed: int) -> LisSample:
     each t; trials run on `_workers(n, 1)` threads."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    from .subseq import _lanes, _map_threads
+
     lengths = _map_threads(lambda t: _lanes([(None, random_perm(n, trial_rng(seed, t)).array)])[0],
                            trials, _workers(n, 1))
     return LisSample(n=n, trials=trials, seed=seed, lengths=tuple(lengths))
@@ -122,6 +138,8 @@ def _check_theorem2(n: int, k: int, max_lcs: int) -> dict:
 def _check_theorem1(n: int, k: int, max_lcs: int) -> dict:
     if k < 4 or k % 2 != 0:
         return {"applicable": False, "note": "needs even k >= 4"}
+    from .hadamard import digit_lcs_bound
+
     threshold = digit_lcs_bound(k, ceil_root(n, k - 1))
     return {"applicable": True, "threshold": threshold,
             "holds": max_lcs <= threshold, "direction": "<="}
@@ -195,6 +213,7 @@ def _sample(n: int, k: int, trials: int, seed: int,
         raise ValueError("need at least two permutations per sampled set")
     if trials < 1:
         raise ValueError("need at least one trial")
+    from .subseq import _column, _lanes, _map_threads
 
     pairs = k * (k - 1) // 2
 
@@ -235,6 +254,8 @@ def pigeonhole_pair(s: PermSet) -> tuple[int, int, int]:
     """
     if s.k < 2:
         raise ValueError("need at least two permutations")
+    from .perm import restrict
+
     m = largest_m_with_factorial_below(s.k, s.n)
     seen: dict[Permutation, int] = {}
     for idx, p in enumerate(s.perms):

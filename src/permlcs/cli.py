@@ -11,6 +11,9 @@ pass; bench emits CSV.  The bound arithmetic lives with the constructions
 reported and which decide the pass, in `bounds.check_bounds`; this module
 only selects, runs and reports.
 
+At module level this imports only the standard library: each command
+imports the library functions it calls, so it loads only their modules.
+
 Outputs are byte-deterministic for fixed flags and seed: timing fields are
 written as 0 unless --timing is given.
 """
@@ -25,21 +28,6 @@ import json
 import sys
 import time
 from typing import Callable, Iterator, Optional, Sequence
-
-from .algebraic import _general_stream, build_exact
-from .bounds import (
-    BOUND_CHOICES,
-    _sample,
-    check_bounds,
-    lcs_threshold,
-    random_perm_set,
-    theorem2_threshold,
-    trial_rng,
-)
-from .codes import code_report
-from .fileio import _write_members, read_permset
-from .hadamard import _digit_stream, build_hadamard_set, digit_ground_set
-from .subseq import lcs_all_pairs
 
 
 def _elapsed_ms(t0: float, timing: bool) -> int:
@@ -64,6 +52,9 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     # Every usage error is raised before --out is opened; the members are
     # then built one at a time, each written as it is made, or dropped.
     if args.kind == "algebraic":
+        from .algebraic import _general_stream
+        from .bounds import theorem2_threshold
+
         if args.n is None:
             raise ValueError("construct algebraic requires --n")
         if args.s is not None:
@@ -75,6 +66,8 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     else:
         if args.s is None:
             raise ValueError("construct hadamard requires --s")
+        from .hadamard import _digit_stream
+
         record, members = _digit_stream(args.k, args.s, args.n)
         results = dict(record)
         params = {"kind": args.kind, "k": args.k, "s": args.s}
@@ -83,6 +76,8 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict, dict, bool]:
     if args.out is None:
         collections.deque(members, maxlen=0)  # built for the build's own checks
     else:
+        from .fileio import _write_members
+
         _write_members(record["k"], record["n"], members, args.out)
         results["out"] = args.out
     return params, results, True
@@ -90,6 +85,10 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 @_json_command
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    from .bounds import check_bounds
+    from .fileio import read_permset
+    from .subseq import lcs_all_pairs
+
     s = read_permset(args.path)
     matrix = lcs_all_pairs(s)
     bounds, passed = check_bounds(args.bound, s.n, s.k, matrix.max_pair)
@@ -104,6 +103,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 @_json_command
 def _cmd_sample(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    from .bounds import _sample
+
     lis = args.lis_csv is not None
     check, lis_sample = _sample(args.n, args.k, args.trials, args.seed, lis=lis)
     results = {
@@ -123,6 +124,9 @@ def _cmd_sample(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 @_json_command
 def _cmd_distance(args: argparse.Namespace) -> tuple[dict, dict, bool]:
+    from .codes import code_report
+    from .fileio import read_permset
+
     report = code_report(read_permset(args.path))
     return {"path": args.path}, {"code": report.as_dict()}, True
 
@@ -172,14 +176,23 @@ def _cell_n(kind: str, cell: dict[str, int]) -> int:
     if kind == "algebraic":
         return cell["k"] * cell["k"] * cell["s1"] ** 3
     if kind == "hadamard":
+        from .hadamard import digit_ground_set
+
         return digit_ground_set(cell["k"], cell["s"])
     return cell["n"]
 
 
 def _bench_row(kind: str, cell: dict[str, int], seed: int, row_idx: int):
+    from .bounds import lcs_threshold, random_perm_set, trial_rng
+    from .subseq import lcs_all_pairs
+
     if kind == "algebraic":
+        from .algebraic import build_exact
+
         made = build_exact(_cell_n(kind, cell), cell["k"])
     elif kind == "hadamard":
+        from .hadamard import build_hadamard_set
+
         made = build_hadamard_set(cell["k"], cell["s"])
     else:
         made = random_perm_set(cell["n"], cell["k"], trial_rng(seed, row_idx))
@@ -204,6 +217,8 @@ def _cmd_bench(args: argparse.Namespace) -> bool:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .bounds import BOUND_CHOICES
+
     parser = argparse.ArgumentParser(
         prog="permlcs",
         description="Construct and verify permutation sets with short pairwise LCS.",

@@ -15,7 +15,8 @@ The builder makes its members one row at a time: `_digit_stream` checks
 every parameter and returns the set's record with a stream of members, and
 `build_hadamard_set` gathers the stream into a `PermSet`.  `construct` hands
 the same stream to the PERMSET writer, so it holds the grid and one member,
-whatever k is.
+whatever k is.  A set cut to [n] < n' never makes the grid: each member is
+built from the sub-grids that hold only values below n, in O(n) words.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .arith import is_prime
-from .perm import MAX_N, Permutation, PermSet, _adopt, _ground_set, _restriction_size, restrict
+from .perm import MAX_N, Permutation, PermSet, _adopt, _ground_set, _restriction_size
 
 
 @dataclass(frozen=True)
@@ -116,12 +117,49 @@ def digit_ground_set(k: int, s: int) -> int:
     return min(s ** (k - 1), MAX_N + 1)
 
 
+def _flipped(grid: np.ndarray, flipped: tuple[bool, ...]) -> np.ndarray:
+    """`grid` flipped along each axis that `flipped` marks, raveled."""
+    return np.flip(grid, axis=tuple(a for a, f in enumerate(flipped) if f)).ravel()
+
+
+def _cut(flipped: tuple[bool, ...], s: int, n: int) -> np.ndarray:
+    """The values below n of the base-s digit grid flipped along `flipped`,
+    in position order, made without the grid.
+
+    From the most significant column down, the positions left form one
+    sub-grid whose leading value digits equal n's.  Along the column, the
+    slices whose value digit is below n's digit hold only values below n and
+    are kept whole, the one equal to it is walked next, and the rest are
+    skipped.  The kept slices precede the walked one, or follow it where
+    the column is flipped, so the output fills from both ends inward."""
+    out = np.empty(n, dtype=np.int32)
+    lo, hi, lead = 0, n, 0
+    for c in range(len(flipped)):
+        rest = flipped[c + 1:]
+        size = s ** len(rest)
+        digit = n // size % s
+        if not digit:
+            continue
+        block = _flipped(np.arange(size, dtype=np.int32).reshape((s,) * len(rest)), rest)
+        width = digit * size
+        starts = np.arange(lead, lead + width, size, dtype=np.int32)
+        if flipped[c]:
+            hi -= width
+            span, starts = out[hi:hi + width], starts[::-1]
+        else:
+            span, lo = out[lo:lo + width], lo + width
+        np.add(starts[:, None], block, out=span.reshape(digit, size))
+        lead += width
+    return out
+
+
 def _flips(rows, k: int, s: int, n_prime: int, n: int) -> Iterator[Permutation]:
-    # Axis c-1 is digit column c; n' <= 2**24 keeps k-1 <= 24, under numpy 1.x's 32-dim cap.
-    grid = np.arange(n_prime, dtype=np.int32).reshape((s,) * (k - 1))
+    # Axis c-1 is digit column c, the most significant first; n' <= 2**24
+    # keeps k-1 <= 24, under numpy 1.x's 32-dim cap.
+    grid = np.arange(n_prime, dtype=np.int32).reshape((s,) * (k - 1)) if n == n_prime else None
     for row in rows:
-        out = np.flip(grid, axis=tuple(c - 1 for c in range(1, k) if row[c] == -1)).ravel()
-        yield restrict(_adopt(out), n)
+        flipped = tuple(row[c] == -1 for c in range(1, k))
+        yield _adopt(_flipped(grid, flipped) if grid is not None else _cut(flipped, s, n))
 
 
 def _digit_stream(k: int, s: int, n: int | None = None) -> tuple[dict, Iterator[Permutation]]:
@@ -139,8 +177,9 @@ def _digit_stream(k: int, s: int, n: int | None = None) -> tuple[dict, Iterator[
 def build_hadamard_set(k: int, s: int, *, n: int | None = None) -> PermSet:
     """k digit-wise permutations on [s**(k-1)] with pairwise LCS <= s**(k/2-1).
 
-    Passing `n` cuts every member to [n] with `perm.restrict` (1 <= n <=
-    s**(k-1)); the bound carries over since restriction never grows an LCS.
+    Passing `n` (1 <= n <= s**(k-1)) cuts every member to [n], as
+    `perm.restrict` would, without building the s**(k-1) grid; the bound
+    carries over since restriction never grows an LCS.
     """
     record, members = _digit_stream(k, s, n)
     return PermSet(tuple(members), provenance="hadamard", params=record)

@@ -166,8 +166,9 @@ def _restriction_size(m: int, n: int) -> int:
 def restrict(a: Permutation, m: int) -> Permutation:
     """Delete every value above m, an integer in [1, a.n], from the one-line
     form: the survivors, in order, are a permutation on [m], and `a` itself at
-    m = a.n.  The library's one cut; the lattice builder slices its keys to
-    [n] before its one argsort instead, so it sorts only the kept points."""
+    m = a.n.  The builders cut their own members instead: the lattice slices
+    its keys to [n] before its one argsort, and the digit set builds only
+    the sub-grids that hold values below n."""
     m = _restriction_size(m, a.n)
     return a if m == a.n else _adopt(a.array[a.array < m])
 

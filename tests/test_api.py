@@ -5,6 +5,8 @@ import importlib
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import permlcs
 
 # Reference code that lives in tests/oracles.py, or was deleted, with the
@@ -28,6 +30,32 @@ def test_star_import_resolves():
 
 def test_all_has_no_duplicates():
     assert len(permlcs.__all__) == len(set(permlcs.__all__))
+
+
+def test_all_is_the_public_surface():
+    assert permlcs.__all__ == [
+        "ConstructionParams", "build_exact", "build_general", "params_from",
+        "ceil_cbrt", "ceil_root", "floor_root", "is_prime", "next_prime_above",
+        "LisSample", "ProbabilisticCheck",
+        "check_probabilistic_bound", "lcs_threshold", "pigeonhole_pair",
+        "random_perm", "random_perm_set", "sample_lis", "trial_rng",
+        "CodeReport", "code_report", "d_del", "min_distance",
+        "FormatError", "dumps_permset", "loads_permset", "read_permset", "write_permset",
+        "HadamardMatrix", "build_hadamard_set", "hadamard_matrix",
+        "paley", "sylvester",
+        "Permutation", "PermSet", "compose", "identity", "invert", "restrict",
+        "reversal",
+        "LcsMatrix", "lcs_all_pairs", "lcs_pair", "lds", "lis",
+    ]
+
+
+def test_names_load_on_first_use():
+    assert set(permlcs.__all__) <= set(dir(permlcs))
+    for name in permlcs.__all__:
+        owner = importlib.import_module(f"permlcs.{permlcs._OWNERS[name]}")
+        assert getattr(permlcs, name) is getattr(owner, name), name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        permlcs.no_such_name
 
 
 def test_reference_code_not_shipped():

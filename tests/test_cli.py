@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -8,6 +10,7 @@ import types
 
 import pytest
 
+import permlcs
 from permlcs import (
     build_general, build_hadamard_set, dumps_permset, identity, PermSet, read_permset,
     write_permset,
@@ -94,7 +97,7 @@ def test_usage_errors_come_before_the_file(tmp_path, capsys, monkeypatch, argv, 
     def opened(*args):
         raise AssertionError("--out was opened")
 
-    monkeypatch.setattr("permlcs.cli._write_members", opened)
+    monkeypatch.setattr("permlcs.fileio._write_members", opened)
     path = tmp_path / "s.permset"
     assert run(capsys, "construct", *argv, "--out", str(path)) == (2, "", f"error: {err}\n")
     assert list(tmp_path.iterdir()) == []
@@ -143,11 +146,13 @@ def test_construct_memory_does_not_grow_with_k(tmp_path, capsys, small, large):
 def test_broken_member_stream_exits_3_and_leaves_no_file(tmp_path, capsys, monkeypatch):
     # The header is written before any member exists; a stream that then
     # falls short of it is an internal error, and the file is never made.
+    digit_stream = hadamard._digit_stream
+
     def short(k, s, n):
-        record, members = hadamard._digit_stream(k, s, n)
+        record, members = digit_stream(k, s, n)
         return record, itertools.islice(members, k - 1)
 
-    monkeypatch.setattr("permlcs.cli._digit_stream", short)
+    monkeypatch.setattr("permlcs.hadamard._digit_stream", short)
     path = tmp_path / "h.permset"
     code, out, err = run(capsys, "construct", "hadamard", "--k", "4", "--s", "3",
                          "--out", str(path))
@@ -244,7 +249,7 @@ def test_sample_lis_csv(tmp_path, capsys):
 def test_sample_lis_csv_is_not_opened_when_sampling_fails(tmp_path, capsys, monkeypatch):
     def starved(jobs):
         raise MemoryError
-    monkeypatch.setattr("permlcs.bounds._lanes", starved)
+    monkeypatch.setattr("permlcs.subseq._lanes", starved)
     csv_path = tmp_path / "lis.csv"
     code, out, err = run(capsys, "sample", "--n", "50", "--k", "2", "--trials", "5",
                          "--lis-csv", str(csv_path))
@@ -422,7 +427,7 @@ def test_internal_invariant_exits_3(tmp_path, capsys, monkeypatch):
     def broken(s):
         raise RuntimeError("duplicate sort key for j=1; keys must be 1-1 on [n]")
 
-    monkeypatch.setattr("permlcs.cli.lcs_all_pairs", broken)
+    monkeypatch.setattr("permlcs.subseq.lcs_all_pairs", broken)
     code, out, err = run(capsys, "verify", str(path))
     assert code == 3
     assert out == ""
@@ -474,7 +479,7 @@ def test_out_of_memory_is_usage_error(capsys, monkeypatch):
     def starved(n, k):
         raise MemoryError("Unable to allocate 1.91 GiB for an array")
 
-    monkeypatch.setattr("permlcs.cli._general_stream", starved)
+    monkeypatch.setattr("permlcs.algebraic._general_stream", starved)
     code, out, err = run(capsys, "construct", "algebraic", "--n", "16000000", "--k", "16")
     assert code == 2
     assert out == ""
@@ -542,3 +547,54 @@ def test_timing_flag(tmp_path, capsys, monkeypatch, argv, timing):
     else:
         elapsed = json.loads(out)["results"]["elapsed_ms"]
     assert type(elapsed) is int and elapsed == (1000 if timing else 0)
+
+
+# Run in a fresh interpreter: with argv None, `import permlcs` alone; with
+# argv [], `import permlcs.cli`; otherwise `cli.main(argv)`, its stdout and
+# stderr dropped.  Prints the exit code, the permlcs submodules loaded and
+# whether numpy was.
+_LOADS_CHILD = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+import permlcs
+code = None
+if argv is not None:
+    import permlcs.cli
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = permlcs.cli.main(argv)
+loaded = sorted(m.removeprefix("permlcs.") for m in sys.modules if m.startswith("permlcs."))
+print(json.dumps({"code": code, "loaded": loaded, "numpy": "numpy" in sys.modules}))
+"""
+_PARSER = {"cli", "bounds", "arith"}  # every command's parser reads bounds.BOUND_CHOICES
+
+
+@pytest.mark.parametrize("argv, code, loaded", [
+    (None, None, set()),
+    ([], None, {"cli"}),
+    (["--help"], 0, _PARSER),
+    (["verify"], 2, _PARSER),  # a usage error: no path
+    (["construct", "algebraic", "--n", "100", "--k", "3", "--out", "{d}/c.permset"], 0,
+     _PARSER | {"algebraic", "perm", "fileio", "_native"}),
+    (["construct", "hadamard", "--k", "4", "--s", "3", "--out", "{d}/c.permset"], 0,
+     _PARSER | {"hadamard", "perm", "fileio", "_native"}),
+    (["verify", "{d}/a72.permset", "--bound", "theorem2"], 0,
+     _PARSER | {"fileio", "perm", "_native", "subseq"}),
+    (["verify", "{d}/h27.permset", "--bound", "theorem1"], 1,
+     _PARSER | {"fileio", "perm", "_native", "subseq", "hadamard"}),
+    (["distance", "{d}/a72.permset"], 0, _PARSER | {"fileio", "perm", "_native", "subseq", "codes"}),
+    (["sample", "--n", "20", "--k", "3", "--trials", "2"], 0, _PARSER | {"perm", "subseq", "_native"}),
+], ids=["import permlcs", "import permlcs.cli", "--help", "usage error", "construct algebraic",
+        "construct hadamard", "verify theorem2", "verify theorem1", "distance", "sample"])
+def test_each_command_loads_only_its_modules(tmp_path, argv, code, loaded):
+    """`import permlcs` loads no submodule, and each command only the
+    modules whose functions it calls; numpy comes with the first of those."""
+    d = write_sets(tmp_path)
+    if argv is not None:
+        argv = [a.format(d=d) for a in argv]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(permlcs.__file__))}
+    res = subprocess.run([sys.executable, "-c", _LOADS_CHILD, json.dumps(argv)], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    report = json.loads(res.stdout)
+    assert (report["code"], set(report["loaded"])) == (code, loaded)
+    assert report["numpy"] == bool(loaded - _PARSER)

@@ -1,3 +1,4 @@
+import collections
 import tracemalloc
 
 import numpy as np
@@ -201,18 +202,30 @@ def test_build_restricted():
     assert same.perms == full.perms and same.params == full.params
 
 
-def test_build_cuts_each_member_with_restrict(monkeypatch):
-    """The digit-set builder has no cut of its own: each member goes through
-    `perm.restrict` once."""
-    calls = []
+@pytest.mark.parametrize("k, s", [(8, 6), (8, 3), (4, 5), (12, 3)])
+def test_digit_cut_matches_flip_then_restrict(k, s):
+    """A member cut to [n] is built from the sub-grids it keeps; its bytes are
+    those of the whole flipped member cut with `perm.restrict`."""
+    full = build_hadamard_set(k, s).perms
+    n_prime = s ** (k - 1)
+    for n in (1, 2, n_prime // 2, n_prime - 1, n_prime):
+        cut = build_hadamard_set(k, s, n=n).perms
+        assert [p.array.tobytes() for p in cut] == [restrict(p, n).array.tobytes() for p in full], n
 
-    def counting(a, m):
-        calls.append(m)
-        return restrict(a, m)
 
-    monkeypatch.setattr(hadamard, "restrict", counting)
-    cut = build_hadamard_set(4, 3, n=10)
-    assert cut.k == 4 and calls == [10] * 4
+def test_digit_cut_holds_no_grid():
+    """Cutting k = 8, s = 8 (n' = 2**21) to n = 1000 holds a few words of n
+    values, not the grid: flipping each whole member, then cutting it,
+    peaked at 25.2 MB traced."""
+    n = 1000
+    tracemalloc.start()
+    try:
+        _, members = hadamard._digit_stream(8, 8, n)
+        collections.deque(members, maxlen=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 4 * n + 64 * 1024
 
 
 def test_build_holds_each_member_once():

@@ -510,7 +510,6 @@ def test_every_answer_goes_through_lanes(monkeypatch, routes, tmp_path, capsys):
         return lanes(jobs)
 
     monkeypatch.setattr(subseq, "_lanes", counting)
-    monkeypatch.setattr(bounds, "_lanes", counting)
     s = build_hadamard_set(4, 3)
     csv = tmp_path / "lis.csv"
     entries = {  # the jobs of each `_lanes` call
