@@ -14,9 +14,10 @@ primes q = 3 (mod 4) (quadratic-residue construction).
 The builder makes its members one row at a time: `_digit_stream` checks
 every parameter and returns the set's record with a stream of members, and
 `build_hadamard_set` gathers the stream into a `PermSet`.  `construct` hands
-the same stream to the PERMSET writer, so it holds the grid and one member,
-whatever k is.  A set cut to [n] < n' never makes the grid: each member is
-built from the sub-grids that hold only values below n, in O(n) words.
+the same stream to the PERMSET writer, so it holds one member, whatever k
+is.  No member makes the grid: one walk, `_cut`, builds each member on
+[n], n = n' included, from the sub-grids that hold only values below n, in
+O(n) words.
 """
 
 from __future__ import annotations
@@ -117,30 +118,29 @@ def digit_ground_set(k: int, s: int) -> int:
     return min(s ** (k - 1), MAX_N + 1)
 
 
-def _flipped(grid: np.ndarray, flipped: tuple[bool, ...]) -> np.ndarray:
-    """`grid` flipped along each axis that `flipped` marks, raveled."""
-    return np.flip(grid, axis=tuple(a for a, f in enumerate(flipped) if f)).ravel()
-
-
 def _cut(flipped: tuple[bool, ...], s: int, n: int) -> np.ndarray:
     """The values below n of the base-s digit grid flipped along `flipped`,
     in position order, made without the grid.
 
     From the most significant column down, the positions left form one
-    sub-grid whose leading value digits equal n's.  Along the column, the
-    slices whose value digit is below n's digit hold only values below n and
-    are kept whole, the one equal to it is walked next, and the rest are
-    skipped.  The kept slices precede the walked one, or follow it where
-    the column is flipped, so the output fills from both ends inward."""
+    sub-grid whose leading value digits equal those of m = n - 1.  Along
+    the column, the slices whose value digit is below m's digit hold only
+    values below n and are kept whole, the one equal to it is walked next,
+    and the rest are skipped.  The kept slices precede the walked one, or
+    follow it where the column is flipped, so the output fills from both
+    ends inward, and the one slot left takes m itself."""
     out = np.empty(n, dtype=np.int32)
-    lo, hi, lead = 0, n, 0
+    lo, hi, lead, m = 0, n, 0, n - 1
     for c in range(len(flipped)):
         rest = flipped[c + 1:]
         size = s ** len(rest)
-        digit = n // size % s
+        digit = m // size % s
         if not digit:
             continue
-        block = _flipped(np.arange(size, dtype=np.int32).reshape((s,) * len(rest)), rest)
+        # One axis per digit column below c; n' <= 2**24 keeps them at most
+        # 23, under numpy 1.x's 32-dim cap.
+        block = np.arange(size, dtype=np.int32).reshape((s,) * len(rest))
+        block = np.flip(block, axis=tuple(a for a, f in enumerate(rest) if f)).ravel()
         width = digit * size
         starts = np.arange(lead, lead + width, size, dtype=np.int32)
         if flipped[c]:
@@ -150,16 +150,8 @@ def _cut(flipped: tuple[bool, ...], s: int, n: int) -> np.ndarray:
             span, lo = out[lo:lo + width], lo + width
         np.add(starts[:, None], block, out=span.reshape(digit, size))
         lead += width
+    out[lo] = lead
     return out
-
-
-def _flips(rows, k: int, s: int, n_prime: int, n: int) -> Iterator[Permutation]:
-    # Axis c-1 is digit column c, the most significant first; n' <= 2**24
-    # keeps k-1 <= 24, under numpy 1.x's 32-dim cap.
-    grid = np.arange(n_prime, dtype=np.int32).reshape((s,) * (k - 1)) if n == n_prime else None
-    for row in rows:
-        flipped = tuple(row[c] == -1 for c in range(1, k))
-        yield _adopt(_flipped(grid, flipped) if grid is not None else _cut(flipped, s, n))
 
 
 def _digit_stream(k: int, s: int, n: int | None = None) -> tuple[dict, Iterator[Permutation]]:
@@ -171,7 +163,7 @@ def _digit_stream(k: int, s: int, n: int | None = None) -> tuple[dict, Iterator[
     h = hadamard_matrix(k)
     n = n_prime if n is None else _restriction_size(n, n_prime)
     record = {"k": k, "s": s, "n_prime": n_prime, "n": n, "lcs_bound": digit_lcs_bound(k, s)}
-    return record, _flips(h.rows, k, s, n_prime, n)
+    return record, (_adopt(_cut(tuple(v == -1 for v in row[1:]), s, n)) for row in h.rows)
 
 
 def build_hadamard_set(k: int, s: int, *, n: int | None = None) -> PermSet:

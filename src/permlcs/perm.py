@@ -65,11 +65,9 @@ def _checked(word: Iterable[int], *, first: int = 0) -> np.ndarray:
 def _adopt(word: np.ndarray) -> "Permutation":
     """The member with 0-based word `word`, a fresh rearrangement of
     0..n-1 that the library made itself (a builder's order, an operation's
-    result, an `rng.permutation` draw, a line `parse_line` accepted, the
-    ranks `lis`/`lds` measure and their `np.arange` word), sized by its
-    maker before it was allocated, so it is not checked again (`lis`/`lds`
-    size theirs by int32: `MAX_N` caps members only).  Not copied, unless it
-    must be cast to a C-contiguous int32 array."""
+    result, an `rng.permutation` draw, a line `parse_line` accepted), sized
+    by its maker before it was allocated, so it is not checked again.  Not
+    copied, unless it must be cast to a C-contiguous int32 array."""
     p = Permutation.__new__(Permutation)
     p._array = np.ascontiguousarray(word, dtype=np.int32)
     p._array.flags.writeable = False

@@ -3,7 +3,8 @@
 Brute-force and quadratic oracles for the LIS/LCS engine, and the scalar,
 one-element-at-a-time definitions that the array-backed permutation
 operations, the bulk PERMSET writer and the constructions' vectorised key
-and digit code must agree with.  Kept deliberately naive and independent of
+and digit code must agree with, and the whole-grid flip that the digit
+builder's walk must agree with.  Kept deliberately naive and independent of
 the shipped kernels: this module imports nothing from `permlcs` and reads
 library objects only through their attributes (`.n`, `.word`, `.rows`,
 the construction parameters' `s1`, `s2`, `s3`, `k`, `p`).
@@ -11,6 +12,8 @@ the construction parameters' `s1`, `s2`, `s3`, `k`, `p`).
 
 import itertools
 from typing import NamedTuple
+
+import numpy as np
 
 DP_SIZE_LIMIT = 2048
 
@@ -183,3 +186,12 @@ def value_of(dv: DigitVector) -> int:
     for d in dv.digits:
         x0 = x0 * dv.base + (d - 1)
     return x0 + 1
+
+
+def flipped_grid(row, s: int) -> np.ndarray:
+    """The 0-based word of Hadamard row `row`'s digit member on [s**(k-1)]:
+    the grid of [s**(k-1)] with one axis per digit column 1..k-1, the most
+    significant first, flipped along the row's -1 columns and raveled."""
+    k = len(row)
+    grid = np.arange(s ** (k - 1), dtype=np.int32).reshape((s,) * (k - 1))
+    return np.flip(grid, axis=tuple(c - 1 for c in range(1, k) if row[c] == -1)).ravel()

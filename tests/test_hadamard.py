@@ -7,6 +7,7 @@ import pytest
 import permlcs.hadamard as hadamard
 from permlcs import (
     HadamardMatrix,
+    Permutation,
     build_hadamard_set,
     hadamard_matrix,
     identity,
@@ -16,7 +17,14 @@ from permlcs import (
     sylvester,
 )
 
-from oracles import DigitVector, agreement_columns, digits_of, lcs_pair_dp, value_of
+from oracles import (
+    DigitVector,
+    agreement_columns,
+    digits_of,
+    flipped_grid,
+    lcs_pair_dp,
+    value_of,
+)
 
 SYLVESTER_4 = (
     (1, 1, 1, 1),
@@ -186,38 +194,45 @@ def test_digit_set_lcs_is_exactly_the_bound(k, s):
     assert m.min_pair == m.max_pair == s ** (k // 2 - 1)
 
 
+def _oracle_members(k, s, n):
+    """`restrict` to [n] of each row's whole-grid flip, the oracle member."""
+    return tuple(restrict(Permutation(flipped_grid(row, s)), n) for row in hadamard_matrix(k).rows)
+
+
 def test_build_restricted():
     full = build_hadamard_set(4, 3)
+    assert full.perms == _oracle_members(4, 3, 27)
     cut = build_hadamard_set(4, 3, n=10)
     assert cut.n == 10
-    assert cut.perms == tuple(restrict(p, 10) for p in full.perms)
+    assert cut.perms == _oracle_members(4, 3, 10)
     assert lcs_all_pairs(cut).max_pair <= lcs_all_pairs(full).max_pair
     # a Paley order, cut from n' = 2**11
-    paley_full = build_hadamard_set(12, 2)
     paley_cut = build_hadamard_set(12, 2, n=1000)
     assert paley_cut.n == 1000 and paley_cut.params["n_prime"] == 2048
-    assert paley_cut.perms == tuple(restrict(p, 1000) for p in paley_full.perms)
+    assert paley_cut.perms == _oracle_members(12, 2, 1000)
     # n = n' is the unrestricted build
     same = build_hadamard_set(4, 3, n=27)
     assert same.perms == full.perms and same.params == full.params
 
 
-@pytest.mark.parametrize("k, s", [(8, 6), (8, 3), (4, 5), (12, 3)])
+@pytest.mark.parametrize("k, s", [(8, 6), (8, 3), (4, 5), (12, 3), (4, 3), (12, 2), (16, 2), (2, 7)])
 def test_digit_cut_matches_flip_then_restrict(k, s):
-    """A member cut to [n] is built from the sub-grids it keeps; its bytes are
-    those of the whole flipped member cut with `perm.restrict`."""
-    full = build_hadamard_set(k, s).perms
+    """A member on [n] is walked from the sub-grids it keeps, at every n up
+    to n' = s**(k-1); its bytes are those of the oracle's whole-grid flip
+    cut with `perm.restrict`."""
     n_prime = s ** (k - 1)
-    for n in (1, 2, n_prime // 2, n_prime - 1, n_prime):
+    for n in (1, 2, 3, n_prime // 3 + 1, n_prime // 2, n_prime - 1, n_prime):
         cut = build_hadamard_set(k, s, n=n).perms
-        assert [p.array.tobytes() for p in cut] == [restrict(p, n).array.tobytes() for p in full], n
+        want = _oracle_members(k, s, n)
+        assert [p.array.tobytes() for p in cut] == [p.array.tobytes() for p in want], n
 
 
-def test_digit_cut_holds_no_grid():
-    """Cutting k = 8, s = 8 (n' = 2**21) to n = 1000 holds a few words of n
-    values, not the grid: flipping each whole member, then cutting it,
-    peaked at 25.2 MB traced."""
-    n = 1000
+@pytest.mark.parametrize("n, words", [(1000, 4), (8**7, 1.5)])
+def test_digit_cut_holds_no_grid(n, words):
+    """Streaming k = 8, s = 8 (n' = 2**21) holds a few words of n values,
+    not the grid.  Cut to n = 1000, flipping each whole member, then
+    cutting it, peaked at 25.2 MB traced; at n = n' the walk peaks at 1.25
+    words of 4n, where flipping the shared grid read 2.0."""
     tracemalloc.start()
     try:
         _, members = hadamard._digit_stream(8, 8, n)
@@ -225,13 +240,13 @@ def test_digit_cut_holds_no_grid():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 4 * n + 64 * 1024
+    assert peak <= words * 4 * n + 64 * 1024
 
 
 def test_build_holds_each_member_once():
-    """Peak traced memory is the k members and the grid they are flipped
-    from, which the all-+1 row's member shares (8.005 members at k=8, s=6);
-    copying every member again took 12.0 times."""
+    """Peak traced memory is the k members and the scratch of the walk
+    that builds the last one (8.34 members at k=8, s=6); copying every
+    member again took 12.0 times."""
     k = 8
     tracemalloc.start()
     try:
