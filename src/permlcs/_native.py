@@ -1,5 +1,5 @@
 """The package's C helpers, `_native.c`, compiled on first use and loaded
-with `ctypes`: `invert` (a member's position array) and `lis_lanes`, the one
+with `ctypes`: `invert` (for `perm.invert`) and `lis_lanes`, the one
 patience entry, for `subseq`: one call measures `LANES` = 4 (position
 array, word) pairs together, each word relabeled through its own position
 array, or read as it is where that is None; and `parse_line` /

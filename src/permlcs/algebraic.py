@@ -21,12 +21,13 @@ orders as the triple, built in place on each member's fresh `major` array.
 Each member is one argsort of it over the kept points [n], cast to int32
 once; triples are 1-1, so a tied kept key stops the build.
 
-The builders make their members one at a time: `_build` checks every
-parameter and returns the set's record with a stream of members, and
-`build_exact`/`build_general` gather the stream into a `PermSet`.  `construct`
-hands the same stream to the PERMSET writer, so its peak holds one member,
-its key and sort scratch, whatever k is: at n = 2^21 its `ru_maxrss` is
-76 MiB at k = 8 and 77 MiB at k = 32, where holding all k took 141 and 342.
+The builders make their members one at a time: `_params` and `params_from`
+check every parameter, `_build` returns the set's record with a stream of
+members, and `build_exact`/`build_general` gather the stream into a
+`PermSet`.  `construct` hands the same stream to the PERMSET writer, so its
+peak holds one member, its key and sort scratch, whatever k is: at
+n = 2^21 its `ru_maxrss` is 76 MiB at k = 8 and 77 MiB at k = 32, where
+holding all k took 141 and 342.
 """
 
 from __future__ import annotations
@@ -113,12 +114,6 @@ def _member(j: int, x, y, z, params: ConstructionParams, n: int) -> Permutation:
     return _adopt(word)
 
 
-def _members(params: ConstructionParams, n: int) -> Iterator[Permutation]:
-    x, y, z = _coordinate_arrays(params)
-    for j in range(1, params.k + 1):
-        yield _member(j, x, y, z, params, n)
-
-
 def _build(params: ConstructionParams, n: int) -> tuple[dict, Iterator[Permutation]]:
     """The record of the k generator permutations on [params.n], each
     restricted to [n], and a stream that builds them one at a time.
@@ -129,7 +124,8 @@ def _build(params: ConstructionParams, n: int) -> tuple[dict, Iterator[Permutati
     record = asdict(params) | {
         "n": n, "n_prime": params.n, "exact": n == params.n, "lcs_bound": 2 * params.p - 1,
     }
-    return record, _members(params, n)
+    x, y, z = _coordinate_arrays(params)
+    return record, (_member(j, x, y, z, params, n) for j in range(1, params.k + 1))
 
 
 def _general_stream(n: int, k: int) -> tuple[dict, Iterator[Permutation]]:

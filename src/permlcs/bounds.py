@@ -96,10 +96,9 @@ def sample_lis(n: int, trials: int, seed: int) -> LisSample:
     each t; trials run on `_workers(n, 1)` threads."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    from .subseq import _lanes, _map_threads
+    from .subseq import _map_threads
 
-    lengths = _map_threads(lambda t: _lanes([(None, random_perm(n, trial_rng(seed, t)).array)])[0],
-                           trials, _workers(n, 1))
+    lengths = _map_threads(lambda t: _trial(n, 1, seed, t, True)[0], trials, _workers(n, 1))
     return LisSample(n=n, trials=trials, seed=seed, lengths=tuple(lengths))
 
 
@@ -198,30 +197,35 @@ class ProbabilisticCheck:
         return min(self.max_lcs_per_trial)
 
 
+def _trial(n: int, k: int, seed: int, t: int, lis: bool) -> list[int]:
+    """Trial t: every pair of the k-set `random_perm_set` draws from
+    trial_rng(seed, t), column by column, then, if `lis`, its first member's
+    LIS, as one job stream for `_lanes`: four share each kernel call (one at
+    k = 3), and a column's position array lives only while a call needs it."""
+    from .subseq import _column, _lanes
+
+    perms = random_perm_set(n, k, trial_rng(seed, t)).perms
+    jobs = itertools.chain.from_iterable(_column(perms, j) for j in range(1, k))
+    return _lanes(itertools.chain(jobs, [(None, perms[0].array)] if lis else ()))
+
+
 def _sample(n: int, k: int, trials: int, seed: int,
             lis: bool) -> tuple[ProbabilisticCheck, LisSample | None]:
-    """The trial loop: trial t draws its k-set from trial_rng(seed, t) once
-    and measures its max-pair LCS and, if `lis`, the LIS of its first member,
-    which is the permutation `sample_lis` draws for trial t.  A trial hands
-    `_lanes` one stream of jobs, column by column and then the LIS, so four
-    share each kernel call (one call at k = 3), and a column's position
-    array lives only while a pending call refers to it.  Trials run on
-    `_workers(n, k)` threads, which hold that many sets at once; results are
-    kept by trial index.  Returns the check of the maxima and, if `lis`, the
-    sample of the lengths."""
+    """The trial loop: each worker reduces `_trial` to its max-pair LCS
+    and, if `lis`, its first member's LIS, which `sample_lis` measures for
+    trial t.  Trials run on `_workers(n, k)` threads, which hold that many
+    sets at once; results are kept by trial index.  Returns the check of the
+    maxima and, if `lis`, the sample of the lengths."""
     if k < 2:
         raise ValueError("need at least two permutations per sampled set")
     if trials < 1:
         raise ValueError("need at least one trial")
-    from .subseq import _column, _lanes, _map_threads
+    from .subseq import _map_threads
 
     pairs = k * (k - 1) // 2
 
     def trial(t: int) -> tuple[int, int | None]:
-        rng = trial_rng(seed, t)
-        perms = [random_perm(n, rng) for _ in range(k)]  # random_perm_set's draws
-        jobs = itertools.chain.from_iterable(_column(perms, j) for j in range(1, k))
-        lengths = _lanes(itertools.chain(jobs, [(None, perms[0].array)] if lis else ()))
+        lengths = _trial(n, k, seed, t, lis)
         return max(lengths[:pairs]), lengths[pairs] if lis else None
 
     maxima, lengths = zip(*_map_threads(trial, trials, _workers(n, k)))

@@ -25,6 +25,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from . import _native
+
 # Largest ground set of any member, below 2^31 so an int32 word holds every
 # entry; `_ground_set` refuses a larger n with a ValueError before allocating.
 MAX_N = 1 << 24
@@ -149,7 +151,11 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
 
 def invert(a: Permutation) -> Permutation:
     inv = np.empty(a.n, dtype=np.int32)
-    inv[a.array] = np.arange(a.n, dtype=np.int32)
+    lib = _native.library()
+    if lib is None:
+        inv[a.array] = np.arange(a.n, dtype=np.int32)
+    else:
+        lib.invert(a.array, a.n, inv)
     return _adopt(inv)
 
 

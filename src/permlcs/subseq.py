@@ -25,8 +25,8 @@ kernel allocates and grows itself (a failed allocation is a MemoryError);
 the comments there describe the padded pile tops, the neighbour-pile check,
 the miss count that gates it and the lockstep search.  The first LCS call
 builds and loads the library through `_native.library()`; importing the
-module does neither.  Where it cannot be built or loaded, `_column` takes
-member j's positions from `perm.invert` and `_lanes` runs `_lis_core`, the
+module does neither.  Where it cannot be built or loaded, `perm.invert`
+scatters member j's positions with numpy and `_lanes` runs `_lis_core`, the
 same algorithm in Python, over a view of each relabeled word, with equal
 answers and no output; there is no switch between the two.
 
@@ -235,17 +235,11 @@ def _lanes(jobs: Iterable[tuple[np.ndarray | None, np.ndarray]]) -> list[int]:
 
 
 def _column(perms: Sequence[Permutation], j: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The jobs of column j for `_lanes`: member j's position array, built
-    once when the first job is taken and the one n-sized word the column
-    makes, with each earlier member in turn; their LIS is the LCS of member j
-    with each earlier member.  Natively `invert` fills one fresh buffer;
-    without the library the positions come from `perm.invert`."""
-    lib = _native.library()
-    if lib is None:
-        pos = invert(perms[j]).array
-    else:
-        pos = np.empty(perms[j].n, dtype=np.int32)
-        lib.invert(perms[j].array, perms[j].n, pos)
+    """The jobs of column j for `_lanes`: member j's position array, the
+    word of `invert(perms[j])`, built once when the first job is taken and
+    the one n-sized word the column makes, with each earlier member in
+    turn; their LIS is the LCS of member j with each earlier member."""
+    pos = invert(perms[j]).array
     for i in range(j):
         yield pos, perms[i].array
 
@@ -254,10 +248,12 @@ def lcs_all_pairs(s: PermSet, *, threads: int = 1) -> LcsMatrix:
     """Fill the pairwise LCS table of a set; requires k >= 2.
 
     The columns (one per member, against every earlier member) run through
-    `_map_threads` on `threads` workers, serially by default: each worker
-    holds one n-sized word, member j's positions, and a second worker
-    gained nothing on the Hadamard k=8 s=6 sweep.  Columns are assembled in
-    order, so the matrix is identical for any `threads`.
+    `_map_threads` on `threads` workers, serially by default; each worker
+    holds one n-sized word, member j's positions.  A second worker gained
+    nothing on the Hadamard k=8 s=6 sweep but took 0.623 s against 0.922 s
+    on lattice 2^21 k=8 (2-vCPU Xeon), so the default waits on ROADMAP
+    items 6 and 7.  Columns are assembled in order, so the matrix is
+    identical for any `threads`.
     """
     k = s.k
     if k < 2:

@@ -188,10 +188,13 @@ def value_of(dv: DigitVector) -> int:
     return x0 + 1
 
 
-def flipped_grid(row, s: int) -> np.ndarray:
-    """The 0-based word of Hadamard row `row`'s digit member on [s**(k-1)]:
-    the grid of [s**(k-1)] with one axis per digit column 1..k-1, the most
-    significant first, flipped along the row's -1 columns and raveled."""
+def flipped_grid(row, s) -> np.ndarray:
+    """The 0-based word of Hadamard row `row`'s digit member: the grid with
+    one axis per digit column 1..k-1, the most significant first, flipped
+    along the row's -1 columns and raveled.  `s` is one base for every
+    column, on [s**(k-1)], or a tuple of the k-1 columns' bases, on the
+    ground set of their product."""
     k = len(row)
-    grid = np.arange(s ** (k - 1), dtype=np.int32).reshape((s,) * (k - 1))
+    shape = s if isinstance(s, tuple) else (s,) * (k - 1)
+    grid = np.arange(np.prod(shape, dtype=np.int64), dtype=np.int32).reshape(shape)
     return np.flip(grid, axis=tuple(c - 1 for c in range(1, k) if row[c] == -1)).ravel()

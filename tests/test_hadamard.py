@@ -1,4 +1,5 @@
 import collections
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import permlcs.hadamard as hadamard
 from permlcs import (
     HadamardMatrix,
     Permutation,
+    PermSet,
     build_hadamard_set,
     hadamard_matrix,
     identity,
@@ -192,6 +194,33 @@ def test_digit_set_lcs_is_exactly_the_bound(k, s):
     # orders, and (20, 2) sweeps 190 pairs at n = 2**19
     m = lcs_all_pairs(build_hadamard_set(k, s))
     assert m.min_pair == m.max_pair == s ** (k // 2 - 1)
+
+
+# Unrestricted digit sets whose columns have their own bases, by order:
+# (one base per digit column 1..k-1, the distinct pair LCS values)
+MIXED_BASES = {
+    8: ((7, 6, 4, 5, 5, 5, 5), 4),  # n = 105,000
+    12: ((2, 2, 3, 2, 3, 3, 2, 2, 3, 2, 2), 5),  # n = 10,368
+    16: ((2,) * 6 + (3,) * 3 + (1,) * 6, 7),  # n = 1,728
+    4: ((47, 40, 30), 3),  # n = 56,400
+}
+
+
+def test_mixed_base_pairs_have_the_product_of_their_agreeing_bases(routes):
+    """Each pair's LCS is the product of the bases of the columns where its
+    rows agree, so the pairs of one set have different answers and a sweep
+    that measured the wrong pair, or misplaced one in the table, fails."""
+    for kernel in routes:
+        for k, (bases, distinct) in MIXED_BASES.items():
+            if kernel == "python" and k == 8:
+                continue  # 0.66 s on the Python route; the others take 0.19 s together
+            h = hadamard_matrix(k)
+            m = lcs_all_pairs(PermSet(tuple(Permutation(flipped_grid(row, bases))
+                                            for row in h.rows)))
+            want = [(i, j, math.prod(bases[c - 1] for c in agreement_columns(h, i, j)))
+                    for i in range(k) for j in range(i + 1, k)]
+            assert m.off_diagonal() == want, (kernel, k)
+            assert len({v for _, _, v in want}) == distinct
 
 
 def _oracle_members(k, s, n):
