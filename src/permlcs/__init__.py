@@ -19,17 +19,16 @@ _OWNERS = {
     for module, names in (
         ("algebraic", ("ConstructionParams", "build_exact", "build_general", "params_from")),
         ("arith", ("ceil_cbrt", "ceil_root", "floor_root", "is_prime", "next_prime_above")),
-        ("bounds", ("LisSample", "ProbabilisticCheck",
-                    "check_probabilistic_bound", "lcs_threshold", "pigeonhole_pair",
-                    "random_perm", "random_perm_set", "sample_lis", "trial_rng")),
+        ("bounds", ("pigeonhole_pair",)),
         ("codes", ("CodeReport", "code_report", "d_del", "min_distance")),
         ("fileio", ("FormatError", "dumps_permset", "loads_permset", "read_permset",
                     "write_permset")),
         ("hadamard", ("HadamardMatrix", "build_hadamard_set", "hadamard_matrix",
                       "paley", "sylvester")),
-        ("perm", ("Permutation", "PermSet", "compose", "identity", "invert", "restrict",
-                  "reversal")),
-        ("subseq", ("LcsMatrix", "lcs_all_pairs", "lcs_pair", "lds", "lis")),
+        ("perm", ("Permutation", "PermSet", "compose", "identity", "invert", "random_perm",
+                  "random_perm_set", "restrict", "reversal", "trial_rng")),
+        ("subseq", ("LcsMatrix", "LisSample", "ProbabilisticCheck", "check_probabilistic_bound",
+                    "lcs_all_pairs", "lcs_pair", "lcs_threshold", "lds", "lis", "sample_lis")),
     )
     for name in names
 }

@@ -103,7 +103,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, bool]:
 
 @_json_command
 def _cmd_sample(args: argparse.Namespace) -> tuple[dict, dict, bool]:
-    from .bounds import _sample
+    from .subseq import _sample
 
     lis = args.lis_csv is not None
     check, lis_sample = _sample(args.n, args.k, args.trials, args.seed, lis=lis)
@@ -183,8 +183,8 @@ def _cell_n(kind: str, cell: dict[str, int]) -> int:
 
 
 def _bench_row(kind: str, cell: dict[str, int], seed: int, row_idx: int):
-    from .bounds import lcs_threshold, random_perm_set, trial_rng
-    from .subseq import lcs_all_pairs
+    from .perm import random_perm_set, trial_rng
+    from .subseq import lcs_all_pairs, lcs_threshold
 
     if kind == "algebraic":
         from .algebraic import build_exact

@@ -15,6 +15,11 @@ range and one O(n) pass that marks each value in a 1-byte array, and
 builders, `rng.permutation` draws and the operations below are rearrangements
 by construction, so `_adopt` checks nothing.  No operation boxes an entry as a
 Python int; `word`, `one_line` and iteration build them on access.
+
+Besides `identity` and `reversal`, `random_perm` and `random_perm_set` make
+uniform random members with a numpy generator; `trial_rng` derives its PCG64
+stream from a (seed, trial index) pair, so every trial's draw is
+reproducible.
 """
 
 from __future__ import annotations
@@ -140,6 +145,27 @@ def identity(n: int) -> Permutation:
 def reversal(n: int) -> Permutation:
     """The order-reversing permutation t -> n+1-t."""
     return _adopt(np.arange(_ground_set(n) - 1, -1, -1, dtype=np.int32))
+
+
+def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
+    """The PCG64 stream for one (seed, trial) pair."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, not {seed}")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial))))
+
+
+def random_perm(n: int, rng: np.random.Generator) -> Permutation:
+    """Uniform random permutation on [n] (in-place shuffle under the hood)."""
+    return _adopt(rng.permutation(_ground_set(n)))
+
+
+def random_perm_set(n: int, k: int, rng: np.random.Generator) -> PermSet:
+    """k `random_perm` draws on [n] from `rng`, in order."""
+    return PermSet(
+        tuple(random_perm(n, rng) for _ in range(k)),
+        provenance="random",
+        params={"n": operator.index(n), "k": operator.index(k)},
+    )
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:

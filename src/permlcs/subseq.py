@@ -1,4 +1,5 @@
-"""Exact LIS / LCS kernels.
+"""Exact LIS / LCS kernels, and the seeded sampler that measures random
+sets with them.
 
 `lcs_pair` computes every pairwise LCS in O(n log n): relabel one
 permutation by positions in the other, then run patience sorting.  The test
@@ -17,8 +18,15 @@ LDS a job relabeled through the reversal: `lis`/`lds` accept only words of
 distinct integers that fit `int64` (anything else is a ValueError) and
 measure the order that sorts the word, whose LIS and LDS are the word's,
 since it is the inverse of the word's ranks.  `_map_threads` is the
-library's one way to spread independent calls (a sweep's columns,
-`bounds`' trials) over threads; it keeps results by index.
+library's one way to spread independent calls (a sweep's columns, the
+sampler's trials) over threads; it keeps results by index.
+
+The sampler (`_sample`, `check_probabilistic_bound` and `sample_lis`)
+measures trial t on the set `random_perm_set` draws from
+`trial_rng(seed, t)`: `_trial` streams its pairs, and its first member's
+LIS, through `_lanes`.  Trials run on every CPU this process may use, up to
+the number whose words fit `_TRIALS_BUDGET`, and their results are kept by
+trial index, so every sample is the same for any number of CPUs.
 
 Patience sorting runs in C, `lis_lanes` in `_native.c`, with pile tops the
 kernel allocates and grows itself (a failed allocation is a MemoryError);
@@ -37,6 +45,8 @@ so pile-top binary search never sees equal values.
 from __future__ import annotations
 
 import itertools
+import math
+import os
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -45,7 +55,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from . import _native
-from .perm import Permutation, PermSet, invert
+from .perm import Permutation, PermSet, _ground_set, invert, random_perm_set, trial_rng
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT32_MAX = np.iinfo(np.int32).max
@@ -265,3 +275,119 @@ def lcs_all_pairs(s: PermSet, *, threads: int = 1) -> LcsMatrix:
             grid[i][j] = v
             grid[j][i] = v
     return LcsMatrix(s.n, tuple(tuple(row) for row in grid))
+
+
+# Bytes of trial words held at once, each trial of k members on [n] counted
+# as _TRIAL_WORDS + k words of 4n bytes: at n = 2**16 and 2**18, a trial's
+# traced peak is (k + 2.0 to 2.1) * 4n with the C kernel at k = 3, at its
+# last draw, and (k + 3.0 to 3.1) at k = 8, whose first call holds the
+# positions of columns 1 to 3; without one it is (k + 3.1 to 3.3) * 4n at
+# either k, in the relabel.  So n = 10**4 is never capped, and at n = MAX_N,
+# k = 3 one trial runs alone.
+_TRIALS_BUDGET = 1 << 28
+_TRIAL_WORDS = 4
+
+
+def _workers(n: int, k: int) -> int:
+    """How many trials of k members on [n] run at once: the CPUs this
+    process may use, capped by `_TRIALS_BUDGET`, and never below one.
+    Raises ValueError for an n that `_ground_set` refuses."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, _TRIALS_BUDGET // ((k + _TRIAL_WORDS) * 4 * _ground_set(n))))
+
+
+@dataclass(frozen=True)
+class LisSample:
+    """Observed LIS lengths over `trials` uniform random permutations."""
+
+    n: int
+    trials: int
+    seed: int
+    lengths: tuple[int, ...]
+
+    def to_csv(self) -> str:
+        lines = ["trial,length"]
+        lines += [f"{t},{v}" for t, v in enumerate(self.lengths)]
+        return "\n".join(lines) + "\n"
+
+
+def sample_lis(n: int, trials: int, seed: int) -> LisSample:
+    """LIS of the permutation trial t draws from trial_rng(seed, t), for
+    each t; trials run on `_workers(n, 1)` threads."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    lengths = _map_threads(lambda t: _trial(n, 1, seed, t, True)[0], trials, _workers(n, 1))
+    return LisSample(n=n, trials=trials, seed=seed, lengths=tuple(lengths))
+
+
+def lcs_threshold(n: int) -> float:
+    """The 2e*sqrt(n) level that random pairs essentially never reach."""
+    return 2.0 * math.e * math.sqrt(n)
+
+
+@dataclass(frozen=True)
+class ProbabilisticCheck:
+    """Max-pair LCS of sampled random k-sets versus the 2e*sqrt(n) level."""
+
+    n: int
+    k: int
+    trials: int
+    seed: int
+    threshold: float
+    max_lcs_per_trial: tuple[int, ...]
+
+    @property
+    def violations(self) -> int:
+        return sum(v >= self.threshold for v in self.max_lcs_per_trial)
+
+    @property
+    def all_below(self) -> bool:
+        return self.violations == 0
+
+    @property
+    def min_max_lcs(self) -> int:
+        """Empirical upper estimate of the guaranteed common-subsequence length."""
+        return min(self.max_lcs_per_trial)
+
+
+def _trial(n: int, k: int, seed: int, t: int, lis: bool) -> list[int]:
+    """Trial t: every pair of the k-set `random_perm_set` draws from
+    trial_rng(seed, t), column by column, then, if `lis`, its first member's
+    LIS, as one job stream for `_lanes`: four share each kernel call (one at
+    k = 3), and a column's position array lives only while a call needs it."""
+    perms = random_perm_set(n, k, trial_rng(seed, t)).perms
+    jobs = itertools.chain.from_iterable(_column(perms, j) for j in range(1, k))
+    return _lanes(itertools.chain(jobs, [(None, perms[0].array)] if lis else ()))
+
+
+def _sample(n: int, k: int, trials: int, seed: int,
+            lis: bool) -> tuple[ProbabilisticCheck, LisSample | None]:
+    """The trial loop: each worker reduces `_trial` to its max-pair LCS
+    and, if `lis`, its first member's LIS, which `sample_lis` measures for
+    trial t.  Trials run on `_workers(n, k)` threads, which hold that many
+    sets at once; results are kept by trial index.  Returns the check of the
+    maxima and, if `lis`, the sample of the lengths."""
+    if k < 2:
+        raise ValueError("need at least two permutations per sampled set")
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    pairs = k * (k - 1) // 2
+
+    def trial(t: int) -> tuple[int, int | None]:
+        lengths = _trial(n, k, seed, t, lis)
+        return max(lengths[:pairs]), lengths[pairs] if lis else None
+
+    maxima, lengths = zip(*_map_threads(trial, trials, _workers(n, k)))
+    check = ProbabilisticCheck(
+        n=n, k=k, trials=trials, seed=seed,
+        threshold=lcs_threshold(n), max_lcs_per_trial=maxima,
+    )
+    return check, LisSample(n=n, trials=trials, seed=seed, lengths=lengths) if lis else None
+
+
+def check_probabilistic_bound(n: int, k: int, trials: int, seed: int) -> ProbabilisticCheck:
+    """Max-pair LCS of `trials` seeded random k-sets on [n] against `lcs_threshold(n)`."""
+    return _sample(n, k, trials, seed, lis=False)[0]

@@ -3,11 +3,12 @@
 Brute-force and quadratic oracles for the LIS/LCS engine, and the scalar,
 one-element-at-a-time definitions that the array-backed permutation
 operations, the bulk PERMSET writer and the constructions' vectorised key
-and digit code must agree with, and the whole-grid flip that the digit
-builder's walk must agree with.  Kept deliberately naive and independent of
-the shipped kernels: this module imports nothing from `permlcs` and reads
-library objects only through their attributes (`.n`, `.word`, `.rows`,
-the construction parameters' `s1`, `s2`, `s3`, `k`, `p`).
+and digit code must agree with, the whole-grid flip that the digit
+builder's walk must agree with, and product sets, whose every pair has a
+known LCS.  Kept deliberately naive and independent of the shipped kernels:
+this module imports nothing from `permlcs` and reads library objects only
+through their attributes (`.n`, `.word`, `.rows`, the construction
+parameters' `s1`, `s2`, `s3`, `k`, `p`).
 """
 
 import itertools
@@ -198,3 +199,30 @@ def flipped_grid(row, s) -> np.ndarray:
     shape = s if isinstance(s, tuple) else (s,) * (k - 1)
     grid = np.arange(np.prod(shape, dtype=np.int64), dtype=np.int32).reshape(shape)
     return np.flip(grid, axis=tuple(c - 1 for c in range(1, k) if row[c] == -1)).ravel()
+
+
+def product_set(columns):
+    """(words, table) of a product set: `columns` holds (base b_c, k members
+    on [b_c]) per column, the most significant first, and member i orders
+    [prod b_c] lexicographically, comparing column c's digits by its member
+    on that column.  Each word is one scatter: value v sits at
+    sum_c rank_(i,c)(digit_c(v)) * stride_c.  `table[i][j]` is the product of
+    the columns' `lcs_pair_dp` answers, LCS(i, j) by the product lemma."""
+    bases = [base for base, _ in columns]
+    k = len(columns[0][1])
+    strides = [int(np.prod(bases[c + 1:], dtype=np.int64)) for c in range(len(bases))]
+    values = np.arange(int(np.prod(bases, dtype=np.int64)), dtype=np.int64)
+    digits = [values // stride % base for base, stride in zip(bases, strides)]
+    words = []
+    for i in range(k):
+        slot = np.zeros_like(values)
+        for (base, members), stride, digit in zip(columns, strides, digits):
+            rank = np.empty(base, dtype=np.int64)
+            rank[list(members[i].word)] = np.arange(base)
+            slot += rank[digit] * stride
+        word = np.empty(values.size, dtype=np.int32)
+        word[slot] = values
+        words.append(word)
+    table = [[int(np.prod([lcs_pair_dp(members[i], members[j]) for _, members in columns]))
+              for j in range(k)] for i in range(k)]
+    return words, table

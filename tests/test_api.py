@@ -36,16 +36,15 @@ def test_all_is_the_public_surface():
     assert permlcs.__all__ == [
         "ConstructionParams", "build_exact", "build_general", "params_from",
         "ceil_cbrt", "ceil_root", "floor_root", "is_prime", "next_prime_above",
-        "LisSample", "ProbabilisticCheck",
-        "check_probabilistic_bound", "lcs_threshold", "pigeonhole_pair",
-        "random_perm", "random_perm_set", "sample_lis", "trial_rng",
+        "pigeonhole_pair",
         "CodeReport", "code_report", "d_del", "min_distance",
         "FormatError", "dumps_permset", "loads_permset", "read_permset", "write_permset",
         "HadamardMatrix", "build_hadamard_set", "hadamard_matrix",
         "paley", "sylvester",
-        "Permutation", "PermSet", "compose", "identity", "invert", "restrict",
-        "reversal",
-        "LcsMatrix", "lcs_all_pairs", "lcs_pair", "lds", "lis",
+        "Permutation", "PermSet", "compose", "identity", "invert", "random_perm",
+        "random_perm_set", "restrict", "reversal", "trial_rng",
+        "LcsMatrix", "LisSample", "ProbabilisticCheck", "check_probabilistic_bound",
+        "lcs_all_pairs", "lcs_pair", "lcs_threshold", "lds", "lis", "sample_lis",
     ]
 
 

@@ -25,7 +25,7 @@ from permlcs import (
     sample_lis,
     trial_rng,
 )
-import permlcs.bounds as bounds
+import permlcs.subseq as subseq
 from permlcs.bounds import BOUND_CHECKS, check_bounds, largest_m_with_factorial_below
 from permlcs.cli import main
 from permlcs.perm import MAX_N
@@ -80,13 +80,13 @@ def test_sample_draws_each_trial_once_for_both_measures(monkeypatch):
     # `sample --lis-csv` takes each trial's LIS from the first member of the
     # set it already drew, which is the permutation sample_lis draws
     draws = []
-    real = bounds.trial_rng
-    monkeypatch.setattr(bounds, "trial_rng", lambda seed, t=0: draws.append(t) or real(seed, t))
-    check, sample = bounds._sample(300, 3, 7, 5, lis=True)
+    real = subseq.trial_rng
+    monkeypatch.setattr(subseq, "trial_rng", lambda seed, t=0: draws.append(t) or real(seed, t))
+    check, sample = subseq._sample(300, 3, 7, 5, lis=True)
     assert sorted(draws) == list(range(7))  # in any order when trials run on threads
     assert check == check_probabilistic_bound(300, 3, 7, 5)
     assert sample == sample_lis(300, 7, 5)
-    assert bounds._sample(300, 3, 7, 5, lis=False) == (check, None)
+    assert subseq._sample(300, 3, 7, 5, lis=False) == (check, None)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
@@ -96,8 +96,8 @@ def test_sample_equals_serial_trials_for_any_worker_count(monkeypatch, workers):
                          for t in range(trials))
     expected_lis = tuple(lis(random_perm_set(n, k, trial_rng(seed, t)).perms[0].word)
                          for t in range(trials))
-    monkeypatch.setattr(bounds, "_workers", lambda n, k: workers)
-    check, sample = bounds._sample(n, k, trials, seed, lis=True)
+    monkeypatch.setattr(subseq, "_workers", lambda n, k: workers)
+    check, sample = subseq._sample(n, k, trials, seed, lis=True)
     assert check.max_lcs_per_trial == expected_max
     assert sample.lengths == expected_lis
     assert sample_lis(n, trials, seed).lengths == expected_lis
@@ -110,7 +110,7 @@ def test_packed_trial_equals_the_sweep_and_the_lis_measured_apart(routes, k):
     for kernel in routes:
         for n in (1, 2, 63, 64, 65, 1000, 4097):
             for seed in (0, 5):
-                check, sample = bounds._sample(n, k, 2, seed, lis=True)
+                check, sample = subseq._sample(n, k, 2, seed, lis=True)
                 for t in range(2):
                     s = random_perm_set(n, k, trial_rng(seed, t))
                     assert check.max_lcs_per_trial[t] == lcs_all_pairs(s).max_pair, (n, seed, t)
@@ -136,11 +136,11 @@ def test_a_sampled_trial_fills_every_kernel_call(monkeypatch, capsys, tmp_path):
     capsys.readouterr()
     assert counts == [4] * 200
     counts.clear()
-    monkeypatch.setattr(bounds, "_workers", lambda n, k: 1)  # the trials' calls in order
-    bounds._sample(1000, 8, 3, 0, lis=True)
+    monkeypatch.setattr(subseq, "_workers", lambda n, k: 1)  # the trials' calls in order
+    subseq._sample(1000, 8, 3, 0, lis=True)
     assert counts == ([4] * 7 + [1]) * 3
     counts.clear()
-    bounds._sample(1000, 8, 3, 0, lis=False)
+    subseq._sample(1000, 8, 3, 0, lis=False)
     assert counts == [4] * 7 * 3
 
 
@@ -151,7 +151,7 @@ def test_a_failing_trial_stops_the_sample_and_leaves_no_thread(monkeypatch, work
 
     drawn = []
     boom = Boom("trial 3")
-    real = bounds.trial_rng
+    real = subseq.trial_rng
 
     def failing_rng(seed, t=0):
         drawn.append(t)
@@ -159,11 +159,11 @@ def test_a_failing_trial_stops_the_sample_and_leaves_no_thread(monkeypatch, work
             raise boom
         return real(seed, t)
 
-    monkeypatch.setattr(bounds, "_workers", lambda n, k: workers)
-    monkeypatch.setattr(bounds, "trial_rng", failing_rng)
+    monkeypatch.setattr(subseq, "_workers", lambda n, k: workers)
+    monkeypatch.setattr(subseq, "trial_rng", failing_rng)
     before = threading.active_count()
     with pytest.raises(Boom) as raised:
-        bounds._sample(2000, 3, 50, 0, lis=True)
+        subseq._sample(2000, 3, 50, 0, lis=True)
     assert raised.value is boom
     assert 3 in drawn and len(drawn) < 50
     assert threading.active_count() == before
@@ -173,19 +173,19 @@ def test_one_worker_starts_no_thread(monkeypatch):
     def no_thread(*args, **kwargs):
         raise AssertionError("a thread was started")
 
-    expected = bounds._sample(100, 3, 5, 2, lis=True)
-    monkeypatch.setattr(bounds, "_workers", lambda n, k: 1)
+    expected = subseq._sample(100, 3, 5, 2, lis=True)
+    monkeypatch.setattr(subseq, "_workers", lambda n, k: 1)
     monkeypatch.setattr(threading, "Thread", no_thread)
-    assert bounds._sample(100, 3, 5, 2, lis=True) == expected
+    assert subseq._sample(100, 3, 5, 2, lis=True) == expected
     assert sample_lis(100, 5, 2) == expected[1]
 
 
 def test_worker_count_is_the_cpus_unless_the_words_do_not_fit():
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert bounds._workers(10**4, 3) == cpus
-    assert bounds._workers(MAX_N, 3) == 1
+    assert subseq._workers(10**4, 3) == cpus
+    assert subseq._workers(MAX_N, 3) == 1
     with pytest.raises(ValueError, match="ground set must be non-empty"):
-        bounds._workers(0, 3)
+        subseq._workers(0, 3)
 
 
 def test_sample_on_two_workers_holds_at_most_two_trials(monkeypatch, routes):
@@ -196,18 +196,18 @@ def test_sample_on_two_workers_holds_at_most_two_trials(monkeypatch, routes):
     n, k = 2**16, 3
 
     def peak(workers):
-        monkeypatch.setattr(bounds, "_workers", lambda n, k: workers)
+        monkeypatch.setattr(subseq, "_workers", lambda n, k: workers)
         tracemalloc.start()
         try:
-            bounds._sample(n, k, 6, 9, lis=True)
+            subseq._sample(n, k, 6, 9, lis=True)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     for kernel in routes:
-        bounds._sample(n, k, 1, 9, lis=True)  # loads the native library untraced
+        subseq._sample(n, k, 1, 9, lis=True)  # loads the native library untraced
         serial = peak(1)
-        assert serial <= (k + (2 if kernel == "native" else bounds._TRIAL_WORDS)) * 4 * n + 2**17
+        assert serial <= (k + (2 if kernel == "native" else subseq._TRIAL_WORDS)) * 4 * n + 2**17
         assert peak(2) <= 2 * serial + 2**17
 
 

@@ -342,6 +342,17 @@ def test_bench_error_names_failing_cell(capsys):
     assert err == "error: hadamard:k=5:s=2: no supported Hadamard construction for order 5\n"
 
 
+def test_a_negative_seed_is_named(capsys):
+    # numpy's own refusal, "expected non-negative integer", named neither
+    with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, not -1$"):
+        permlcs.trial_rng(-1)
+    assert run(capsys, "sample", "--n", "20", "--k", "3", "--trials", "2", "--seed", "-1") == (
+        2, "", "error: seed must be a non-negative integer, not -1\n")
+    assert run(capsys, "bench", "--grid", "random:n=20:k=3", "--seed", "-1") == (
+        2, "construction,n,k,max_lcs,bound,elapsed_ms\n",
+        "error: random:n=20:k=3: seed must be a non-negative integer, not -1\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "{d}"),
     ("distance", "{d}"),

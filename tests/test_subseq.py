@@ -36,10 +36,9 @@ from permlcs import (
     trial_rng,
 )
 import permlcs._native as _native
-import permlcs.bounds as bounds
 import permlcs.subseq as subseq
 from permlcs.cli import main
-from oracles import lcs_by_enumeration, lcs_pair_dp, lis_quadratic, value_line
+from oracles import lcs_by_enumeration, lcs_pair_dp, lis_quadratic, product_set, value_line
 
 
 def rand_perm(rng, n):
@@ -520,7 +519,7 @@ def test_every_answer_goes_through_lanes(monkeypatch, routes, tmp_path, capsys):
         "sample_lis": (lambda: sample_lis(20, 3, 1), [1] * 3),
         # two trials of three members: three pairs each, and one LIS
         "check_probabilistic_bound": (lambda: check_probabilistic_bound(20, 3, 2, 1), [3] * 2),
-        "_sample(lis=True)": (lambda: bounds._sample(20, 3, 2, 1, lis=True), [4] * 2),
+        "_sample(lis=True)": (lambda: subseq._sample(20, 3, 2, 1, lis=True), [4] * 2),
         "sample --lis-csv": (lambda: main(["sample", "--n", "20", "--k", "3", "--trials", "2",
                                            "--lis-csv", str(csv)]), [4] * 2),
     }
@@ -763,6 +762,26 @@ def test_all_pairs_matches_dp_on_construction(routes):
             assert v == lcs_pair_dp(s.perms[i], s.perms[j])
             assert m[i, j] == m[j, i] == v
         assert m[0, 0] == 72
+
+
+def test_product_set_pairs_have_the_product_of_their_columns_lcs(routes):
+    """Every pair of a seeded random product set has the product of its
+    columns' LCS, so the pairs of one set mostly differ and a sweep that
+    measured the wrong pair, or misplaced one in the table, fails: 12 sets
+    of 2 to 6 members on 1 to 4 columns of bases 2 to 9 and k = 6 on bases
+    10**4 on both routes, and k = 8 on bases 20**4 (n = 160,000) natively."""
+    rng = trial_rng(36)
+
+    def columns(k, bases):
+        return [(base, [random_perm(base, rng) for _ in range(k)]) for base in bases]
+
+    small = [columns(int(rng.integers(2, 7)), rng.integers(2, 10, size=int(rng.integers(1, 5))))
+             for _ in range(12)]
+    sets = [product_set(c) for c in (*small, columns(6, (10,) * 4), columns(8, (20,) * 4))]
+    sets = [(PermSet(tuple(map(Permutation, words))), table) for words, table in sets]
+    for kernel in routes:
+        for s, table in sets if kernel == "native" else sets[:-1]:
+            assert lcs_all_pairs(s).entries == tuple(map(tuple, table)), (kernel, s.n, s.k)
 
 
 def test_all_pairs_threaded_matches_serial(routes):
