@@ -1,10 +1,11 @@
 /* The package's native helpers, built and loaded by `_native.py`: the
    patience LIS kernel, over up to four words at once, each relabeled
    through its own position array or read as it is (`lis_lanes`, the one
-   entry), the inversion that gives a member its position array, and the
-   PERMSET value-line codec.  Words are int32: every ground set is at most
-   2^24 and every word `lis` sorts is below 2^31 long, so each entry and
-   each index of its order fits. */
+   entry), the inversion that gives a member its position array, the
+   PERMSET value-line codec, and the sampler's draw of a trial's set.
+   Words are int32: every ground set is at most 2^24 and every word `lis`
+   sorts is below 2^31 long, so each entry and each index of its order
+   fits. */
 
 #include <stddef.h>
 #include <stdint.h>
@@ -338,4 +339,137 @@ int parse_line(const uint8_t *line, ptrdiff_t len, ptrdiff_t n, int32_t *word)
     for (ptrdiff_t i = 0; i < n; i++)
         word[i] &= ~mark;
     return 1;
+}
+
+/* The sampler's draw, step for step as numpy draws it, so a trial's set is
+   the same on either route: `SeedSequence(entropy)` mixes its 32-bit words
+   into a pool of four and spreads them into PCG64's 128-bit seed and
+   increment (O'Neill 2014), and each member is `Generator.permutation(n)`:
+   a Fisher-Yates shuffle of 0..n-1 from the last slot down, whose swap
+   index comes from `random_interval`, the low 32-bit half of one 64-bit
+   output, then its high half, each masked to the smallest 2^b - 1 at or
+   above the slot and redrawn while above it.  The unused high half carries
+   over to the next member, as in numpy's generator.  The constants are
+   numpy's, from bit_generator.pyx and pcg64.h. */
+#define POOL 4
+#define INIT_A 0x43b0d7e5u
+#define MULT_A 0x931e8875u
+#define INIT_B 0x8b51f9ddu
+#define MULT_B 0x58f38dedu
+#define MIX_MULT_L 0xca01f9ddu
+#define MIX_MULT_R 0x4973f715u
+
+__extension__ typedef unsigned __int128 u128;
+
+typedef struct {
+    u128 state, inc;
+    uint32_t spare;
+    int has_spare;
+} Pcg;
+
+static uint32_t hashmix(uint32_t value, uint32_t *hash)
+{
+    value ^= *hash;
+    *hash *= MULT_A;
+    value *= *hash;
+    return value ^ (value >> 16);
+}
+
+static uint32_t mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = MIX_MULT_L * x - MIX_MULT_R * y;
+    return r ^ (r >> 16);
+}
+
+static void step(Pcg *g)
+{
+    const u128 mult = (u128)2549297995355413924u << 64 | 4865540595714422341u;
+    g->state = g->state * mult + g->inc;
+}
+
+/* Seed g as `PCG64(SeedSequence(entropy[0..words)))` does. */
+static void seed(Pcg *g, const uint32_t *entropy, ptrdiff_t words)
+{
+    uint32_t pool[POOL], hash = INIT_A;
+    for (ptrdiff_t i = 0; i < POOL; i++)
+        pool[i] = hashmix(i < words ? entropy[i] : 0, &hash);
+    for (ptrdiff_t src = 0; src < POOL; src++)
+        for (ptrdiff_t dst = 0; dst < POOL; dst++)
+            if (src != dst)
+                pool[dst] = mix(pool[dst], hashmix(pool[src], &hash));
+    for (ptrdiff_t src = POOL; src < words; src++)
+        for (ptrdiff_t dst = 0; dst < POOL; dst++)
+            pool[dst] = mix(pool[dst], hashmix(entropy[src], &hash));
+    /* generate_state(4, uint64): eight words cycled from the pool, paired
+       little-endian into the seed's two halves, then the increment's */
+    uint64_t lanes[4];
+    hash = INIT_B;
+    for (int i = 0; i < 8; i++) {
+        uint32_t v = pool[i % POOL] ^ hash;
+        hash *= MULT_B;
+        v *= hash;
+        v ^= v >> 16;
+        if (i % 2 == 0)
+            lanes[i / 2] = v;
+        else
+            lanes[i / 2] |= (uint64_t)v << 32;
+    }
+    u128 init = (u128)lanes[0] << 64 | lanes[1], seq = (u128)lanes[2] << 64 | lanes[3];
+    g->state = 0;
+    g->inc = seq << 1 | 1u;
+    step(g);
+    g->state += init;
+    step(g);
+    g->has_spare = 0;
+}
+
+/* One 64-bit output: step, then XSL-RR.  The rotate shifts left by
+   (-rot) & 63, never by 64. */
+static uint64_t next64(Pcg *g)
+{
+    step(g);
+    uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63u));
+}
+
+static uint32_t next32(Pcg *g)
+{
+    if (g->has_spare) {
+        g->has_spare = 0;
+        return g->spare;
+    }
+    uint64_t v = next64(g);
+    g->spare = (uint32_t)(v >> 32);
+    g->has_spare = 1;
+    return (uint32_t)v;
+}
+
+/* Fill out[0..k*n) with k members on [n], row by row: the set that
+   `random_perm_set(n, k, Generator(PCG64(SeedSequence(entropy))))` draws,
+   entropy[0..words) being the seed's and then the trial's 32-bit words,
+   least significant first.  n is at most 2^24, so each slot fits 32 bits. */
+void draw_set(const uint32_t *entropy, ptrdiff_t words, ptrdiff_t n, ptrdiff_t k,
+              int32_t *out)
+{
+    Pcg g;
+    seed(&g, entropy, words);
+    for (ptrdiff_t m = 0; m < k; m++) {
+        int32_t *w = out + m * n;
+        for (ptrdiff_t i = 0; i < n; i++)
+            w[i] = (int32_t)i;
+        for (ptrdiff_t i = n - 1; i > 0; i--) {
+            uint32_t max = (uint32_t)i, mask = max, j;
+            mask |= mask >> 1;
+            mask |= mask >> 2;
+            mask |= mask >> 4;
+            mask |= mask >> 8;
+            mask |= mask >> 16;
+            while ((j = next32(&g) & mask) > max)
+                ;
+            int32_t v = w[j];
+            w[j] = w[i];
+            w[i] = v;
+        }
+    }
 }

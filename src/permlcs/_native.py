@@ -2,10 +2,12 @@
 with `ctypes`: `invert` (for `perm.invert`) and `lis_lanes`, the one
 patience entry, for `subseq`: one call measures `LANES` = 4 (position
 array, word) pairs together, each word relabeled through its own position
-array, or read as it is where that is None; and `parse_line` /
-`render_line` (the PERMSET value-line codec, for `fileio`).  Each takes the
-package's one word type, a contiguous `int32` array, and callers pass the
-arrays themselves: the argument table `library()` sets, `_signatures()`,
+array, or read as it is where that is None; `parse_line` /
+`render_line` (the PERMSET value-line codec, for `fileio`); and `draw_set`,
+a sampled trial's whole set as numpy's PCG64 draws it (for
+`perm._trial_set`).  Each takes the package's one word type, a contiguous
+`int32` array (`draw_set` also its seed's `uint32` words), and callers pass
+the arrays themselves: the argument table `library()` sets, `_signatures()`,
 declares each array argument with `np.ctypeslib.ndpointer`, so a call with
 the wrong dtype, a strided view or a read-only output (for `lis_lanes`'
 lengths, anything but a writeable `intp[LANES]`) raises
@@ -97,6 +99,7 @@ def _signatures() -> dict:
     out = np.ctypeslib.ndpointer(np.int32, flags=("C_CONTIGUOUS", "WRITEABLE"))
     lengths = np.ctypeslib.ndpointer(np.intp, shape=(LANES,), flags=("C_CONTIGUOUS", "WRITEABLE"))
     line = np.ctypeslib.ndpointer(np.uint8, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    entropy = np.ctypeslib.ndpointer(np.uint32, flags="C_CONTIGUOUS")
 
     class positions(word):
         """A lane's position array, or None (NULL): the lane reads its word as it is."""
@@ -111,4 +114,5 @@ def _signatures() -> dict:
                       (*(positions,) * LANES, *(word,) * LANES, size, size, lengths)),
         "render_line": (size, (word, size, line, size)),
         "parse_line": (ctypes.c_int, (ctypes.c_char_p, size, size, out)),
+        "draw_set": (None, (entropy, size, size, size, out)),
     }

@@ -183,7 +183,7 @@ def _cell_n(kind: str, cell: dict[str, int]) -> int:
 
 
 def _bench_row(kind: str, cell: dict[str, int], seed: int, row_idx: int):
-    from .perm import random_perm_set, trial_rng
+    from .perm import _trial_set
     from .subseq import lcs_all_pairs, lcs_threshold
 
     if kind == "algebraic":
@@ -195,7 +195,7 @@ def _bench_row(kind: str, cell: dict[str, int], seed: int, row_idx: int):
 
         made = build_hadamard_set(cell["k"], cell["s"])
     else:
-        made = random_perm_set(cell["n"], cell["k"], trial_rng(seed, row_idx))
+        made = _trial_set(cell["n"], cell["k"], seed, row_idx)
     bound = lcs_threshold(made.n) if kind == "random" else made.params["lcs_bound"]
     return made.n, made.k, lcs_all_pairs(made).max_pair, bound
 

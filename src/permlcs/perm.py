@@ -12,14 +12,18 @@ maker of a word asks it before allocating one.  A word is validated once,
 where it enters: `Permutation(word)` and `from_one_line` check its size, its
 range and one O(n) pass that marks each value in a 1-byte array, and
 `parse_line` checks a PERMSET value line in C under a capped header.  The
-builders, `rng.permutation` draws and the operations below are rearrangements
-by construction, so `_adopt` checks nothing.  No operation boxes an entry as a
-Python int; `word`, `one_line` and iteration build them on access.
+builders, `rng.permutation` draws, `draw_set`'s rows and the operations below
+are rearrangements by construction, so `_adopt` checks nothing.  No operation
+boxes an entry as a Python int; `word`, `one_line` and iteration build them
+on access.
 
 Besides `identity` and `reversal`, `random_perm` and `random_perm_set` make
 uniform random members with a numpy generator; `trial_rng` derives its PCG64
 stream from a (seed, trial index) pair, so every trial's draw is
-reproducible.
+reproducible.  `_trial_set`, the sampler's and `bench`'s one draw, makes
+that trial's set without `numpy.random`: C `draw_set` computes the same
+PCG64 stream and shuffles, checked against numpy in the tests, and writes
+the members into one (k, n) block; without the library it calls numpy.
 """
 
 from __future__ import annotations
@@ -147,11 +151,17 @@ def reversal(n: int) -> Permutation:
     return _adopt(np.arange(_ground_set(n) - 1, -1, -1, dtype=np.int32))
 
 
-def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
-    """The PCG64 stream for one (seed, trial) pair."""
+def _seed(seed: int) -> int:
+    """`seed`, once it is not negative: numpy's own refusal, "expected
+    non-negative integer", names neither the seed nor its value."""
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, not {seed}")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, trial))))
+    return seed
+
+
+def trial_rng(seed: int, trial: int = 0) -> np.random.Generator:
+    """The PCG64 stream for one (seed, trial) pair."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((_seed(seed), trial))))
 
 
 def random_perm(n: int, rng: np.random.Generator) -> Permutation:
@@ -166,6 +176,29 @@ def random_perm_set(n: int, k: int, rng: np.random.Generator) -> PermSet:
         provenance="random",
         params={"n": operator.index(n), "k": operator.index(k)},
     )
+
+
+def _trial_set(n: int, k: int, seed: int, trial: int) -> PermSet:
+    """The k-set on [n] that trial `trial` >= 0 of `seed` draws,
+    `random_perm_set(n, k, trial_rng(seed, trial))`: C `draw_set` runs
+    numpy's seeding and shuffles step for step and writes the members as
+    the rows of one (k, n) int32 block when `_native.library()` loads, and
+    numpy draws them otherwise.  Either way a bad seed, n or k raises what
+    that call raises."""
+    lib = _native.library()
+    if lib is None:
+        return random_perm_set(n, k, trial_rng(seed, trial))
+    # SeedSequence((seed, trial)) mixes the 32-bit words of each integer,
+    # least significant first, and one zero word for 0.
+    entropy = np.array([(v >> shift) & 0xFFFFFFFF
+                        for v in map(operator.index, (_seed(seed), trial))
+                        for shift in range(0, max(v.bit_length(), 1), 32)], dtype=np.uint32)
+    members = range(k)  # TypeError for a non-integer k, as in random_perm_set
+    block = np.empty((len(members), _ground_set(n) if members else 0), dtype=np.int32)
+    lib.draw_set(entropy, entropy.size, block.shape[1], len(members), block)
+    block.flags.writeable = False
+    return PermSet(tuple(map(_adopt, block)), provenance="random",
+                   params={"n": operator.index(n), "k": operator.index(k)})
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:

@@ -22,11 +22,13 @@ library's one way to spread independent calls (a sweep's columns, the
 sampler's trials) over threads; it keeps results by index.
 
 The sampler (`_sample`, `check_probabilistic_bound` and `sample_lis`)
-measures trial t on the set `random_perm_set` draws from
-`trial_rng(seed, t)`: `_trial` streams its pairs, and its first member's
-LIS, through `_lanes`.  Trials run on every CPU this process may use, up to
-the number whose words fit `_TRIALS_BUDGET`, and their results are kept by
-trial index, so every sample is the same for any number of CPUs.
+measures trial t on the set `perm._trial_set(n, k, seed, t)` draws, the one
+`random_perm_set` draws from `trial_rng(seed, t)`, made in one C call when
+the library loads, so a sample never imports `numpy.random`: `_trial`
+streams its pairs, and its first member's LIS, through `_lanes`.  Trials
+run on every CPU this process may use, up to the number whose words fit
+`_TRIALS_BUDGET`, and their results are kept by trial index, so every
+sample is the same for any number of CPUs.
 
 Patience sorting runs in C, `lis_lanes` in `_native.c`, with pile tops the
 kernel allocates and grows itself (a failed allocation is a MemoryError);
@@ -55,7 +57,7 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from . import _native
-from .perm import Permutation, PermSet, _ground_set, invert, random_perm_set, trial_rng
+from .perm import Permutation, PermSet, _ground_set, _trial_set, invert
 
 _INT64_MAX = np.iinfo(np.int64).max
 _INT32_MAX = np.iinfo(np.int32).max
@@ -72,7 +74,7 @@ def _map_threads(fn: Callable[[int], _T], count: int, workers: int) -> list[_T]:
     stops every worker before its next index and is raised here; no thread
     outlives the call.  With one worker it runs inline and starts no thread.
     The parallel part is the native code that releases the GIL: the C
-    kernel through ctypes and numpy's shuffle.
+    kernel and draw through ctypes, or numpy's shuffle without them.
     """
     workers = min(workers, count)
     if workers <= 1:
@@ -279,11 +281,12 @@ def lcs_all_pairs(s: PermSet, *, threads: int = 1) -> LcsMatrix:
 
 # Bytes of trial words held at once, each trial of k members on [n] counted
 # as _TRIAL_WORDS + k words of 4n bytes: at n = 2**16 and 2**18, a trial's
-# traced peak is (k + 2.0 to 2.1) * 4n with the C kernel at k = 3, at its
-# last draw, and (k + 3.0 to 3.1) at k = 8, whose first call holds the
-# positions of columns 1 to 3; without one it is (k + 3.1 to 3.3) * 4n at
-# either k, in the relabel.  So n = 10**4 is never capped, and at n = MAX_N,
-# k = 3 one trial runs alone.
+# traced peak is (k + 2.01 to 2.05) * 4n with the C library at k = 3, whose
+# one kernel call holds the positions of columns 1 and 2, and
+# (k + 3.01 to 3.06) at k = 8, whose first call holds those of columns 1 to
+# 3; its draw, one (k, n) block, peaks at k words.  Without the library it is
+# (k + 3.07 to 3.28) * 4n at either k, in the relabel.  So n = 10**4 is never
+# capped, and at n = MAX_N, k = 3 one trial runs alone.
 _TRIALS_BUDGET = 1 << 28
 _TRIAL_WORDS = 4
 
@@ -315,8 +318,8 @@ class LisSample:
 
 
 def sample_lis(n: int, trials: int, seed: int) -> LisSample:
-    """LIS of the permutation trial t draws from trial_rng(seed, t), for
-    each t; trials run on `_workers(n, 1)` threads."""
+    """LIS of the permutation trial t draws, `_trial_set(n, 1, seed, t)`,
+    for each t; trials run on `_workers(n, 1)` threads."""
     if trials < 1:
         raise ValueError("need at least one trial")
     lengths = _map_threads(lambda t: _trial(n, 1, seed, t, True)[0], trials, _workers(n, 1))
@@ -354,11 +357,11 @@ class ProbabilisticCheck:
 
 
 def _trial(n: int, k: int, seed: int, t: int, lis: bool) -> list[int]:
-    """Trial t: every pair of the k-set `random_perm_set` draws from
-    trial_rng(seed, t), column by column, then, if `lis`, its first member's
-    LIS, as one job stream for `_lanes`: four share each kernel call (one at
-    k = 3), and a column's position array lives only while a call needs it."""
-    perms = random_perm_set(n, k, trial_rng(seed, t)).perms
+    """Trial t: every pair of the k-set `_trial_set(n, k, seed, t)` draws,
+    column by column, then, if `lis`, its first member's LIS, as one job
+    stream for `_lanes`: four share each kernel call (one at k = 3), and a
+    column's position array lives only while a call needs it."""
+    perms = _trial_set(n, k, seed, t).perms
     jobs = itertools.chain.from_iterable(_column(perms, j) for j in range(1, k))
     return _lanes(itertools.chain(jobs, [(None, perms[0].array)] if lis else ()))
 

@@ -4,11 +4,12 @@ Brute-force and quadratic oracles for the LIS/LCS engine, and the scalar,
 one-element-at-a-time definitions that the array-backed permutation
 operations, the bulk PERMSET writer and the constructions' vectorised key
 and digit code must agree with, the whole-grid flip that the digit
-builder's walk must agree with, and product sets, whose every pair has a
-known LCS.  Kept deliberately naive and independent of the shipped kernels:
-this module imports nothing from `permlcs` and reads library objects only
-through their attributes (`.n`, `.word`, `.rows`, the construction
-parameters' `s1`, `s2`, `s3`, `k`, `p`).
+builder's walk must agree with, product sets, whose every pair has a
+known LCS, and the grid of trials on which the sampler's native draw must
+equal numpy's.  Kept deliberately naive and independent of the shipped
+kernels: this module imports nothing from `permlcs` and reads library
+objects only through their attributes (`.n`, `.word`, `.rows`, the
+construction parameters' `s1`, `s2`, `s3`, `k`, `p`).
 """
 
 import itertools
@@ -17,6 +18,14 @@ from typing import NamedTuple
 import numpy as np
 
 DP_SIZE_LIMIT = 2048
+
+# The (n, k, seed, trial) cases on which a trial's native draw must equal
+# numpy's: ground sets of one to three slots, one that is no power of two
+# and one just past 2^16; one, three and eight members, so a spare 32-bit
+# half is carried over; seeds of one to five 32-bit words.
+DRAW_GRID = tuple(itertools.product((1, 2, 3, 1000, 65537), (1, 3, 8),
+                                    (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1),
+                                    (0, 1, 199)))
 
 
 def lis_quadratic(seq):

@@ -80,8 +80,9 @@ def test_sample_draws_each_trial_once_for_both_measures(monkeypatch):
     # `sample --lis-csv` takes each trial's LIS from the first member of the
     # set it already drew, which is the permutation sample_lis draws
     draws = []
-    real = subseq.trial_rng
-    monkeypatch.setattr(subseq, "trial_rng", lambda seed, t=0: draws.append(t) or real(seed, t))
+    real = subseq._trial_set
+    monkeypatch.setattr(subseq, "_trial_set",
+                        lambda n, k, seed, t: draws.append(t) or real(n, k, seed, t))
     check, sample = subseq._sample(300, 3, 7, 5, lis=True)
     assert sorted(draws) == list(range(7))  # in any order when trials run on threads
     assert check == check_probabilistic_bound(300, 3, 7, 5)
@@ -151,16 +152,16 @@ def test_a_failing_trial_stops_the_sample_and_leaves_no_thread(monkeypatch, work
 
     drawn = []
     boom = Boom("trial 3")
-    real = subseq.trial_rng
+    real = subseq._trial_set
 
-    def failing_rng(seed, t=0):
+    def failing_draw(n, k, seed, t):
         drawn.append(t)
         if t == 3:
             raise boom
-        return real(seed, t)
+        return real(n, k, seed, t)
 
     monkeypatch.setattr(subseq, "_workers", lambda n, k: workers)
-    monkeypatch.setattr(subseq, "trial_rng", failing_rng)
+    monkeypatch.setattr(subseq, "_trial_set", failing_draw)
     before = threading.active_count()
     with pytest.raises(Boom) as raised:
         subseq._sample(2000, 3, 50, 0, lis=True)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -342,15 +343,17 @@ def test_bench_error_names_failing_cell(capsys):
     assert err == "error: hadamard:k=5:s=2: no supported Hadamard construction for order 5\n"
 
 
-def test_a_negative_seed_is_named(capsys):
-    # numpy's own refusal, "expected non-negative integer", named neither
+def test_a_negative_seed_is_named(capsys, routes):
+    # numpy's own refusal, "expected non-negative integer", named neither;
+    # the native draw refuses it with the same words
     with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, not -1$"):
         permlcs.trial_rng(-1)
-    assert run(capsys, "sample", "--n", "20", "--k", "3", "--trials", "2", "--seed", "-1") == (
-        2, "", "error: seed must be a non-negative integer, not -1\n")
-    assert run(capsys, "bench", "--grid", "random:n=20:k=3", "--seed", "-1") == (
-        2, "construction,n,k,max_lcs,bound,elapsed_ms\n",
-        "error: random:n=20:k=3: seed must be a non-negative integer, not -1\n")
+    for route in routes:
+        assert run(capsys, "sample", "--n", "20", "--k", "3", "--trials", "2", "--seed", "-1") == (
+            2, "", "error: seed must be a non-negative integer, not -1\n")
+        assert run(capsys, "bench", "--grid", "random:n=20:k=3", "--seed", "-1") == (
+            2, "construction,n,k,max_lcs,bound,elapsed_ms\n",
+            "error: random:n=20:k=3: seed must be a non-negative integer, not -1\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -562,8 +565,8 @@ def test_timing_flag(tmp_path, capsys, monkeypatch, argv, timing):
 
 # Run in a fresh interpreter: with argv None, `import permlcs` alone; with
 # argv [], `import permlcs.cli`; otherwise `cli.main(argv)`, its stdout and
-# stderr dropped.  Prints the exit code, the permlcs submodules loaded and
-# whether numpy was.
+# stderr dropped.  Prints the exit code, the permlcs submodules loaded,
+# whether numpy and numpy.random were, and whether the native library was.
 _LOADS_CHILD = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
@@ -575,9 +578,22 @@ if argv is not None:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = permlcs.cli.main(argv)
 loaded = sorted(m.removeprefix("permlcs.") for m in sys.modules if m.startswith("permlcs."))
-print(json.dumps({"code": code, "loaded": loaded, "numpy": "numpy" in sys.modules}))
+native = sys.modules.get("permlcs._native")
+native = native is not None and native.library() is not None
+print(json.dumps({"code": code, "loaded": loaded, "numpy": "numpy" in sys.modules,
+                  "numpy.random": "numpy.random" in sys.modules, "native": native}))
 """
 _PARSER = {"cli", "bounds", "arith"}  # every command's parser reads bounds.BOUND_CHOICES
+
+
+@functools.cache
+def _numpy_loads_random() -> bool:
+    """Whether `import numpy` alone loads numpy.random: numpy 1.x imports it
+    eagerly, numpy 2 on first use."""
+    code = "import sys, numpy; print('numpy.random' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True)
+    return res.stdout.strip() == "True"
 
 
 @pytest.mark.parametrize("argv, code, loaded", [
@@ -595,11 +611,15 @@ _PARSER = {"cli", "bounds", "arith"}  # every command's parser reads bounds.BOUN
      _PARSER | {"fileio", "perm", "_native", "subseq", "hadamard"}),
     (["distance", "{d}/a72.permset"], 0, _PARSER | {"fileio", "perm", "_native", "subseq", "codes"}),
     (["sample", "--n", "20", "--k", "3", "--trials", "2"], 0, _PARSER | {"perm", "subseq", "_native"}),
+    (["bench", "--grid", "random:n=20:k=3"], 0, _PARSER | {"perm", "subseq", "_native"}),
 ], ids=["import permlcs", "import permlcs.cli", "--help", "usage error", "construct algebraic",
-        "construct hadamard", "verify theorem2", "verify theorem1", "distance", "sample"])
+        "construct hadamard", "verify theorem2", "verify theorem1", "distance", "sample",
+        "bench random"])
 def test_each_command_loads_only_its_modules(tmp_path, argv, code, loaded):
     """`import permlcs` loads no submodule, and each command only the
-    modules whose functions it calls; numpy comes with the first of those."""
+    modules whose functions it calls; numpy comes with the first of those.
+    With the native library no command loads numpy.random, not even the
+    random draws of `sample` and `bench`, unless `import numpy` does."""
     d = write_sets(tmp_path)
     if argv is not None:
         argv = [a.format(d=d) for a in argv]
@@ -609,3 +629,5 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, code, loaded):
     report = json.loads(res.stdout)
     assert (report["code"], set(report["loaded"])) == (code, loaded)
     assert report["numpy"] == bool(loaded - _PARSER)
+    if report["native"] and not _numpy_loads_random():
+        assert not report["numpy.random"]

@@ -26,7 +26,7 @@ from permlcs import (
 import permlcs._native as _native
 import permlcs.perm as perm
 from permlcs.perm import MAX_N, _adopt
-from oracles import compose_word, invert_word, restrict_word
+from oracles import DRAW_GRID, compose_word, invert_word, restrict_word
 
 
 def rand_perm(rng, n):
@@ -198,6 +198,7 @@ WORD_MAKERS = {
         Permutation.from_one_line(np.repeat(np.arange(5, 0, -1, dtype=np.int16), 2)[::2])],
     "random_perm": lambda tmp: [random_perm(100, trial_rng(2))],
     "random_perm_set": lambda tmp: [*random_perm_set(50, 3, trial_rng(4))],
+    "_trial_set": lambda tmp: [*perm._trial_set(50, 3, 4, 0), *perm._trial_set(1, 2, 0, 7)],
     "_adopt": lambda tmp: [_adopt(np.arange(7, dtype=np.int32)[::-1])],  # a reversed view
     "build_hadamard_set": lambda tmp: [
         *build_hadamard_set(4, 3), *build_hadamard_set(4, 3, n=10),
@@ -263,7 +264,8 @@ def test_every_member_is_capped_at_max_n():
     # the makers size a word before allocating it: refused at a small traced
     # peak, not after a 67 MB arange, nor with a MemoryError at 2**40
     makers = {"identity": identity, "reversal": reversal,
-              "random_perm": lambda n: random_perm(n, trial_rng(0))}
+              "random_perm": lambda n: random_perm(n, trial_rng(0)),
+              "_trial_set": lambda n: perm._trial_set(n, 3, 0, 0)}
     for n in (over, 2**40):
         cap = f"^n = {n} exceeds the ground-set cap {MAX_N}$"
         for name, make in makers.items():
@@ -281,6 +283,7 @@ SIZED = {
     "identity": identity,
     "reversal": reversal,
     "random_perm": lambda n: random_perm(n, trial_rng(0)),
+    "_trial_set": lambda n: perm._trial_set(n, 2, 0, 0).perms[1],
     "restrict": lambda n: restrict(identity(5), n),
     "build_hadamard_set": lambda n: build_hadamard_set(4, 3, n=n).perms[1],
 }
@@ -355,3 +358,31 @@ def test_array_operations_match_scalar_oracles(routes):
             assert compose(a, b).word == compose_word(a, b)
             assert invert(a).word == invert_word(a)
             assert restrict(a, m).word == restrict_word(a, m)
+
+
+def test_native_draw_is_numpys_draw():
+    """C `draw_set` seeds PCG64 through SeedSequence and shuffles as numpy
+    does, so each trial's set is the one `random_perm_set` draws from
+    `trial_rng`, member for member, with the spare 32-bit half carried from
+    one member to the next.  `HELPER_MUTANTS` in test_subseq.py breaks each
+    of those steps and must fail this grid."""
+    if _native.library() is None:
+        pytest.skip("no native kernel on this machine")
+    for n, k, seed, t in DRAW_GRID:
+        drawn = perm._trial_set(n, k, seed, t)
+        want = random_perm_set(n, k, trial_rng(seed, t))
+        assert drawn == want and drawn.params == want.params, (n, k, seed, t)
+        assert len({p.array.base.ctypes.data for p in drawn}) == 1  # one (k, n) block
+
+
+def test_trial_set_refuses_what_random_perm_set_refuses(routes):
+    for route in routes:
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, not -1$"):
+            perm._trial_set(5, 2, -1, 0)
+        with pytest.raises(ValueError, match="^ground set must be non-empty$"):
+            perm._trial_set(0, 2, 0, 0)
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="^a PermSet needs at least one permutation$"):
+                perm._trial_set(5, k, 0, 0)
+        with pytest.raises(TypeError):
+            perm._trial_set(5, 2.0, 0, 0)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import zlib
 from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
@@ -31,6 +32,7 @@ from permlcs import (
     lis,
     loads_permset,
     random_perm,
+    random_perm_set,
     reversal,
     sample_lis,
     trial_rng,
@@ -38,7 +40,9 @@ from permlcs import (
 import permlcs._native as _native
 import permlcs.subseq as subseq
 from permlcs.cli import main
-from oracles import lcs_by_enumeration, lcs_pair_dp, lis_quadratic, product_set, value_line
+from oracles import (
+    DRAW_GRID, lcs_by_enumeration, lcs_pair_dp, lis_quadratic, product_set, value_line,
+)
 
 
 def rand_perm(rng, n):
@@ -418,9 +422,10 @@ def test_lane_kernel_mutants_fail_the_equivalence_oracle(tmp_path):
                      want, LANE_MUTANTS, EQUIVALENT_LANE_MUTANTS) == []
 
 
-# Mutants of `invert` and the PERMSET codec, `parse_line` and `render_line`,
-# each a (find, replace, reason) edit of `_native.c`; their oracles are
-# `lcs_pair_dp`, `oracles.value_line` and the exact read path.
+# Mutants of `invert`, the PERMSET codec, `parse_line` and `render_line`, and
+# the sampler's draw, `draw_set`, each a (find, replace, reason) edit of
+# `_native.c`; their oracles are `lcs_pair_dp`, `oracles.value_line`, the
+# exact read path and numpy's draw on `oracles.DRAW_GRID`.
 HELPER_MUTANTS = [
     ("pos[a[i]] = (int32_t)i;", "pos[i] = a[i];",
      "invert copies its word: right only for an involution, such as the reversal"),
@@ -434,14 +439,26 @@ HELPER_MUTANTS = [
      "render_line writes each power of ten one digit short"),
     ("        p[-1] = '\\n';", "        p[-1] = ' ';",
      "render_line ends a line with a space, not a newline"),
+    ("mask = max, j;", "mask = (uint32_t)n, j;",
+     "draw_set masks every swap index to n's bits, not slot i's: uniform, but not numpy's"),
+    ("        int32_t *w = out + m * n;\n",
+     "        int32_t *w = out + m * n;\n        g.has_spare = 0;\n",
+     "draw_set drops the spare 32-bit half between members"),
+    ("for (ptrdiff_t i = n - 1; i > 0; i--)", "for (ptrdiff_t i = n - 1; i > 1; i--)",
+     "draw_set's shuffle stops before it swaps slots 0 and 1"),
+    ("init = (u128)lanes[0] << 64 | lanes[1], seq = (u128)lanes[2] << 64 | lanes[3];",
+     "init = (u128)lanes[2] << 64 | lanes[3], seq = (u128)lanes[0] << 64 | lanes[1];",
+     "draw_set swaps PCG64's seed and increment words"),
 ]
 # A child that loads one build (argv[1]) in place of the package's own, reads
 # the cases from a JSON file (argv[2]) and prints, as JSON, the LCS of each
-# pair, the document of the members and what `parse_line` makes of each line.
+# pair, the document of the members, what `parse_line` makes of each line
+# and the CRC-32 of each drawn set's members.
 _HELPERS_CHILD = """
-import ctypes, json, sys
+import ctypes, json, sys, zlib
 import numpy as np
 import permlcs._native as native
+import permlcs.perm as perm
 from permlcs import PermSet, Permutation, dumps_permset, lcs_pair
 lib = ctypes.CDLL(sys.argv[1])
 for name, (restype, argtypes) in native._signatures().items():
@@ -455,10 +472,14 @@ def parse(line, n):
     word = np.empty(n, dtype=np.int32)
     return word.tolist() if lib.parse_line(line.encode(), len(line), n, word) else None
 
+def draw(n, k, seed, t):
+    return zlib.crc32(b"".join(p.array.tobytes() for p in perm._trial_set(n, k, seed, t)))
+
 print(json.dumps({
     "lcs": [lcs_pair(Permutation(a), Permutation(b)) for a, b in cases["pairs"]],
     "document": dumps_permset(PermSet(tuple(Permutation(w) for w in cases["members"]))),
     "lines": [parse(line, n) for line, n in cases["lines"]],
+    "draws": [draw(*case) for case in cases["draws"]],
 }))
 """
 
@@ -478,7 +499,8 @@ def test_invert_and_codec_mutants_fail_their_oracles(tmp_path, monkeypatch):
     (tmp_path / "cases").write_text(json.dumps({
         "pairs": [(a.word, b.word) for a, b in pairs],
         "members": [p.word for p in members],
-        "lines": lines}))
+        "lines": lines,
+        "draws": DRAW_GRID}))
 
     def exact(line, n):
         # the member the exact read path makes of a canonical line, else None
@@ -491,7 +513,10 @@ def test_invert_and_codec_mutants_fail_their_oracles(tmp_path, monkeypatch):
     monkeypatch.setattr(_native, "library", lambda: None)
     want = {"lcs": [lcs_pair_dp(a, b) for a, b in pairs],
             "document": "permset 1 2 1000\n" + "".join(value_line(p.one_line) for p in members),
-            "lines": [exact(line, n) for line, n in lines]}
+            "lines": [exact(line, n) for line, n in lines],
+            "draws": [zlib.crc32(b"".join(p.array.tobytes()
+                                          for p in random_perm_set(n, k, trial_rng(seed, t))))
+                      for n, k, seed, t in DRAW_GRID]}
     assert misjudged(tmp_path, _HELPERS_CHILD, [str(tmp_path / "cases")], want,
                      HELPER_MUTANTS) == []
 
