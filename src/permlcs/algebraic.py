@@ -19,15 +19,15 @@ largest middle, and 1 <= minor <= s1, the closed form
 (major*W + middle)*s1 + minor - 1 is an int32 key (< p*W*s1 < 24n' < 2^29) that
 orders as the triple, built in place on each member's fresh `major` array.
 Each member is one argsort of it over the kept points [n], cast to int32
-once; triples are 1-1, so a tied kept key stops the build.
+once; no two kept keys tie, by the arithmetic `_member` gives.
 
 The builders make their members one at a time: `_params` and `params_from`
 check every parameter, `_build` returns the set's record with a stream of
 members, and `build_exact`/`build_general` gather the stream into a
-`PermSet`.  `construct` hands the same stream to the PERMSET writer, so its
-peak holds one member, its key and sort scratch, whatever k is: at
+`PermSet`.  `construct --out` hands the same stream to the PERMSET writer,
+so its peak holds one member, its key and sort scratch, whatever k is: at
 n = 2^21 its `ru_maxrss` is 76 MiB at k = 8 and 77 MiB at k = 32, where
-holding all k took 141 and 342.
+holding all k took 141 and 342; without --out it builds none.
 """
 
 from __future__ import annotations
@@ -83,35 +83,24 @@ def params_from(n: int, k: int) -> ConstructionParams:
     return params
 
 
-def _coordinate_arrays(params: ConstructionParams):
-    x = np.arange(1, params.s1 + 1, dtype=np.int32)
-    y = np.arange(1, params.s2 + 1, dtype=np.int32)[:, None]
-    z = np.arange(1, params.s3 + 1, dtype=np.int32)[:, None, None]
-    return x, y, z
-
-
-def _key_arrays(j: int, x, y, z, params: ConstructionParams):
-    major = (j * j * x + 2 * j * y + 2 * z) % params.p
-    middle = j * x + y
-    return major, middle, x
-
-
-def _member(j: int, x, y, z, params: ConstructionParams, n: int) -> Permutation:
+def _member(j: int, params: ConstructionParams, n: int) -> Permutation:
     """Generator j's permutation of [params.n], restricted to [n]: one argsort
-    of its int32 key over the kept points.  The key is built in place on the
-    fresh `major` array, so the member's scratch is that array, the int64
-    order and the word cast from it once."""
-    key, middle, minor = _key_arrays(j, x, y, z, params)
-    key *= params.k * params.s1 + params.s2 + 1  # W, one above the largest middle
-    key += middle
-    key *= params.s1
-    key += minor - 1
-    key = key.ravel()[:n]
-    word = np.argsort(key).astype(np.int32)
-    ranked = key[word]
-    if not (ranked[1:] != ranked[:-1]).all():
-        raise RuntimeError(f"duplicate sort key for j={j}; keys must be 1-1 on [n]")
-    return _adopt(word)
+    of its int32 key over the kept points, the key built in place on the
+    fresh `major` array.  No two kept keys tie, so nothing checks: the key
+    orders as the triple (minor - 1 < s1, middle <= k*s1 + s2 < W), equal
+    triples share x, then y = middle - j*x, and then 2z = 2z' mod p with
+    2 <= 2z, 2z' <= 2*s3 < p, the prime above 4*s3, so z = z'."""
+    s1, s2, p = params.s1, params.s2, params.p
+    x = np.arange(1, s1 + 1, dtype=np.int32)
+    y = np.arange(1, s2 + 1, dtype=np.int32)[:, None]
+    z = np.arange(1, params.s3 + 1, dtype=np.int32)[:, None, None]
+    key = j * j * x + 2 * j * y + 2 * z
+    key %= p  # major
+    key *= params.k * s1 + s2 + 1  # W, one above the largest middle
+    key += j * x + y  # middle
+    key *= s1
+    key += x - 1  # minor - 1
+    return _adopt(np.argsort(key.ravel()[:n]).astype(np.int32))
 
 
 def _build(params: ConstructionParams, n: int) -> tuple[dict, Iterator[Permutation]]:
@@ -124,8 +113,7 @@ def _build(params: ConstructionParams, n: int) -> tuple[dict, Iterator[Permutati
     record = asdict(params) | {
         "n": n, "n_prime": params.n, "exact": n == params.n, "lcs_bound": 2 * params.p - 1,
     }
-    x, y, z = _coordinate_arrays(params)
-    return record, (_member(j, x, y, z, params, n) for j in range(1, params.k + 1))
+    return record, (_member(j, params, n) for j in range(1, params.k + 1))
 
 
 def _general_stream(n: int, k: int) -> tuple[dict, Iterator[Permutation]]:

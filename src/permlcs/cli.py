@@ -4,12 +4,12 @@ Subcommands: construct, verify, sample, distance, bench.  Each returns
 whether it passed, and `main` alone maps that and the errors to the exit
 code: 0 pass, 1 a bound is violated, 2 usage (including a ground set above
 `perm.MAX_N`), file-format or OS error, or running out of memory, 3 a
-broken internal invariant (a builder's `RuntimeError`).  Every JSON report
-on stdout comes from `_json_command` with the keys command/params/results/
-pass; bench emits CSV.  The bound arithmetic lives with the constructions
-(`params["lcs_bound"]`), and `verify`'s whole verdict, which bounds are
-reported and which decide the pass, in `bounds.check_bounds`; this module
-only selects, runs and reports.
+broken internal invariant (a builder's or the writer's `RuntimeError`).
+Every JSON report on stdout comes from `_json_command` with the keys
+command/params/results/pass; bench emits CSV.  The bound arithmetic lives
+with the constructions (`params["lcs_bound"]`), and `verify`'s whole
+verdict, which bounds are reported and which decide the pass, in
+`bounds.check_bounds`; this module only selects, runs and reports.
 
 At module level this imports only the standard library: each command
 imports the library functions it calls, so it loads only their modules.
@@ -21,7 +21,6 @@ written as 0 unless --timing is given.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import itertools
 import json
@@ -49,8 +48,8 @@ def _json_command(body: Callable[..., tuple[dict, dict, bool]]) -> Callable[...,
 
 @_json_command
 def _cmd_construct(args: argparse.Namespace) -> tuple[dict, dict, bool]:
-    # Every usage error is raised before --out is opened; the members are
-    # then built one at a time, each written as it is made, or dropped.
+    # Every usage error is raised before --out is opened; only --out builds
+    # the members, one at a time, each written as it is made.
     if args.kind == "algebraic":
         from .algebraic import _general_stream
         from .bounds import theorem2_threshold
@@ -73,9 +72,7 @@ def _cmd_construct(args: argparse.Namespace) -> tuple[dict, dict, bool]:
         params = {"kind": args.kind, "k": args.k, "s": args.s}
         if args.n is not None:
             params["n"] = args.n
-    if args.out is None:
-        collections.deque(members, maxlen=0)  # built for the build's own checks
-    else:
+    if args.out is not None:
         from .fileio import _write_members
 
         _write_members(record["k"], record["n"], members, args.out)
@@ -183,9 +180,13 @@ def _cell_n(kind: str, cell: dict[str, int]) -> int:
 
 
 def _bench_row(kind: str, cell: dict[str, int], seed: int, row_idx: int):
-    from .perm import _trial_set
-    from .subseq import lcs_all_pairs, lcs_threshold
+    from .subseq import _trial, lcs_all_pairs, lcs_threshold
 
+    if kind == "random":
+        pairs = _trial(cell["n"], cell["k"], seed, row_idx, False)  # a bad cell raises here
+        if not pairs:
+            raise ValueError("pairwise LCS needs at least two permutations")
+        return cell["n"], cell["k"], max(pairs), lcs_threshold(cell["n"])
     if kind == "algebraic":
         from .algebraic import build_exact
 
@@ -194,10 +195,7 @@ def _bench_row(kind: str, cell: dict[str, int], seed: int, row_idx: int):
         from .hadamard import build_hadamard_set
 
         made = build_hadamard_set(cell["k"], cell["s"])
-    else:
-        made = _trial_set(cell["n"], cell["k"], seed, row_idx)
-    bound = lcs_threshold(made.n) if kind == "random" else made.params["lcs_bound"]
-    return made.n, made.k, lcs_all_pairs(made).max_pair, bound
+    return made.n, made.k, lcs_all_pairs(made).max_pair, made.params["lcs_bound"]
 
 
 def _cmd_bench(args: argparse.Namespace) -> bool:

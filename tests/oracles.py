@@ -2,14 +2,14 @@
 
 Brute-force and quadratic oracles for the LIS/LCS engine, and the scalar,
 one-element-at-a-time definitions that the array-backed permutation
-operations, the bulk PERMSET writer and the constructions' vectorised key
-and digit code must agree with, the whole-grid flip that the digit
-builder's walk must agree with, product sets, whose every pair has a
-known LCS, and the grid of trials on which the sampler's native draw must
-equal numpy's.  Kept deliberately naive and independent of the shipped
-kernels: this module imports nothing from `permlcs` and reads library
-objects only through their attributes (`.n`, `.word`, `.rows`, the
-construction parameters' `s1`, `s2`, `s3`, `k`, `p`).
+operations, the bulk PERMSET writer and the digit code must agree with,
+the lattice's key triples, by which its members must sort, the whole-grid
+flip that the digit builder's walk must agree with, product sets, whose
+every pair has a known LCS, and the grid of trials on which the sampler's
+native draw must equal numpy's.  Kept deliberately naive and independent
+of the shipped kernels: this module imports nothing from `permlcs` and
+reads library objects only through their attributes (`.n`, `.word`,
+`.rows`, the construction parameters' `s1`, `s2`, `s3`, `k`, `p`).
 """
 
 import itertools
@@ -99,7 +99,7 @@ def value_line(one_line) -> str:
     return " ".join(map(str, one_line)) + "\n"
 
 
-# -- scalar twins of the lattice construction's key arrays --
+# -- the lattice construction's key triple, scalar and over the ground set --
 
 
 class LatticePoint(NamedTuple):
@@ -151,6 +151,17 @@ def sort_key(j: int, pt: LatticePoint, params) -> SortKey:
 def value_sort_key(j: int, a: int, params) -> SortKey:
     """Key triple of an element of [n] under generator j."""
     return sort_key(j, to_lattice(a, params), params)
+
+
+def key_triples(j: int, params):
+    """(major, middle, minor) of every element of [n] under generator j, as
+    int64 arrays indexed by the element's 0-based value: `value_sort_key`
+    over the whole ground set, each value decoded as `to_lattice` does."""
+    a0 = np.arange(params.n, dtype=np.int64)
+    x = a0 % params.s1 + 1
+    y = a0 // params.s1 % params.s2 + 1
+    z = a0 // (params.s1 * params.s2) + 1
+    return (j * j * x + 2 * j * y + 2 * z) % params.p, j * x + y, x
 
 
 # -- scalar twins of the Hadamard construction's digit arithmetic --

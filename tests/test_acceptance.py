@@ -29,10 +29,10 @@ from permlcs import (
     restrict,
     trial_rng,
 )
-from permlcs.algebraic import _coordinate_arrays, _key_arrays, params_from
+from permlcs.algebraic import params_from
 from permlcs.cli import main
 
-from oracles import lcs_pair_dp, value_sort_key
+from oracles import key_triples, lcs_pair_dp, value_sort_key
 
 SEED = 20240601
 
@@ -189,9 +189,8 @@ def test_criterion_08_key_injectivity():
         if n > 10**4:
             continue
         params = params_from(n, k)
-        x, y, z = (a.ravel() for a in np.broadcast_arrays(*_coordinate_arrays(params)))
         for j in range(1, k + 1):
-            major, middle, minor = _key_arrays(j, x, y, z, params)
+            major, middle, minor = key_triples(j, params)
             stacked = np.stack([major, middle, minor], axis=1)
             distinct = len(np.unique(stacked, axis=0))
             checked += 1

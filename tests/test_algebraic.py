@@ -10,19 +10,21 @@ from permlcs import (
     build_general,
     build_hadamard_set,
     ceil_cbrt,
+    is_prime,
     lcs_all_pairs,
     params_from,
     random_perm_set,
     restrict,
     trial_rng,
 )
-from permlcs.algebraic import _coordinate_arrays, _key_arrays
+from permlcs.algebraic import _params
 from permlcs.perm import MAX_N
 
 from oracles import (
     LatticePoint,
     SortKey,
     from_lattice,
+    key_triples,
     lcs_pair_dp,
     sort_key,
     to_lattice,
@@ -99,10 +101,9 @@ def test_keys_injective_per_generator():
 
 def test_vectorized_keys_match_scalar():
     params = params_from(243, 3)
-    x, y, z = (a.ravel() for a in np.broadcast_arrays(*_coordinate_arrays(params)))
     rng = random.Random(17)
     for j in range(1, params.k + 1):
-        major, middle, minor = _key_arrays(j, x, y, z, params)
+        major, middle, minor = key_triples(j, params)
         for a in rng.sample(range(1, params.n + 1), 40):
             key = value_sort_key(j, a, params)
             assert (minor[a - 1], middle[a - 1], major[a - 1]) == key
@@ -124,9 +125,8 @@ def test_build_general_matches_lexsort_of_key_triples():
              for n in (k * k, k * k + 1, 8 * k * k - 1, 8 * k * k, rng.randint(k * k, 30 * k * k))]
     for n, k in cases + [(100_000, 8), (12_345, 5)]:
         params = params_from(k * k * ceil_cbrt(-(-n // (k * k))) ** 3, k)
-        x, y, z = (a.ravel() for a in np.broadcast_arrays(*_coordinate_arrays(params)))
         for j, p in enumerate(build_general(n, k).perms, start=1):
-            major, middle, minor = _key_arrays(j, x, y, z, params)
+            major, middle, minor = key_triples(j, params)
             order = np.lexsort((minor, middle, major))
             assert np.array_equal(p.array, order[order < n]), (n, k, j)
 
@@ -146,18 +146,37 @@ def test_lattice_build_scratch_stays_small():
         assert scratch <= 4 * 8 * s.params["n_prime"], (n, k, scratch)
 
 
+def assert_prime_window(params):
+    # `_member`'s proof that no two keys tie needs p prime and above 2*s3,
+    # so 2z is 1-1 mod p for z in [s3]; its int32 bound needs p below 8*s3.
+    assert is_prime(params.p) and 2 * params.s3 < params.p < 8 * params.s3, params
+
+
 def test_lattice_key_fits_int32_up_to_the_cap():
     # largest key: major = p-1, middle = k*s1 + s2 and minor = s1, so below
-    # p*W*s1 with W = k*s1 + s2 + 1; largest sum that _key_arrays reduces
+    # p*W*s1 with W = k*s1 + s2 + 1; largest sum that `_member` reduces
     # mod p: j = k, x = s1, y = s2, z = s3
     for k in range(3, 4097):
         s1 = ceil_cbrt(MAX_N // (k * k))
         if k * k * s1**3 > MAX_N:
             s1 -= 1
         params = params_from(k * k * s1**3, k)
+        assert_prime_window(params)
         width = k * s1 + params.s2 + 1
         assert params.p * width * s1 - 1 < 2**31
         assert k * k * s1 + 2 * k * params.s2 + 2 * params.s3 < 2**31
+
+
+def test_lattice_keys_cannot_tie_at_general_n():
+    # the proof's premises at general n, and W = k*s1 + s2 + 1 one above the
+    # largest middle of every generator's key triples
+    rng = random.Random(38)
+    for k in range(3, 13):
+        for n in (k * k, k * k + 1, rng.randint(k * k, 400 * k * k)):
+            params = _params(n, k)
+            assert_prime_window(params)
+            width = k * params.s1 + params.s2 + 1
+            assert max(key_triples(j, params)[1].max() for j in range(1, k + 1)) == width - 1
 
 
 def test_build_exact_9_3_frozen():

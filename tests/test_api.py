@@ -14,6 +14,7 @@ import permlcs
 NOT_SHIPPED = {
     "lcs_pair_dp", "DP_SIZE_LIMIT", "prefix_lcs_table", "PREFIX_TABLE_SIZE_LIMIT",
     "LatticePoint", "SortKey", "from_lattice", "to_lattice", "sort_key", "value_sort_key",
+    "key_triples", "_coordinate_arrays", "_key_arrays",
     "DigitVector", "digits_of", "value_of", "agreement_columns",
     "dumps_matrix", "loads_matrix", "DEFAULT_SIZE_CAP", "MAX_NK",
     "dumps_permline", "loads_permline", "read_permline", "write_permline",

@@ -189,6 +189,15 @@ def test_worker_count_is_the_cpus_unless_the_words_do_not_fit():
         subseq._workers(0, 3)
 
 
+@pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+def test_worker_count_without_an_affinity_call_is_the_cpu_count(monkeypatch, cpus, workers):
+    # A platform without sched_getaffinity counts every CPU, and one that
+    # cannot tell (cpu_count() is None) runs one worker.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert subseq._workers(10**4, 3) == workers
+
+
 def test_sample_on_two_workers_holds_at_most_two_trials(monkeypatch, routes):
     """One worker holds one trial's words, at most the
     (k + `_TRIAL_WORDS`) * 4n bytes that `_TRIALS_BUDGET` is counted in on

@@ -17,6 +17,7 @@ from permlcs import (
     write_permset,
 )
 import permlcs.algebraic as algebraic
+import permlcs.fileio as fileio
 import permlcs.hadamard as hadamard
 from permlcs.cli import main
 
@@ -341,6 +342,9 @@ def test_bench_error_names_failing_cell(capsys):
     assert code == 2
     assert out.splitlines()[0] == "construction,n,k,max_lcs,bound,elapsed_ms"
     assert err == "error: hadamard:k=5:s=2: no supported Hadamard construction for order 5\n"
+    code, out, err = run(capsys, "bench", "--grid", "random:n=100:k=3,1")
+    assert (code, out) == (2, "construction,n,k,max_lcs,bound,elapsed_ms\n")
+    assert err == "error: random:n=100:k=1: pairwise LCS needs at least two permutations\n"
 
 
 def test_a_negative_seed_is_named(capsys, routes):
@@ -439,54 +443,61 @@ def test_internal_invariant_exits_3(tmp_path, capsys, monkeypatch):
     path.write_text(dumps_permset(PermSet((identity(4), identity(4)))))
 
     def broken(s):
-        raise RuntimeError("duplicate sort key for j=1; keys must be 1-1 on [n]")
+        raise RuntimeError("the sweep broke an invariant")
 
     monkeypatch.setattr("permlcs.subseq.lcs_all_pairs", broken)
     code, out, err = run(capsys, "verify", str(path))
     assert code == 3
     assert out == ""
-    assert err == "internal error: duplicate sort key for j=1; keys must be 1-1 on [n]\n"
+    assert err == "internal error: the sweep broke an invariant\n"
 
 
-def test_tied_lattice_keys_stop_the_build(tmp_path, capsys, monkeypatch):
-    key_arrays = algebraic._key_arrays
+def test_refused_render_at_a_later_member_stops_the_write(tmp_path, capsys, monkeypatch):
+    # Members are written as they are built, so when the render of member 2
+    # is refused the header and member 1 are already in the temporary file,
+    # which goes.  The stand-in library renders member 1 in Python, so this
+    # runs on both routes.
+    during, renders = [], itertools.count()
 
-    def tied(*args):
-        major, middle, minor = key_arrays(*args)
-        return major * 0, middle, minor
-
-    monkeypatch.setattr(algebraic, "_key_arrays", tied)
-    with pytest.raises(RuntimeError, match="duplicate sort key for j=1"):
-        build_general(72, 3)
-    path = tmp_path / "s.permset"
-    code, out, err = run(capsys, "construct", "algebraic", "--n", "72", "--k", "3",
-                         "--out", str(path))
-    assert (code, out) == (3, "")
-    assert err == "internal error: duplicate sort key for j=1; keys must be 1-1 on [n]\n"
-    assert not path.exists()
-
-
-def test_tie_at_a_later_member_stops_the_write(tmp_path, capsys, monkeypatch):
-    # Members are written as they are built, so when generator j=2 ties the
-    # header and member 1 are already in the temporary file, which goes.
-    key_arrays = algebraic._key_arrays
-    during = []
-
-    def tied_at_2(j, *args):
-        major, middle, minor = key_arrays(j, *args)
-        if j == 2:
+    def render_line(word, n, buf, size):
+        if next(renders):
             during.extend(p.name for p in tmp_path.iterdir())
-            major = major * 0
-        return major, middle, minor
+            return -1
+        line = " ".join(map(str, word + 1)).encode() + b"\n"
+        buf[:len(line)] = list(line)
+        return len(line)
 
-    monkeypatch.setattr(algebraic, "_key_arrays", tied_at_2)
+    monkeypatch.setattr(fileio._native, "library",
+                        lambda: types.SimpleNamespace(render_line=render_line))
     path = tmp_path / "s.permset"
     code, out, err = run(capsys, "construct", "algebraic", "--n", "72", "--k", "3",
                          "--out", str(path))
     assert (code, out) == (3, "")
-    assert err == "internal error: duplicate sort key for j=2; keys must be 1-1 on [n]\n"
+    assert err == "internal error: render_line refused a member on [72]\n"
     assert len(during) == 1 and during[0].startswith(".s.permset.") and during[0].endswith(".tmp")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_construct_without_out_builds_nothing(tmp_path, capsys, monkeypatch):
+    # Without --out the report is the record's, so no member is built; the
+    # digests are the reports of the builds that made every member.
+    def unbuildable(*args):
+        raise RuntimeError("a member was built")
+
+    monkeypatch.setattr(algebraic, "_member", unbuildable)
+    monkeypatch.setattr(hadamard, "_cut", unbuildable)
+    for argv, digest in [
+        (("construct", "algebraic", "--n", "72", "--k", "3"),
+         "6e24b7249e838a9c7cde1f6ec342f20e29f56b18d879aec7e83d6cf45adcfc72"),
+        (("construct", "hadamard", "--k", "4", "--s", "4", "--n", "27"),
+         "a62d745b74118be726254756d79f59be81a322c579ac7c2223cc1eab979901c2"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
+        path = tmp_path / "s.permset"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, out, err) == (3, "", "internal error: a member was built\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_out_of_memory_is_usage_error(capsys, monkeypatch):

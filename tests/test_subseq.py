@@ -301,6 +301,26 @@ def lane_lengths(positions, words):
             for q, a in zip(positions, words)]
 
 
+def product_calls():
+    """(positions, words, lengths) of `lis_lanes` calls over three seeded
+    random product sets (k = 5, 6 and 8, n = 840 to 15,120): every pair's
+    job, member j's position array with member i's word, in the order
+    `subseq._trial` streams them, four to a call, so most calls' lanes carry
+    two columns' position arrays.  Each lane's length is LCS(i, j) from the
+    set's product table, not from a kernel."""
+    rng = trial_rng(38)
+    calls = []
+    for k, bases in ((5, (7, 6, 5, 4)), (6, (10,) * 4), (8, (9, 8, 7, 6, 5))):
+        words, table = product_set([(b, [random_perm(b, rng) for _ in range(k)]) for b in bases])
+        positions = [np.argsort(w).astype(np.int32) for w in words]
+        jobs = [(j, i) for j in range(1, k) for i in range(j)]
+        for start in range(0, len(jobs), _native.LANES):
+            group = jobs[start:start + _native.LANES]
+            calls.append(([positions[j] for j, _ in group], [words[i] for _, i in group],
+                          [table[i][j] for j, i in group]))
+    return calls
+
+
 def test_lis_lanes_matches_python_kernel():
     # Each lane's length is _lis_core's LIS of its relabeled word, whatever
     # the other lanes hold, as they search in lockstep and as cap grows.
@@ -407,11 +427,16 @@ def misjudged(tmp_path, child, args, want, mutants, equivalent=()):
 
 
 def test_lane_kernel_mutants_fail_the_equivalence_oracle(tmp_path):
-    # A child that crashes or prints a wrong length rejects a mutant.
+    # A child that crashes or prints a wrong length rejects a mutant.  The
+    # cases are lane_cases(), judged by _lis_core, and product_calls(),
+    # judged by their product tables.
     if _native.library() is None:
         pytest.skip("no native kernel on this machine")
     cases = lane_cases()
     want = [lane_lengths(positions, words) for positions, words in cases]
+    for positions, words, lengths in product_calls():
+        cases.append((positions, words))
+        want.append(lengths)
     with open(tmp_path / "cases", "wb") as f:
         for positions, words in cases:
             arrays = list({id(q): q for q in positions if q is not None}.values())
